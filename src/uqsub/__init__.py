@@ -38,7 +38,7 @@ from .closed_forms import (
 from .mcsim import HaarSampler, McEstimate, estimate_fidelity
 from .objective import ObjectiveTable, PolyInP, SdpProblem, assemble, build_constraints, build_objective
 from .oracle import build_omega, oracle_fidelity, solve_choi, sym_projector, twirl_objective
-from .sdp import SdpSolution, SolverConfig, check_certificate, solve
+from .sdp import SdpSolution, SolverConfig, check_certificate, check_dual, solve
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,7 @@ __all__ = [
     "cem_fidelity",
     "cg",
     "check_certificate",
+    "check_dual",
     "dn_fidelity",
     "dn_w_values",
     "enumerate_sectors",

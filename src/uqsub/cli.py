@@ -15,7 +15,7 @@ from . import closed_forms
 from .channel import KrausSet, kraus_from_choi, reconstruct_choi, w_values_from_solution
 from .errors import CapacityError
 from .mcsim import HaarSampler, estimate_fidelity
-from .objective import assemble, build_objective
+from .objective import MAX_TOTAL_QUBITS, assemble, build_objective
 from .oracle import build_omega, solve_choi, twirl_objective
 from .sdp import SolverConfig, solve
 
@@ -135,6 +135,12 @@ def _sweep_point(task):
 
 
 def cmd_sweep(args) -> int:
+    if min(args.n1_max, args.n2_max) < 1 or args.n1_max + args.n2_max > MAX_TOTAL_QUBITS:
+        print(
+            f"error: need --n1-max, --n2-max >= 1 with --n1-max + --n2-max <= {MAX_TOTAL_QUBITS}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
     jobs = args.jobs or os.cpu_count() or 1
     log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
@@ -187,7 +193,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    table = build_objective(args.n1, args.n2)
+    if args.p_steps < 2:
+        print("error: --p-steps must be >= 2", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        table = build_objective(args.n1, args.n2)
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     ps = closed_forms.default_p_grid(args.p_steps)
     lines = ["p,f_opt,f_dn,f_mp_upper,f_2inf"]
     for p in ps:

@@ -1,11 +1,15 @@
 """Self-contained solver for small block-diagonal semidefinite programs.
 
-Primal-dual path following with Nesterov-Todd scaling and a Mehrotra-style
-adaptive centering parameter.  The problems here are tiny (many 1x1/2x2
-blocks for the covariant path, one dense block up to 128x128 for the
-brute-force oracle path), so the implementation favors robustness and
-verifiability over speed: dense linear algebra, explicit residuals, and an
-independent certificate checker.
+`solve` reads the structure of the problem it receives.  The covariant SDP
+is a chain: PSD blocks of dimension <= 2, and equality rows that each fix a
+positive combination of at most two diagonal entries, every diagonal entry
+lying in exactly one row.  Such problems go to an exact Newton method on one
+angle per row (`_solve_chain`), which closes a primal/dual bracket at
+round-off.  Every other problem -- the dense Choi block of the oracle, and
+anything malformed -- goes to `solve_ipm`, a primal-dual path-following
+method with Nesterov-Todd scaling and a Mehrotra-style adaptive centering
+parameter.  The IPM favors robustness and verifiability over speed: dense
+linear algebra, explicit residuals, and an independent certificate checker.
 """
 from __future__ import annotations
 
@@ -156,7 +160,7 @@ class _Instance:
         return sum(np.tensordot(c, x) for c, x in zip(self.c, xs))
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Maximize the linear objective over block-PSD variables with equalities.
 
     Deterministic: identical problems and configs produce identical iterates.
@@ -343,6 +347,237 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     )
 
 
+def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | None:
+    """(block, index, row, coefficient) of every diagonal entry, in block
+    order, when the problem is a chain; None otherwise.
+
+    A chain has blocks of dimension 1 or 2, and equality rows with a positive
+    rhs whose coefficients sit on one or two diagonal entries, all positive;
+    every diagonal entry lies in exactly one row.
+    """
+    if not problem.equalities or any(spec.dim not in (1, 2) for spec in problem.blocks):
+        return None
+    owner: dict[tuple[int, int], tuple[int, float]] = {}
+    for r, (coeffs, rhs) in enumerate(problem.equalities):
+        if not rhs > 0:
+            return None
+        terms = 0
+        for pos, mat in coeffs.items():
+            if mat.shape != (problem.blocks[pos].dim,) * 2:
+                return None
+            for i, line in enumerate(mat.tolist()):
+                for k, a in enumerate(line):
+                    if a == 0:
+                        continue
+                    if i != k or not a > 0 or (pos, i) in owner:
+                        return None
+                    owner[(pos, i)] = (r, a)
+                    terms += 1
+        if not 1 <= terms <= 2:
+            return None
+    entries = [(pos, i) for pos, spec in enumerate(problem.blocks) for i in range(spec.dim)]
+    if len(owner) != len(entries):
+        return None
+    return [(pos, i, *owner[(pos, i)]) for pos, i in entries]
+
+
+class _Chain:
+    """A chain problem over its diagonal entries e = 0..E-1, in block order.
+
+    Entry e lies in row `row[e]` with coefficient `coef[e]` and is written
+    x_e = v_e**2.  A row with two entries owns one angle theta and sets
+    v = sqrt(rhs/coef) * (sin theta, cos theta) on them, so the row holds for
+    every theta; a row with one entry pins it.  A 2x2 block is the rank-one
+    w w^T with w = (|v_e|, sign(C_ef) |v_f|), which maximizes its cross term
+    |2 C_ef| |v_e v_f| under c^2 <= x_e x_f.  The smooth objective v^T C v,
+    with every off-diagonal replaced by its magnitude, therefore has the SDP
+    optimum as its unconstrained maximum over the angles: each sin and each
+    cos occurs in one block only, so a maximizer can make every cross term
+    nonnegative.  On [0, pi/2]^n, where every v >= 0, it is h(sin^2 theta)
+    for the concave h(s) of the box-constrained problem in s = sin^2 theta,
+    so there every local maximum is global.
+    """
+
+    def __init__(self, problem: SdpProblem, entries):
+        num = len(entries)
+        index = np.arange(num)
+        block = np.array([pos for pos, _, _, _ in entries])
+        self.row = np.array([r for _, _, r, _ in entries])
+        self.coef = np.array([a for _, _, _, a in entries])
+        self.rhs = np.array([rhs for _, rhs in problem.equalities], dtype=float)
+        self.scale = np.sqrt(self.rhs[self.row] / self.coef)
+        self.dims = [spec.dim for spec in problem.blocks]
+
+        # first and second entry of each row; a pinned row repeats its entry
+        first = np.full(len(self.rhs), -1)
+        second = np.full(len(self.rhs), -1)
+        for e, r in enumerate(self.row):
+            if first[r] < 0:
+                first[r] = e
+            else:
+                second[r] = e
+        angled = np.flatnonzero(second >= 0)
+        self.first, self.second = first, np.where(second >= 0, second, first)
+        self.sin_entries, self.cos_entries = first[angled], second[angled]
+        self.incidence = np.zeros((num, len(angled)))
+        self.incidence[self.sin_entries, np.arange(len(angled))] = 1.0
+        self.incidence[self.cos_entries, np.arange(len(angled))] = 1.0
+
+        # the two entries of a 2x2 block are adjacent; a 1x1 entry partners itself
+        self.partner = index.copy()
+        pairs = index[:-1][block[:-1] == block[1:]]
+        self.partner[pairs], self.partner[pairs + 1] = pairs + 1, pairs
+        sym = [0.5 * (c + c.T) for c in problem.objective]
+        self.signs = [-1.0 if c.shape[0] == 2 and c[0, 1] < 0 else 1.0 for c in sym]
+        self.cdiag = np.array([sym[pos][i, i] for pos, i, _, _ in entries])
+        self.coff = np.array(
+            [abs(sym[pos][0, 1]) if self.dims[pos] == 2 else 0.0 for pos, _, _, _ in entries]
+        )
+        self.cmat = np.diag(self.cdiag)
+        self.cmat[index, self.partner] += self.coff
+
+    def factors(self, theta: np.ndarray):
+        """v and dv/dtheta of every entry (dv on the entry's own angle)."""
+        s, c = np.sin(theta), np.cos(theta)
+        t = np.ones(len(self.row))
+        dt = np.zeros(len(self.row))
+        t[self.sin_entries], t[self.cos_entries] = s, c
+        dt[self.sin_entries], dt[self.cos_entries] = c, -s
+        return self.scale * t, self.scale * dt
+
+    def value(self, theta: np.ndarray) -> float:
+        v, _ = self.factors(theta)
+        return float(v @ self.cmat @ v)
+
+    def min_eig_z(self, lam: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of Z_b = sum_r lam_r A_rb - C_b, per entry of b."""
+        zd = lam[self.row] * self.coef - self.cdiag
+        zp = zd[self.partner]
+        return 0.5 * (zd + zp) - np.hypot(0.5 * (zd - zp), self.coff)
+
+    def certificate(self, v: np.ndarray):
+        """Primal value, dual multipliers, gap and min eig Z at v.
+
+        lam_r = sum_{e in r} (C w)_e w_e / rhs_r is the multiplier that
+        complementary slackness Z_b w_b = 0 gives on any block where the row's
+        entry is nonzero; with it the dual value sum_r rhs_r lam_r equals the
+        primal one.  Each lam_r is then raised by just enough to make every
+        Z_b PSD, so the dual value bounds the optimum from above and the gap
+        dual - primal is the cost of that repair, sum_r rhs_r raise_r.
+        """
+        w = np.abs(v)
+        u = self.cmat @ w
+        lam = np.bincount(self.row, weights=u * w, minlength=len(self.rhs)) / self.rhs
+        need = np.maximum(0.0, -self.min_eig_z(lam)) / self.coef
+        raise_ = np.maximum(need[self.first], need[self.second])
+        lam = lam + raise_
+        return float(w @ u), lam, float(self.rhs @ raise_), float(self.min_eig_z(lam).min())
+
+    def blocks(self, v: np.ndarray) -> list[np.ndarray]:
+        w = np.abs(v)
+        out = []
+        start = 0
+        for dim, sign in zip(self.dims, self.signs):
+            vec = w[start : start + dim] * np.array([1.0, sign][:dim])
+            out.append(np.outer(vec, vec))
+            start += dim
+        return out
+
+
+def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution:
+    """Newton ascent on the row angles, stopped by the primal/dual certificate.
+
+    The Hessian's eigenvalues are replaced by their magnitudes, so every step
+    ascends even where the angle objective is not concave, and an Armijo
+    backtracking search scales the step.  The loop stops once the gap is far
+    below gap_tol (at round-off by default) or the angles stop moving; the
+    status then judges the final certificate against the config's tolerances.
+    """
+    chain = _Chain(problem, entries)
+    theta = np.full(chain.incidence.shape[1], np.pi / 4)
+    status = STATUS_MAX_ITERATIONS
+    it = 0
+    while True:
+        v, dv = chain.factors(theta)
+        primal, lam, gap, min_z = chain.certificate(v)
+        rel = 1.0 + abs(primal + problem.offset)
+        if gap <= min(1e-3 * cfg.gap_tol, 1e-14) * rel and min_z >= -cfg.psd_tol:
+            status = STATUS_OPTIMAL
+            break
+        if it >= cfg.max_iterations or not theta.size:
+            break
+        u = chain.cmat @ v
+        grad = 2.0 * chain.incidence.T @ (u * dv)
+        jac = chain.incidence * dv[:, None]
+        hess = 2.0 * jac.T @ chain.cmat @ jac - np.diag(2.0 * chain.incidence.T @ (u * v))
+        evals, vecs = np.linalg.eigh(hess)
+        top = float(np.abs(evals).max())
+        step = vecs @ ((vecs.T @ grad) / np.maximum(np.abs(evals), max(1e-12 * top, 1e-300)))
+        longest = float(np.abs(step).max())
+        if longest > 1.0:
+            step /= longest
+        # where the objective is convex along an eigenvector the gradient can
+        # vanish (an angle stuck at 0 or pi/2 whose entry should grow), so
+        # the path theta + t*step + sqrt(t)*turn also moves along it
+        turn = np.zeros_like(theta)
+        gain = float(grad @ step)
+        if evals[-1] > 1e-8 * top:
+            turn = vecs[:, -1] if vecs[:, -1] @ grad >= 0 else -vecs[:, -1]
+            gain += 0.5 * float(evals[-1])
+        # Armijo test with round-off slack: near the optimum the value no
+        # longer moves while the angles, and the dual bound, still improve
+        floor = float(v @ u) - 1e-15 * rel
+        t = 1.0
+        while chain.value(theta + t * step + np.sqrt(t) * turn) < floor + 1e-4 * t * gain:
+            t *= 0.5
+            if t < 1e-12:
+                break
+        it += 1
+        # fold into [0, pi/2]: same |sin| and |cos|, so every v >= 0 and every
+        # cross term is nonnegative; folding never lowers the value, and it
+        # leaves no local maximum of another sign pattern to converge to
+        new_theta = theta + t * step + np.sqrt(t) * turn
+        new_theta = np.arctan2(np.abs(np.sin(new_theta)), np.abs(np.cos(new_theta)))
+        if t < 1e-12 or np.abs(new_theta - theta).max() <= 1e-15:
+            status = STATUS_STALLED
+            break
+        theta = new_theta
+
+    # every exit leaves v and its certificate computed at the final theta
+    residual = np.bincount(chain.row, weights=chain.coef * v * v, minlength=len(chain.rhs))
+    rp_norm = float(np.max(np.abs(residual - chain.rhs)))
+    if rp_norm <= cfg.feas_tol and gap <= cfg.gap_tol * rel and min_z >= -cfg.psd_tol:
+        status = STATUS_OPTIMAL
+    elif status == STATUS_OPTIMAL:
+        status = STATUS_STALLED
+    return SdpSolution(
+        blocks=chain.blocks(v),
+        objective_value=primal + problem.offset,
+        primal_residual=rp_norm,
+        dual_residual=max(0.0, -min_z),
+        min_eigenvalue=0.0,  # every block is w w^T
+        gap_estimate=gap,
+        iterations=it,
+        status=status,
+        dual_multipliers=lam,
+    )
+
+
+def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+    """Maximize the linear objective over block-PSD variables with equalities.
+
+    Chain-structured problems (see `_chain_entries`) are solved exactly by
+    `_solve_chain`; all others by `solve_ipm`.  Both are deterministic and
+    return the same `SdpSolution` layout: blocks in problem order and the
+    dual multipliers y of the rows, with dual slack Z = sum_r y_r A_r - C.
+    """
+    cfg = config or SolverConfig()
+    entries = _chain_entries(problem)
+    if entries is None:
+        return solve_ipm(problem, cfg)
+    return _solve_chain(problem, entries, cfg)
+
+
 @dataclass
 class CertificateReport:
     passed: bool
@@ -390,4 +625,37 @@ def check_certificate(
         min_eigenvalue=min_eig,
         failed_blocks=failed,
         details=details,
+    )
+
+
+@dataclass
+class DualReport:
+    passed: bool
+    dual_value: float
+    min_eigenvalue: float
+    failed_blocks: list[str]
+
+
+def check_dual(
+    problem: SdpProblem, multipliers: np.ndarray, psd_tol: float = 1e-8
+) -> DualReport:
+    """Re-derive dual feasibility of row multipliers independently of the solver.
+
+    When every Z_b = sum_r y_r A_rb - C_b is PSD, the dual value
+    sum_r b_r y_r + offset bounds the maximum from above (weak duality).
+    """
+    inst = _Instance(problem)
+    y = np.asarray(multipliers, dtype=float)
+    failed = []
+    min_eig = np.inf
+    for spec, aty, c in zip(problem.blocks, inst.adjoint(y), inst.c):
+        lam = float(np.linalg.eigvalsh(aty - c).min())
+        min_eig = min(min_eig, lam)
+        if lam < -psd_tol:
+            failed.append(spec.name)
+    return DualReport(
+        passed=not failed,
+        dual_value=float(inst.b @ y) + problem.offset if inst.m else problem.offset,
+        min_eigenvalue=min_eig,
+        failed_blocks=failed,
     )

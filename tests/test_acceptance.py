@@ -64,9 +64,10 @@ def test_criterion_1_closed_form_match_2_1():
     elapsed = time.monotonic() - start
     report(
         1,
-        worst <= 1e-6 and spot_err <= 1e-6 and elapsed < 5.0,
+        worst <= 1e-9 and spot_err <= 1e-9 and elapsed < 5.0,
         f"2-copy/1-noise closed form: max |F - exact| = {worst:.2e} on 101-pt grid "
-        f"(tol 1e-6), spot error {spot_err:.2e}, runtime {elapsed:.2f}s < 5s",
+        f"and at p = 3/8 +- 1e-9 (tol 1e-9), spot error {spot_err:.2e}, "
+        f"runtime {elapsed:.2f}s < 5s",
     )
 
 

@@ -89,6 +89,18 @@ class TestSweep:
         assert code == 4
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("n1_max,n2_max", [(13, 12), (0, 2), (2, 0)])
+    def test_grid_out_of_range_exit_2(self, capsys, tmp_path, n1_max, n2_max):
+        out_file = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys,
+            ["sweep", "--n1-max", str(n1_max), "--n2-max", str(n2_max), "--p", "0.5",
+             "--out", str(out_file), "--jobs", "2"],
+        )
+        assert code == 2
+        assert "--n1-max" in err
+        assert not out_file.exists()
+
 
 class TestCurves:
     def test_endpoint_rows(self, capsys, tmp_path):
@@ -107,6 +119,21 @@ class TestCurves:
         run(capsys, ["curves", "--p-steps", "5", "--out", str(a)])
         run(capsys, ["curves", "--p-steps", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_too_few_steps_exit_2(self, capsys, tmp_path, steps):
+        out_file = tmp_path / "c.csv"
+        code, _, err = run(capsys, ["curves", "--p-steps", steps, "--out", str(out_file)])
+        assert code == 2
+        assert "--p-steps" in err
+        assert not out_file.exists()
+
+    def test_capacity_exit_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, ["curves", "--n1", "13", "--n2", "12", "--out", str(tmp_path / "c.csv")]
+        )
+        assert code == 2
+        assert "exceeds" in err
 
 
 class TestVerify:

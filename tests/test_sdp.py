@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uqsub import sdp
 from uqsub.objective import BlockSpec, SdpProblem, assemble, build_objective
 from uqsub.sdp import (
     STATUS_INFEASIBLE,
@@ -10,7 +13,9 @@ from uqsub.sdp import (
     SolverConfig,
     SdpSolution,
     check_certificate,
+    check_dual,
     solve,
+    solve_ipm,
 )
 
 
@@ -22,6 +27,33 @@ def f21_closed(p):
 
 def covariant_problem(n1, n2, p):
     return assemble(build_objective(n1, n2), p)
+
+
+def random_chain_problem(rng, num_blocks):
+    """Blocks of dim 1-2, diagonal entries paired at random into rows of one or
+    two entries with positive coefficients and rhs, random symmetric objective."""
+    dims = [int(d) for d in rng.integers(1, 3, num_blocks)]
+    entries = [(b, i) for b, d in enumerate(dims) for i in range(d)]
+    order = rng.permutation(len(entries))
+    equalities = []
+    k = 0
+    while k < len(order):
+        size = 1 if k == len(order) - 1 or rng.uniform() < 0.25 else 2
+        coeffs = {}
+        for j in order[k : k + size]:
+            b, i = entries[j]
+            coeffs.setdefault(b, np.zeros((dims[b], dims[b])))[i, i] = rng.uniform(0.2, 3.0)
+        equalities.append((coeffs, float(rng.uniform(0.2, 3.0))))
+        k += size
+    objective = []
+    for d in dims:
+        a = rng.standard_normal((d, d))
+        objective.append(a + a.T)
+    return SdpProblem(
+        blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate(dims)],
+        objective=objective,
+        equalities=equalities,
+    )
 
 
 class TestSolveCovariant:
@@ -174,3 +206,121 @@ class TestCertificate:
         blk = sol.block_dict(prob)["q=1,j1=1"]
         a, c, b = blk[0, 0], blk[1, 1], blk[0, 1]
         assert b * b - a * c == pytest.approx(0.0, abs=1e-8)
+
+
+class TestChainSolver:
+    """The covariant problem is solved by the chain method; the IPM is the reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        sizes=st.integers(1, 9).flatmap(lambda n1: st.tuples(st.just(n1), st.integers(1, 10 - n1))),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_matches_ipm_with_closed_bracket(self, sizes, p):
+        n1, n2 = sizes
+        prob = covariant_problem(n1, n2, p)
+        chain = solve(prob)
+        reference = solve_ipm(prob)
+        assert chain.status == STATUS_OPTIMAL
+        assert abs(chain.objective_value - reference.objective_value) <= 1e-9
+        assert chain.objective_value >= reference.objective_value - 1e-12
+        assert chain.objective_value >= 1 - p / 2 - 1e-12
+        assert check_certificate(prob, chain).passed
+        assert chain.gap_estimate <= 1e-10
+        dual = check_dual(prob, chain.dual_multipliers)
+        assert dual.passed
+        assert chain.objective_value - 1e-12 <= dual.dual_value <= chain.objective_value + 1e-10
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.375, 0.5, 0.95, 1.0])
+    def test_10x10_grid_certified(self, p):
+        for n1 in range(1, 11):
+            for n2 in range(1, 11):
+                prob = covariant_problem(n1, n2, p)
+                sol = solve(prob)
+                assert sol.status == STATUS_OPTIMAL, (n1, n2)
+                assert sol.gap_estimate <= 1e-10, (n1, n2)
+                assert check_certificate(prob, sol).passed, (n1, n2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), num_blocks=st.integers(1, 12))
+    def test_random_chain_problems_close_the_bracket(self, seed, num_blocks):
+        prob = random_chain_problem(np.random.default_rng(seed), num_blocks)
+        sol = solve(prob)
+        dual = check_dual(prob, sol.dual_multipliers)
+        scale = 1.0 + abs(sol.objective_value)
+        assert sol.status == STATUS_OPTIMAL
+        assert check_certificate(prob, sol).passed
+        assert dual.passed
+        assert -1e-12 * scale <= dual.dual_value - sol.objective_value <= 1e-10 * scale
+        reference = solve_ipm(prob)
+        if reference.success:
+            assert sol.objective_value >= reference.objective_value - 1e-7 * scale
+
+    def test_no_local_maximum_with_a_negative_cross_term(self):
+        # without folding the angles into [0, pi/2], Newton stops here at a
+        # maximum of the sign pattern with sin < 0 in block b3 (gap 2e-3)
+        def diag2(a, b):
+            return np.diag([a, b])
+
+        prob = SdpProblem(
+            blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate([2, 2, 1, 2])],
+            objective=[
+                np.array([[2.555, -1.647], [-1.647, 2.647]]),
+                np.array([[2.712, -0.018], [-0.018, 0.79]]),
+                np.array([[0.239]]),
+                np.array([[1.702, -0.871], [-0.871, -1.095]]),
+            ],
+            equalities=[
+                ({3: diag2(2.931, 0.0), 2: np.array([[1.414]])}, 2.44),
+                ({1: diag2(1.398, 0.0)}, 0.239),
+                ({0: diag2(1.044, 0.0)}, 0.483),
+                ({1: diag2(0.0, 1.247), 3: diag2(0.0, 2.563)}, 1.785),
+                ({0: diag2(0.0, 1.136)}, 1.144),
+            ],
+        )
+        sol = solve(prob)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.gap_estimate <= 1e-12
+        assert sol.objective_value == pytest.approx(solve_ipm(prob).objective_value, abs=1e-8)
+
+    def test_lowered_multiplier_breaks_dual_feasibility(self):
+        prob = covariant_problem(2, 2, 0.4)
+        sol = solve(prob)
+        assert check_dual(prob, sol.dual_multipliers).passed
+        for r in range(prob.num_constraints):
+            lowered = sol.dual_multipliers.copy()
+            lowered[r] -= 1e-3
+            report = check_dual(prob, lowered)
+            assert not report.passed, r
+            assert report.min_eigenvalue < -1e-5
+
+    def test_non_chain_problems_go_to_ipm(self, monkeypatch):
+        calls = []
+
+        def recording_ipm(problem, config=None):
+            calls.append(problem)
+            return solve_ipm(problem, config)
+
+        monkeypatch.setattr(sdp, "solve_ipm", recording_ipm)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 3))
+        # dense 3x3 block with unit diagonal: every entry in its own row
+        dense = SdpProblem(
+            blocks=[BlockSpec(name="dense", dim=3)],
+            objective=[a + a.T],
+            equalities=[({0: np.diag(np.eye(3)[i])}, 1.0) for i in range(3)],
+        )
+        # x sits in both rows: x + y = 2 and x = 1
+        shared = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=1), BlockSpec(name="y", dim=1)],
+            objective=[np.eye(1), np.eye(1)],
+            equalities=[({0: np.eye(1), 1: np.eye(1)}, 2.0), ({0: np.eye(1)}, 1.0)],
+        )
+        for prob in (dense, shared):
+            sol = solve(prob)
+            assert calls[-1] is prob
+            assert sol.status == STATUS_OPTIMAL
+        assert solve(shared).objective_value == pytest.approx(2.0, abs=1e-7)
+        calls.clear()
+        solve(covariant_problem(2, 1, 0.5))
+        assert calls == []
