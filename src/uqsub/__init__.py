@@ -22,7 +22,6 @@ from .channel import (
     CoupledBasis,
     KrausSet,
     build_coupled_basis,
-    dn_w_values,
     kraus_from_choi,
     reconstruct_choi,
 )
@@ -37,7 +36,7 @@ from .closed_forms import (
 )
 from .mcsim import HaarSampler, McEstimate, estimate_fidelity
 from .objective import ObjectiveTable, PolyInP, SdpProblem, assemble, build_constraints, build_objective
-from .oracle import build_omega, oracle_fidelity, solve_choi, sym_projector, twirl_objective
+from .oracle import build_omega, solve_choi, sym_projector, twirl_objective
 from .sdp import SdpSolution, SolverConfig, check_certificate, check_dual, solve
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "check_certificate",
     "check_dual",
     "dn_fidelity",
-    "dn_w_values",
     "enumerate_sectors",
     "estimate_fidelity",
     "f1n2",
@@ -76,7 +74,6 @@ __all__ = [
     "kraus_from_choi",
     "mp_upper",
     "multiplicity",
-    "oracle_fidelity",
     "q_set",
     "reconstruct_choi",
     "solve",

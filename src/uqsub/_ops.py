@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-UP = np.array([1.0, 0.0])
-PROJ_UP = np.outer(UP, UP)
+PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
@@ -35,19 +34,6 @@ def qubit_index_map(positions: list[int], n: int) -> np.ndarray:
     return cmap
 
 
-def place_qubit_operator(mat: np.ndarray, positions: list[int], n: int) -> np.ndarray:
-    """Embed an operator on len(positions) qubits (canonical factor order)
-    at the given qubit positions of an n-qubit register, identity elsewhere.
-
-    Only meaningful here when the remaining positions carry scalar factors;
-    callers pass operators covering all n qubits split across two groups.
-    """
-    if len(positions) != n:
-        raise ValueError("positions must cover all qubits")
-    cmap = qubit_index_map(positions, n)
-    return mat[np.ix_(cmap, cmap)]
-
-
 def permutation_index_map(perm, n: int) -> np.ndarray:
     """Index map of the operator permuting qubit j to position perm[j]."""
     inv = [0] * n
@@ -62,62 +48,8 @@ def permutation_index_map(perm, n: int) -> np.ndarray:
     return idx
 
 
-def permutation_operator(perm, n: int) -> np.ndarray:
-    dim = 1 << n
-    mat = np.zeros((dim, dim))
-    mat[permutation_index_map(perm, n), np.arange(dim)] = 1.0
-    return mat
-
-
-def choi_from_kraus(kraus, d_in: int | None = None) -> np.ndarray:
-    """Choi matrix (input x output index order) of sum_k M rho M^dag."""
-    ops = [np.asarray(m) for m in kraus]
-    d_out, din = ops[0].shape
-    if d_in is not None and din != d_in:
-        raise ValueError("Kraus operator shape mismatch")
-    dim = din * d_out
-    choi = np.zeros((dim, dim), dtype=complex)
-    for m in ops:
-        vec = m.T.reshape(dim)
-        choi += np.outer(vec, vec.conj())
-    return choi
-
-
-def apply_choi(choi: np.ndarray, rho: np.ndarray, d_out: int = 2) -> np.ndarray:
-    """Channel action reconstructed from its Choi matrix."""
-    d_in = choi.shape[0] // d_out
-    j4 = choi.reshape(d_in, d_out, d_in, d_out)
-    return np.einsum("isjt,ij->st", j4, rho)
-
-
 def choi_output_trace(choi: np.ndarray, d_out: int = 2) -> np.ndarray:
     """Partial trace over the output factor; equals I_in for a TP channel."""
     d_in = choi.shape[0] // d_out
     j4 = choi.reshape(d_in, d_out, d_in, d_out)
     return np.einsum("isjs->ij", j4)
-
-
-def dn_kraus(n: int) -> list[np.ndarray]:
-    """Kraus set of the doing-nothing strategy: keep qubit 0, trace the rest."""
-    dim_rest = 1 << (n - 1)
-    ops = []
-    for r in range(dim_rest):
-        m = np.zeros((2, 1 << n))
-        m[0, r] = 1.0
-        m[1, dim_rest + r] = 1.0
-        ops.append(m)
-    return ops
-
-
-def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Batch of Haar-distributed SU(2) matrices, shape (size, 2, 2)."""
-    z = rng.standard_normal((size, 4))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    a = z[:, 0] + 1j * z[:, 1]
-    b = z[:, 2] + 1j * z[:, 3]
-    u = np.empty((size, 2, 2), dtype=complex)
-    u[:, 0, 0] = a
-    u[:, 1, 0] = b
-    u[:, 0, 1] = -b.conj()
-    u[:, 1, 1] = a.conj()
-    return u

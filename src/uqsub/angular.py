@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -29,30 +28,8 @@ class HalfInt:
             raise ValueError(f"{value!r} is not a half-integer")
         return cls(int(frac * 2))
 
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + _twice(other))
-
-    def __radd__(self, other) -> "HalfInt":
-        return HalfInt(_twice(other) + self.twice)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - _twice(other))
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(_twice(other) - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
     def __float__(self) -> float:
         return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:
@@ -61,20 +38,6 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self})"
-
-
-def _twice(value) -> int:
-    if isinstance(value, HalfInt):
-        return value.twice
-    if isinstance(value, int):
-        return 2 * value
-    return HalfInt.of(value).twice
-
-
-def halfint_range(lo: HalfInt, hi: HalfInt) -> Iterator[HalfInt]:
-    """Inclusive range lo, lo+1, ..., hi (integer steps)."""
-    for t in range(lo.twice, hi.twice + 1, 2):
-        yield HalfInt(t)
 
 
 @dataclass(frozen=True)

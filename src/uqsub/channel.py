@@ -2,7 +2,7 @@
 
 Builds the coupled angular-momentum basis of the two registers, turns an
 optimal set of Gram variables into a dense Choi matrix and Kraus operators,
-and extracts Gram values from explicitly given channels for cross-checks.
+and serializes Kraus sets as JSON.
 """
 from __future__ import annotations
 
@@ -11,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import choi_from_kraus, choi_output_trace, dn_kraus
+from ._ops import choi_output_trace
 from .angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors, sector_blocks
-from .errors import CapacityError, ExtractionError, ReconstructionError
+from .errors import CapacityError, ReconstructionError
 from .sdp import SdpSolution
 
 BASIS_QUBIT_GUARD = 8
-EXTRACT_QUBIT_GUARD = 6
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,6 @@ class CoupledBasis:
     n2: int
     isometry: np.ndarray  # columns are the coupled vectors in the computational basis
     columns: list[BasisColumn]
-
-    @property
-    def dim(self) -> int:
-        return self.isometry.shape[0]
 
 
 def _couple_register(n: int) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
@@ -156,8 +151,9 @@ class KrausSet:
     @classmethod
     def from_json(cls, text: str) -> "KrausSet":
         doc = json.loads(text)
-        if doc.get("schema") != "uqsub.kraus.v1":
-            raise ValueError(f"unsupported Kraus schema: {doc.get('schema')!r}")
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != "uqsub.kraus.v1":
+            raise ValueError(f"unsupported Kraus schema: {schema!r}")
         ops = [
             np.array([[complex(re, im) for re, im in row] for row in m])
             for m in doc["operators"]
@@ -264,84 +260,3 @@ def kraus_from_choi(choi: ChoiMatrix, cutoff: float = 1e-10) -> KrausSet:
         if lam > cutoff:
             ops.append(np.sqrt(lam) * vec.reshape(d_in, 2).T)
     return KrausSet(operators=ops)
-
-
-def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
-    """Gram values of the doing-nothing channel, extracted through the
-    covariant characterization by per-sector least squares and averaged over
-    the degeneracy label."""
-    n = n1 + n2
-    if n > EXTRACT_QUBIT_GUARD:
-        raise CapacityError(f"extraction limited to {EXTRACT_QUBIT_GUARD} qubits")
-    basis = build_coupled_basis(n1, n2)
-    dim = 1 << n
-    u3 = basis.isometry.reshape(2, dim // 2, dim)
-    # kdn[s, c, s', c'] = <s| Tr_rest |c><c'| |s'>
-    kdn = np.einsum("sra,trb->satb", u3, u3.conj())
-    cols = basis.columns
-    by_g: dict[tuple, list[tuple[int, BasisColumn]]] = {}
-    for ci, col in enumerate(cols):
-        if col.b_symmetric:
-            by_g.setdefault((col.tj1, col.path_a), []).append((ci, col))
-    sums: dict[SectorIndex, float] = {}
-    counts: dict[SectorIndex, int] = {}
-    for (tj1, _path), members in by_g.items():
-        tjs = sorted({col.tj for _, col in members})
-        for tj in tjs:
-            for tjp in tjs:
-                if tj > tjp or tjp - tj > 2:
-                    continue
-                qs = sorted(t for t in {tj - 1, tj + 1} & {tjp - 1, tjp + 1} if t >= 0)
-                if not qs:
-                    continue
-                rows = []
-                rhs = []
-                for ci, col in members:
-                    if col.tj != tj:
-                        continue
-                    for cj, col2 in members:
-                        if col2.tj != tjp:
-                            continue
-                        tm, tmp = col.tm, col2.tm
-                        for si, ts in enumerate((1, -1)):
-                            for sj, tsp in enumerate((1, -1)):
-                                value = kdn[si, ci, sj, cj].real
-                                if ts - tm != tsp - tmp:
-                                    rows.append([0.0] * len(qs))
-                                    rhs.append(value)
-                                    continue
-                                phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
-                                coeff = [
-                                    phase
-                                    * cg_twice(1, ts, tj, -tm, tq, ts - tm)
-                                    * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
-                                    for tq in qs
-                                ]
-                                rows.append(coeff)
-                                rhs.append(value)
-                amat = np.array(rows)
-                bvec = np.array(rhs)
-                wq, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
-                residual = float(np.abs(amat @ wq - bvec).max())
-                if residual > 1e-9:
-                    raise ExtractionError(
-                        f"characterization residual {residual:.3e} for "
-                        f"(j1={tj1/2}, j={tj/2}, j'={tjp/2})"
-                    )
-                for tq, val in zip(qs, wq):
-                    key = SectorIndex(
-                        j1=HalfInt(tj1), j=HalfInt(tj), jp=HalfInt(tjp), q=HalfInt(tq)
-                    )
-                    sums[key] = sums.get(key, 0.0) + float(val)
-                    counts[key] = counts.get(key, 0) + 1
-    averaged = {key: sums[key] / counts[key] for key in sums}
-    result = {}
-    for sector in enumerate_sectors(n1, n2):
-        result[sector] = averaged.get(sector, 0.0)
-    return result
-
-
-def dn_choi_direct(n1: int, n2: int) -> ChoiMatrix:
-    """Choi matrix of the doing-nothing strategy built straight from its Kraus set."""
-    n = n1 + n2
-    return ChoiMatrix(matrix=choi_from_kraus(dn_kraus(n)).real, n1=n1, n2=n2)

@@ -9,7 +9,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import closed_forms
 from .channel import KrausSet, kraus_from_choi, reconstruct_choi, w_values_from_solution
@@ -38,6 +37,17 @@ def _setup_logging():
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _write(path: str, text: str) -> bool:
+    """Write an output file; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _solve_instance(n1: int, n2: int, p: float, tol: float | None = None):
@@ -96,38 +106,6 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class SweepRecord:
-    """One grid point of a fidelity sweep; prefer marks which extra copy
-    helps more ("A" = mixture copy, "B" = noise copy, "" = edge of grid)."""
-
-    n1: int
-    n2: int
-    p: float
-    f_max: float
-    f_dn: float
-    solver_status: str
-    prefer: str = ""
-
-    @property
-    def gap(self) -> float:
-        return self.f_max - self.f_dn
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.n1),
-                str(self.n2),
-                _fmt(self.p),
-                _fmt(self.f_max),
-                _fmt(self.f_dn),
-                _fmt(self.gap),
-                self.solver_status,
-                self.prefer,
-            ]
-        )
-
-
 def _sweep_point(task):
     n1, n2, p = task
     _, sol = _solve_instance(n1, n2, p)
@@ -141,8 +119,11 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.jobs is not None and args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -152,28 +133,16 @@ def cmd_sweep(args) -> int:
     fmax = {(n1, n2): value for n1, n2, value, _ in results}
     status = {(n1, n2): st for n1, n2, _, st in results}
     f_dn = closed_forms.dn_fidelity(args.p, 2)
-    records = []
+    lines = ["n1,n2,p,f_max,f_dn,gap,status,prefer"]
     for n1, n2, _ in tasks:
+        # which extra copy helps more: "A" mixture, "B" noise, "" grid edge
         prefer = ""
         if (n1 + 1, n2) in fmax and (n1, n2 + 1) in fmax:
             prefer = "A" if fmax[(n1 + 1, n2)] > fmax[(n1, n2 + 1)] else "B"
-        records.append(
-            SweepRecord(
-                n1=n1,
-                n2=n2,
-                p=args.p,
-                f_max=fmax[(n1, n2)],
-                f_dn=f_dn,
-                solver_status=status[(n1, n2)],
-                prefer=prefer,
-            )
-        )
-    lines = ["n1,n2,p,f_max,f_dn,gap,status,prefer"] + [r.csv_row() for r in records]
-    try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        f = fmax[(n1, n2)]
+        fields = [n1, n2, _fmt(args.p), _fmt(f), _fmt(f_dn), _fmt(f - f_dn), status[(n1, n2)], prefer]
+        lines.append(",".join(map(str, fields)))
+    if not _write(args.out, "\n".join(lines) + "\n"):
         return EXIT_IO
     # flag (never fix) monotonicity violations beyond solver noise
     for n1, n2 in fmax:
@@ -220,11 +189,7 @@ def cmd_curves(args) -> int:
                 )
             )
         )
-    try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write(args.out, "\n".join(lines) + "\n"):
         return EXIT_IO
     print(f"wrote {len(ps)} rows to {args.out}")
     return EXIT_OK
@@ -266,11 +231,7 @@ def cmd_reconstruct(args) -> int:
         return EXIT_SOLVER
     choi = reconstruct_choi(sol, args.n1, args.n2)
     kraus = kraus_from_choi(choi)
-    try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(kraus.to_json() + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write(args.out, kraus.to_json() + "\n"):
         return EXIT_IO
     print(
         f"wrote {len(kraus.operators)} Kraus operators to {args.out} "
@@ -281,19 +242,30 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.samples < 2:
+        print(f"error: --samples must be >= 2, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with open(args.kraus) as fh:
             kraus = KrausSet.from_json(fh.read())
     except OSError as exc:
         print(f"cannot read {args.kraus}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"Kraus schema mismatch: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    dim = kraus.operators[0].shape[1]
-    if dim != 1 << (args.n1 + args.n2):
+    if not kraus.operators:
+        print("Kraus schema mismatch: empty operator list", file=sys.stderr)
+        return EXIT_SCHEMA
+    dim = 1 << (args.n1 + args.n2)
+    shapes = sorted({m.shape for m in kraus.operators})
+    if shapes != [(2, dim)]:
+        print(f"Kraus operators of shape {shapes}, flags give dimension {dim}", file=sys.stderr)
+        return EXIT_SCHEMA
+    residual = kraus.completeness_residual()
+    if residual > 1e-8:
         print(
-            f"Kraus set acts on dimension {dim}, flags give {1 << (args.n1 + args.n2)}",
+            f"Kraus set not trace preserving: completeness residual {residual:.3e}",
             file=sys.stderr,
         )
         return EXIT_SCHEMA

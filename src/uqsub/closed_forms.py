@@ -140,14 +140,9 @@ def f2inf(p: float) -> float:
     return const + best
 
 
-def f11(p: float) -> float:
-    """Optimal fidelity for one mixture copy and one noise copy."""
-    return f1n2(p)
-
-
 _CURVE_FUNCTIONS: dict[CurveLabel, Callable[[float], float]] = {
     CurveLabel.DN: lambda p: dn_fidelity(p, 2),
-    CurveLabel.F11: f11,
+    CurveLabel.F11: f1n2,
     CurveLabel.F1N2: f1n2,
     CurveLabel.F21: f21_exact,
     CurveLabel.MP_UPPER_N1: lambda p: mp_upper(p, 2),

@@ -7,7 +7,3 @@ class CapacityError(ValueError):
 
 class ReconstructionError(RuntimeError):
     """Channel reconstruction produced an operator violating CP/TP tolerances."""
-
-
-class ExtractionError(RuntimeError):
-    """Gram-value extraction from an explicit channel left a large residual."""

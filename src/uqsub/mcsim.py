@@ -37,11 +37,6 @@ class HaarSampler:
         return np.stack([z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]], axis=1)
 
 
-def sample_state(sampler: HaarSampler) -> np.ndarray:
-    """One Haar-random pure qubit state as a 2-component unit vector."""
-    return sampler.sample_states(1)[0]
-
-
 @dataclass
 class McEstimate:
     mean: float

@@ -33,17 +33,6 @@ class PolyInP:
             acc = acc * p + c
         return acc
 
-    def __add__(self, other: "PolyInP") -> "PolyInP":
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [0.0] * (n - len(self.coefficients))
-        for i, c in enumerate(other.coefficients):
-            a[i] += c
-        return PolyInP(tuple(a))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 def _binomial_weight_poly(n1: int, k: int) -> np.ndarray:
     """Monomial coefficients of binom(n1,k) (1-p)^k p^(n1-k), length n1+1."""

@@ -9,23 +9,13 @@ makes it an independent check of the block parametrization.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from ._ops import (
-    PROJ_UP,
-    SIGMA_Y,
-    choi_from_kraus,
-    dn_kraus,
-    haar_su2,
-    kron_all,
-    permutation_index_map,
-    qubit_index_map,
-)
+from ._ops import PROJ_UP, SIGMA_Y, kron_all, permutation_index_map, qubit_index_map
 from .errors import CapacityError
 from .objective import BlockSpec, SdpProblem
 from .sdp import SdpSolution, SolverConfig, solve
@@ -95,40 +85,6 @@ def build_omega(n1: int, n2: int, p: float) -> OmegaOperator:
     return OmegaOperator(matrix=omega, n1=n1, n2=n2, p=p)
 
 
-def monte_carlo_omega(
-    n1: int, n2: int, p: float, samples: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean of the averaged-input integrand over explicit Haar draws.
-
-    Returns (mean, entrywise standard error); the secondary numerical check
-    for build_omega.
-    """
-    n = n1 + n2
-    rng = np.random.default_rng(seed)
-    dim = 1 << n
-    total = np.zeros((dim, dim), dtype=complex)
-    total_sq = np.zeros((dim, dim))
-    batch = 2000
-    done = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        u = haar_su2(rng, size)
-        noise = np.einsum("bi,bj->bij", u[:, :, 0], u[:, :, 0].conj())
-        mix = (1 - p) * PROJ_UP[None] + p * noise
-        term = np.ones((size, 1, 1), dtype=complex)
-        for _ in range(n1):
-            term = np.einsum("bij,bkl->bikjl", term, mix).reshape(size, term.shape[1] * 2, -1)
-        for _ in range(n2):
-            term = np.einsum("bij,bkl->bikjl", term, noise).reshape(size, term.shape[1] * 2, -1)
-        total += term.sum(axis=0)
-        total_sq += (np.abs(term) ** 2).sum(axis=0)
-        done += size
-    mean = total / samples
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    stderr = np.sqrt(var / samples)
-    return mean, stderr
-
-
 @lru_cache(maxsize=None)
 def _twirl_data(m: int):
     """Permutation index maps and the pseudo-inverted Gram matrix for S_m.
@@ -140,7 +96,6 @@ def _twirl_data(m: int):
         raise CapacityError(f"twirl limited to {TWIRL_FACTOR_GUARD} factors, got {m}")
     perms = list(itertools.permutations(range(m)))
     index_maps = np.stack([permutation_index_map(perm, m) for perm in perms])
-    lookup = {perm: i for i, perm in enumerate(perms)}
 
     def cycles(perm) -> int:
         seen = [False] * m
@@ -161,7 +116,6 @@ def _twirl_data(m: int):
             composed = tuple(inv[sigma[t]] for t in range(m))
             gram[i, j] = 2.0 ** cycles(composed)
     gram_pinv = np.linalg.pinv(gram)
-    del lookup
     return index_maps, gram, gram_pinv
 
 
@@ -186,30 +140,6 @@ def twirl(x: np.ndarray, m: int, rest_dim: int = 1) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def monte_carlo_twirl(
-    x: np.ndarray, m: int, samples: int, seed: int = 0, rest_dim: int = 1
-) -> np.ndarray:
-    """Sample-mean twirl used as a secondary check of the exact projection."""
-    rng = np.random.default_rng(seed)
-    total = np.zeros_like(x, dtype=complex)
-    batch = 5000
-    done = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        u = haar_su2(rng, size)
-        big = np.ones((size, 1, 1), dtype=complex)
-        for _ in range(m):
-            big = np.einsum("bij,bkl->bikjl", big, u).reshape(size, big.shape[1] * 2, -1)
-        if rest_dim > 1:
-            eye = np.eye(rest_dim)
-            big = np.einsum("bij,kl->bikjl", big, eye).reshape(
-                size, big.shape[1] * rest_dim, -1
-            )
-        total += np.einsum("bij,jk,blk->il", big, x, big.conj(), optimize=True)
-        done += size
-    return total / samples
-
-
 def twirl_objective(omega: OmegaOperator) -> TwirledObjective:
     """Move the target-state average onto the Choi-space objective.
 
@@ -226,36 +156,6 @@ def twirl_objective(omega: OmegaOperator) -> TwirledObjective:
     twirled = twirl(conjugated, n + 1)
     matrix = y_all @ twirled @ y_all
     return TwirledObjective(matrix=matrix, n1=omega.n1, n2=omega.n2, p=omega.p)
-
-
-def monte_carlo_objective(
-    omega: OmegaOperator, samples: int, seed: int = 0
-) -> np.ndarray:
-    """Sample-mean fallback for the twirled objective over explicit SU(2)
-    draws (input factors in the conjugate representation, output plain)."""
-    n = omega.n1 + omega.n2
-    raw = np.kron(omega.matrix.T, PROJ_UP).astype(complex)
-    rng = np.random.default_rng(seed)
-    total = np.zeros_like(raw)
-    batch = 2000
-    done = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        u = haar_su2(rng, size)
-        big = np.ones((size, 1, 1), dtype=complex)
-        for _ in range(n):
-            big = np.einsum("bij,bkl->bikjl", big, u.conj()).reshape(
-                size, big.shape[1] * 2, -1
-            )
-        big = np.einsum("bij,bkl->bikjl", big, u).reshape(size, big.shape[1] * 2, -1)
-        total += np.einsum("bji,jk,bkl->il", big.conj(), raw, big, optimize=True)
-        done += size
-    return total / samples
-
-
-def dn_choi(n1: int, n2: int) -> np.ndarray:
-    """Choi matrix of the doing-nothing strategy on n1+n2 qubits."""
-    return choi_from_kraus(dn_kraus(n1 + n2))
 
 
 def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
@@ -294,9 +194,3 @@ def solve_choi(
     if not solution.success:
         raise RuntimeError(f"Choi SDP did not converge: status {solution.status}")
     return solution.objective_value, solution
-
-
-def oracle_fidelity(n1: int, n2: int, p: float, config: SolverConfig | None = None) -> float:
-    """End-to-end brute-force value of the optimal average fidelity."""
-    value, _ = solve_choi(twirl_objective(build_omega(n1, n2, p)), config)
-    return value

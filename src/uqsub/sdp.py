@@ -32,7 +32,6 @@ class SolverConfig:
     psd_tol: float = 1e-9
     gap_tol: float = 1e-7
     max_iterations: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.feas_tol, self.psd_tol, self.gap_tol) <= 0:
@@ -54,9 +53,6 @@ class SdpSolution:
     @property
     def success(self) -> bool:
         return self.status == STATUS_OPTIMAL
-
-    def block_dict(self, problem: SdpProblem) -> dict[str, np.ndarray]:
-        return {spec.name: blk for spec, blk in zip(problem.blocks, self.blocks)}
 
     def to_json(self) -> str:
         return json.dumps(

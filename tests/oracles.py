@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values in the tests.
 
 Everything here is deliberately naive (ladder operators, dense
-diagonalization, exhaustive loops) and shares no code with the package paths
-it checks.
+diagonalization, exhaustive loops, Haar sampling) and shares no code with the
+package paths it checks: this module imports nothing from uqsub, and
+tests/test_oracle.py checks that it stays that way.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
 def spin_matrices(tj: int):
@@ -110,3 +113,149 @@ def irrep_multiplicities(n: int) -> dict[int, int]:
             assert hits % (tj + 1) == 0
             counts[tj] = hits // (tj + 1)
     return counts
+
+
+def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Batch of Haar-distributed SU(2) matrices, shape (size, 2, 2)."""
+    z = rng.standard_normal((size, 4))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    a = z[:, 0] + 1j * z[:, 1]
+    b = z[:, 2] + 1j * z[:, 3]
+    u = np.empty((size, 2, 2), dtype=complex)
+    u[:, 0, 0] = a
+    u[:, 1, 0] = b
+    u[:, 0, 1] = -b.conj()
+    u[:, 1, 1] = a.conj()
+    return u
+
+
+def permutation_operator(perm, n: int) -> np.ndarray:
+    """Operator moving qubit j to position perm[j], one basis state at a time
+    (qubit 0 is the most significant bit)."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim))
+    for b in range(dim):
+        bits = [(b >> (n - 1 - j)) & 1 for j in range(n)]
+        out = [0] * n
+        for j, pj in enumerate(perm):
+            out[pj] = bits[j]
+        mat[int("".join(map(str, out)), 2), b] = 1.0
+    return mat
+
+
+def choi_from_kraus(kraus) -> np.ndarray:
+    """Choi matrix (input x output index order) of sum_k M rho M^dag."""
+    ops = [np.asarray(m) for m in kraus]
+    d_out, d_in = ops[0].shape
+    dim = d_in * d_out
+    choi = np.zeros((dim, dim), dtype=complex)
+    for m in ops:
+        vec = m.T.reshape(dim)
+        choi += np.outer(vec, vec.conj())
+    return choi
+
+
+def apply_choi(choi: np.ndarray, rho: np.ndarray, d_out: int = 2) -> np.ndarray:
+    """Channel action reconstructed from its Choi matrix."""
+    d_in = choi.shape[0] // d_out
+    j4 = choi.reshape(d_in, d_out, d_in, d_out)
+    return np.einsum("isjt,ij->st", j4, rho)
+
+
+def dn_kraus(n: int) -> list[np.ndarray]:
+    """Kraus set of the doing-nothing strategy: keep qubit 0, trace the rest."""
+    dim_rest = 1 << (n - 1)
+    ops = []
+    for r in range(dim_rest):
+        m = np.zeros((2, 1 << n))
+        m[0, r] = 1.0
+        m[1, dim_rest + r] = 1.0
+        ops.append(m)
+    return ops
+
+
+def dn_choi(n1: int, n2: int) -> np.ndarray:
+    """Real Choi matrix of the doing-nothing strategy on n1+n2 qubits."""
+    return choi_from_kraus(dn_kraus(n1 + n2)).real
+
+
+def monte_carlo_omega(
+    n1: int, n2: int, p: float, samples: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean of the averaged-input integrand over explicit Haar draws.
+
+    Returns (mean, entrywise standard error); the secondary numerical check
+    for build_omega.
+    """
+    n = n1 + n2
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    total = np.zeros((dim, dim), dtype=complex)
+    total_sq = np.zeros((dim, dim))
+    batch = 2000
+    done = 0
+    while done < samples:
+        size = min(batch, samples - done)
+        u = haar_su2(rng, size)
+        noise = np.einsum("bi,bj->bij", u[:, :, 0], u[:, :, 0].conj())
+        mix = (1 - p) * PROJ_UP[None] + p * noise
+        term = np.ones((size, 1, 1), dtype=complex)
+        for _ in range(n1):
+            term = np.einsum("bij,bkl->bikjl", term, mix).reshape(size, term.shape[1] * 2, -1)
+        for _ in range(n2):
+            term = np.einsum("bij,bkl->bikjl", term, noise).reshape(size, term.shape[1] * 2, -1)
+        total += term.sum(axis=0)
+        total_sq += (np.abs(term) ** 2).sum(axis=0)
+        done += size
+    mean = total / samples
+    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
+    stderr = np.sqrt(var / samples)
+    return mean, stderr
+
+
+def monte_carlo_twirl(
+    x: np.ndarray, m: int, samples: int, seed: int = 0, rest_dim: int = 1
+) -> np.ndarray:
+    """Sample-mean twirl used as a secondary check of the exact projection."""
+    rng = np.random.default_rng(seed)
+    total = np.zeros_like(x, dtype=complex)
+    batch = 5000
+    done = 0
+    while done < samples:
+        size = min(batch, samples - done)
+        u = haar_su2(rng, size)
+        big = np.ones((size, 1, 1), dtype=complex)
+        for _ in range(m):
+            big = np.einsum("bij,bkl->bikjl", big, u).reshape(size, big.shape[1] * 2, -1)
+        if rest_dim > 1:
+            eye = np.eye(rest_dim)
+            big = np.einsum("bij,kl->bikjl", big, eye).reshape(
+                size, big.shape[1] * rest_dim, -1
+            )
+        total += np.einsum("bij,jk,blk->il", big, x, big.conj(), optimize=True)
+        done += size
+    return total / samples
+
+
+def monte_carlo_objective(omega, samples: int, seed: int = 0) -> np.ndarray:
+    """Sample-mean fallback for the twirled objective of an averaged input
+    (anything with .matrix, .n1, .n2) over explicit SU(2) draws: input
+    factors in the conjugate representation, output plain."""
+    n = omega.n1 + omega.n2
+    raw = np.kron(omega.matrix.T, PROJ_UP).astype(complex)
+    rng = np.random.default_rng(seed)
+    total = np.zeros_like(raw)
+    batch = 2000
+    done = 0
+    while done < samples:
+        size = min(batch, samples - done)
+        u = haar_su2(rng, size)
+        big = np.ones((size, 1, 1), dtype=complex)
+        for _ in range(n):
+            big = np.einsum("bij,bkl->bikjl", big, u.conj()).reshape(
+                size, big.shape[1] * 2, -1
+            )
+        big = np.einsum("bij,bkl->bikjl", big, u).reshape(size, big.shape[1] * 2, -1)
+        total += np.einsum("bji,jk,bkl->il", big.conj(), raw, big, optimize=True)
+        done += size
+    return total / samples

@@ -1,0 +1,117 @@
+"""Reference helpers that only the tests use and that build on package code.
+
+The package-free oracles live in oracles.py; what is here needs the coupled
+basis, the Clebsch-Gordan table or the solver, so it cannot live there.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from uqsub.angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors
+from uqsub.channel import BasisColumn, build_coupled_basis
+from uqsub.errors import CapacityError
+from uqsub.mcsim import HaarSampler
+from uqsub.objective import PolyInP, SdpProblem
+from uqsub.oracle import build_omega, solve_choi, twirl_objective
+from uqsub.sdp import SdpSolution, SolverConfig
+
+EXTRACT_QUBIT_GUARD = 6
+
+
+class ExtractionError(RuntimeError):
+    """Gram-value extraction from an explicit channel left a large residual."""
+
+
+def degree(poly: PolyInP) -> int:
+    return len(poly.coefficients) - 1
+
+
+def block_dict(solution: SdpSolution, problem: SdpProblem) -> dict[str, np.ndarray]:
+    """Solution blocks keyed by the block names of the problem."""
+    return {spec.name: blk for spec, blk in zip(problem.blocks, solution.blocks)}
+
+
+def sample_state(sampler: HaarSampler) -> np.ndarray:
+    """One Haar-random pure qubit state as a 2-component unit vector."""
+    return sampler.sample_states(1)[0]
+
+
+def oracle_fidelity(n1: int, n2: int, p: float, config: SolverConfig | None = None) -> float:
+    """End-to-end brute-force value of the optimal average fidelity."""
+    value, _ = solve_choi(twirl_objective(build_omega(n1, n2, p)), config)
+    return value
+
+
+def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
+    """Gram values of the doing-nothing channel, extracted through the
+    covariant characterization by per-sector least squares and averaged over
+    the degeneracy label."""
+    n = n1 + n2
+    if n > EXTRACT_QUBIT_GUARD:
+        raise CapacityError(f"extraction limited to {EXTRACT_QUBIT_GUARD} qubits")
+    basis = build_coupled_basis(n1, n2)
+    dim = 1 << n
+    u3 = basis.isometry.reshape(2, dim // 2, dim)
+    # kdn[s, c, s', c'] = <s| Tr_rest |c><c'| |s'>
+    kdn = np.einsum("sra,trb->satb", u3, u3.conj())
+    cols = basis.columns
+    by_g: dict[tuple, list[tuple[int, BasisColumn]]] = {}
+    for ci, col in enumerate(cols):
+        if col.b_symmetric:
+            by_g.setdefault((col.tj1, col.path_a), []).append((ci, col))
+    sums: dict[SectorIndex, float] = {}
+    counts: dict[SectorIndex, int] = {}
+    for (tj1, _path), members in by_g.items():
+        tjs = sorted({col.tj for _, col in members})
+        for tj in tjs:
+            for tjp in tjs:
+                if tj > tjp or tjp - tj > 2:
+                    continue
+                qs = sorted(t for t in {tj - 1, tj + 1} & {tjp - 1, tjp + 1} if t >= 0)
+                if not qs:
+                    continue
+                rows = []
+                rhs = []
+                for ci, col in members:
+                    if col.tj != tj:
+                        continue
+                    for cj, col2 in members:
+                        if col2.tj != tjp:
+                            continue
+                        tm, tmp = col.tm, col2.tm
+                        for si, ts in enumerate((1, -1)):
+                            for sj, tsp in enumerate((1, -1)):
+                                value = kdn[si, ci, sj, cj].real
+                                if ts - tm != tsp - tmp:
+                                    rows.append([0.0] * len(qs))
+                                    rhs.append(value)
+                                    continue
+                                phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
+                                coeff = [
+                                    phase
+                                    * cg_twice(1, ts, tj, -tm, tq, ts - tm)
+                                    * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
+                                    for tq in qs
+                                ]
+                                rows.append(coeff)
+                                rhs.append(value)
+                amat = np.array(rows)
+                bvec = np.array(rhs)
+                wq, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
+                residual = float(np.abs(amat @ wq - bvec).max())
+                if residual > 1e-9:
+                    raise ExtractionError(
+                        f"characterization residual {residual:.3e} for "
+                        f"(j1={tj1/2}, j={tj/2}, j'={tjp/2})"
+                    )
+                for tq, val in zip(qs, wq):
+                    key = SectorIndex(
+                        j1=HalfInt(tj1), j=HalfInt(tj), jp=HalfInt(tjp), q=HalfInt(tq)
+                    )
+                    sums[key] = sums.get(key, 0.0) + float(val)
+                    counts[key] = counts.get(key, 0) + 1
+    averaged = {key: sums[key] / counts[key] for key in sums}
+    result = {}
+    for sector in enumerate_sectors(n1, n2):
+        result[sector] = averaged.get(sector, 0.0)
+    return result

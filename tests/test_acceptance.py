@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uqsub.angular import cg_twice, j1_values, multiplicity
-from uqsub.channel import dn_w_values, kraus_from_choi, reconstruct_choi
+from references import dn_w_values
+from uqsub.channel import kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import (
     dn_fidelity,
     f21_exact,

@@ -2,15 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from uqsub._ops import PROJ_UP, apply_choi, choi_output_trace, haar_su2, kron_all
+from oracles import apply_choi, dn_choi, haar_su2
+from references import dn_w_values
+from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
 from uqsub.channel import (
     ChoiMatrix,
     KrausSet,
     build_coupled_basis,
-    dn_choi_direct,
-    dn_w_values,
     kraus_from_choi,
     reconstruct_choi,
     w_values_from_solution,
@@ -86,8 +89,7 @@ class TestReconstruct:
     def test_1_1_dn_solution_reproduces_partial_trace(self):
         w = dn_w_values(1, 1)
         choi = reconstruct_choi(w, 1, 1)
-        direct = dn_choi_direct(1, 1)
-        assert np.abs(choi.matrix - direct.matrix).max() < 1e-8
+        assert np.abs(choi.matrix - dn_choi(1, 1)).max() < 1e-8
 
     @pytest.mark.parametrize(
         "n1,n2,p",
@@ -170,7 +172,7 @@ class TestKraus:
         assert np.abs(np.abs(op) - np.eye(2)).max() < 1e-12
 
     def test_dn_choi_kraus_action(self):
-        kraus = kraus_from_choi(dn_choi_direct(2, 1))
+        kraus = kraus_from_choi(ChoiMatrix(dn_choi(2, 1), 2, 1))
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -187,7 +189,7 @@ class TestKraus:
         assert len(kraus.operators) <= 2 * 8
 
     def test_json_round_trip(self):
-        kraus = kraus_from_choi(dn_choi_direct(1, 1))
+        kraus = kraus_from_choi(ChoiMatrix(dn_choi(1, 1), 1, 1))
         doc = json.loads(kraus.to_json())
         assert doc["schema"] == "uqsub.kraus.v1"
         assert doc["n_in_qubits"] == 2
@@ -195,6 +197,27 @@ class TestKraus:
         assert len(back.operators) == len(kraus.operators)
         for a, b in zip(back.operators, kraus.operators):
             assert np.abs(a - b).max() < 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        ops=st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                hnp.arrays(
+                    np.complex128,
+                    (2, 1 << n),
+                    elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_json_round_trip_is_exact(self, ops):
+        back = KrausSet.from_json(KrausSet(operators=ops).to_json())
+        assert len(back.operators) == len(ops)
+        for a, b in zip(back.operators, ops):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 class TestDnWValues:

@@ -101,6 +101,18 @@ class TestSweep:
         assert "--n1-max" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("jobs", ["-1", "0"])
+    def test_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
+        out_file = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys,
+            ["sweep", "--n1-max", "2", "--n2-max", "2", "--p", "0.5",
+             "--out", str(out_file), "--jobs", jobs],
+        )
+        assert code == 2
+        assert "--jobs" in err
+        assert not out_file.exists()
+
 
 class TestCurves:
     def test_endpoint_rows(self, capsys, tmp_path):
@@ -197,3 +209,57 @@ class TestReconstructSimulate:
         )
         assert code == 6
         assert "dimension" in err
+
+
+class TestSimulateInputs:
+    def simulate(self, capsys, kraus_file, *extra):
+        return run(
+            capsys,
+            ["simulate", "--n1", "1", "--n2", "1", "--p", "0.5", "--kraus", str(kraus_file),
+             *extra],
+        )
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples_exit_2(self, capsys, tmp_path, samples):
+        kraus_file = tmp_path / "kraus.json"
+        run(capsys, ["reconstruct", "--n1", "1", "--n2", "1", "--p", "0.5",
+                     "--out", str(kraus_file)])
+        code, out, err = self.simulate(capsys, kraus_file, "--samples", samples)
+        assert code == 2
+        assert "--samples" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"schema": "uqsub.kraus.v1", "n_in_qubits": 2, "operators": []}, "empty"),
+            ([], "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": 5}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[1, 2]]}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[[1, 0]] * 4] * 2, [[[1, 0]] * 8] * 2]},
+             "shape"),
+        ],
+        ids=["no-operators", "not-an-object", "operators-not-a-list", "entries-not-pairs",
+             "mixed-shapes"],
+    )
+    def test_malformed_kraus_file_exit_6(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = self.simulate(capsys, bad, "--samples", "10")
+        assert code == 6
+        assert message in err
+        assert out == ""
+
+    def test_not_trace_preserving_exit_6(self, capsys, tmp_path):
+        kraus_file = tmp_path / "kraus.json"
+        run(capsys, ["reconstruct", "--n1", "1", "--n2", "1", "--p", "0.5",
+                     "--out", str(kraus_file)])
+        doc = json.loads(kraus_file.read_text())
+        doc["operators"] = [
+            [[[2 * re, 2 * im] for re, im in row] for row in op] for op in doc["operators"]
+        ]
+        kraus_file.write_text(json.dumps(doc))
+        code, out, err = self.simulate(capsys, kraus_file, "--samples", "10")
+        assert code == 6
+        assert "completeness" in err
+        assert out == ""

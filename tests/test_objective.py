@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from references import degree
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
 from uqsub.errors import CapacityError
 from uqsub.objective import (
@@ -72,7 +73,7 @@ class TestPoly:
 
     def test_degree_bound(self):
         table = build_objective(3, 2)
-        assert all(poly.degree <= 3 for poly in table.entries.values())
+        assert all(degree(poly) <= 3 for poly in table.entries.values())
 
 
 class TestBuildObjective:

@@ -1,25 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from uqsub._ops import (
-    PROJ_UP,
+import oracles
+from oracles import (
     apply_choi,
     choi_from_kraus,
-    choi_output_trace,
+    dn_choi,
     haar_su2,
-    kron_all,
+    monte_carlo_objective,
+    monte_carlo_omega,
+    monte_carlo_twirl,
     permutation_operator,
 )
+from references import oracle_fidelity
+from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
 from uqsub.closed_forms import f21_exact
 from uqsub.errors import CapacityError
 from uqsub.oracle import (
     build_omega,
     choi_problem,
-    dn_choi,
-    monte_carlo_objective,
-    monte_carlo_omega,
-    monte_carlo_twirl,
-    oracle_fidelity,
     solve_choi,
     sym_projector,
     twirl,
@@ -220,3 +224,17 @@ class TestSolveChoi:
     def test_rejects_complex_objective(self):
         with pytest.raises(ArithmeticError):
             choi_problem(1j * np.eye(4))
+
+
+def test_oracles_module_imports_nothing_from_uqsub():
+    # the brute-force references must stay independent of the code they check
+    probe = "import sys, oracles; print(sorted(m for m in sys.modules if m.startswith('uqsub')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(oracles.__file__).parent,
+        env=dict(os.environ, PYTHONPATH=str(Path(oracles.__file__).parent)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

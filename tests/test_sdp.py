@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import block_dict
 from uqsub import sdp
 from uqsub.objective import BlockSpec, SdpProblem, assemble, build_objective
 from uqsub.sdp import (
@@ -23,6 +25,9 @@ def f21_closed(p):
     if p <= 3 / 8:
         return (1 - p) * (51 + 23 * p) / 54 + (1 - p) * (3 + p) ** 2 / (27 * (6 - 7 * p)) + p * p / 2
     return (1 - p) * (51 + 23 * p) / 54 + p * (1 - p) / 3 + p * p / 2
+
+
+cached_objective = functools.lru_cache(maxsize=None)(build_objective)
 
 
 def covariant_problem(n1, n2, p):
@@ -69,7 +74,7 @@ class TestSolveCovariant:
         prob = covariant_problem(2, 1, 0.5)
         sol = solve(prob)
         assert sol.objective_value == pytest.approx(0.787037037037, abs=1e-7)
-        blocks = sol.block_dict(prob)
+        blocks = block_dict(sol, prob)
         q1 = blocks["q=1,j1=1"]  # rows ordered j = 1/2, 3/2
         assert q1[0, 0] == pytest.approx(2 / 3, abs=1e-5)
         assert q1[1, 1] == pytest.approx(4 / 3, abs=1e-5)
@@ -117,8 +122,8 @@ class TestSolveCovariant:
 
     def test_determinism(self):
         prob = covariant_problem(2, 2, 0.37)
-        a = solve(prob, SolverConfig(seed=1))
-        b = solve(prob, SolverConfig(seed=1))
+        a = solve(prob, SolverConfig())
+        b = solve(prob, SolverConfig())
         assert abs(a.objective_value - b.objective_value) <= 1e-12
         for x, y in zip(a.blocks, b.blocks):
             assert np.array_equal(x, y)
@@ -203,7 +208,7 @@ class TestCertificate:
         # below the branch point the cross term saturates collinearity
         prob = covariant_problem(2, 1, 0.25)
         sol = solve(prob)
-        blk = sol.block_dict(prob)["q=1,j1=1"]
+        blk = block_dict(sol, prob)["q=1,j1=1"]
         a, c, b = blk[0, 0], blk[1, 1], blk[0, 1]
         assert b * b - a * c == pytest.approx(0.0, abs=1e-8)
 
@@ -230,6 +235,20 @@ class TestChainSolver:
         dual = check_dual(prob, chain.dual_multipliers)
         assert dual.passed
         assert chain.objective_value - 1e-12 <= dual.dual_value <= chain.objective_value + 1e-10
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        sizes=st.integers(1, 8).flatmap(lambda n1: st.tuples(st.just(n1), st.integers(1, 9 - n1))),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_one_more_copy_never_hurts(self, sizes, p):
+        # an extra mixture or noise copy can always be discarded
+        n1, n2 = sizes
+        value = solve(assemble(cached_objective(n1, n2), p)).objective_value
+        more_a = solve(assemble(cached_objective(n1 + 1, n2), p)).objective_value
+        more_b = solve(assemble(cached_objective(n1, n2 + 1), p)).objective_value
+        assert more_a >= value - 1e-12
+        assert more_b >= value - 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.375, 0.5, 0.95, 1.0])
     def test_10x10_grid_certified(self, p):
