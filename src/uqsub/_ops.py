@@ -34,20 +34,6 @@ def qubit_index_map(positions: list[int], n: int) -> np.ndarray:
     return cmap
 
 
-def permutation_index_map(perm, n: int) -> np.ndarray:
-    """Index map of the operator permuting qubit j to position perm[j]."""
-    inv = [0] * n
-    for j, pj in enumerate(perm):
-        inv[pj] = j
-    dim = 1 << n
-    idx = np.zeros(dim, dtype=np.intp)
-    for target_bit in range(n):
-        src_bit = inv[target_bit]
-        bits = (np.arange(dim) >> (n - 1 - src_bit)) & 1
-        idx |= bits << (n - 1 - target_bit)
-    return idx
-
-
 def choi_output_trace(choi: np.ndarray, d_out: int = 2) -> np.ndarray:
     """Partial trace over the output factor; equals I_in for a TP channel."""
     d_in = choi.shape[0] // d_out

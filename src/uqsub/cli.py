@@ -11,7 +11,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import closed_forms
-from .channel import KrausSet, kraus_from_choi, reconstruct_choi, w_values_from_solution
+from .channel import (
+    BASIS_QUBIT_GUARD, KrausSet, kraus_from_choi, reconstruct_choi, w_values_from_solution
+)
 from .errors import CapacityError
 from .mcsim import HaarSampler, estimate_fidelity
 from .objective import MAX_TOTAL_QUBITS, assemble, build_objective
@@ -201,16 +203,16 @@ def cmd_verify(args) -> int:
     except ValueError:
         print("expected --case n1,n2", file=sys.stderr)
         return EXIT_USAGE
-    if n1 + n2 > 5:
-        print("verify limited to n1+n2 <= 5", file=sys.stderr)
+    if min(n1, n2) < 1 or n1 + n2 > 5:
+        print("verify needs n1, n2 >= 1 with n1+n2 <= 5", file=sys.stderr)
         return EXIT_USAGE
     _, sol = _solve_instance(n1, n2, args.p)
     if not sol.success:
         print(f"covariant solver failure: {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
     try:
-        oracle_value, oracle_sol = solve_choi(twirl_objective(build_omega(n1, n2, args.p)))
-    except RuntimeError as exc:
+        oracle_value, _ = solve_choi(twirl_objective(build_omega(n1, n2, args.p)))
+    except (RuntimeError, ArithmeticError, CapacityError) as exc:
         print(f"oracle solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     diff = abs(sol.objective_value - oracle_value)
@@ -225,6 +227,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.n1 + args.n2 > BASIS_QUBIT_GUARD:
+        print(f"error: reconstruct limited to n1+n2 <= {BASIS_QUBIT_GUARD}", file=sys.stderr)
+        return EXIT_USAGE
     _, sol = _solve_instance(args.n1, args.n2, args.p)
     if not sol.success:
         print(f"solver failure: {sol.status}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Symmetry-free verification path for the covariant SDP.
 
 Builds the averaged input operator densely in the computational basis,
-transfers the state-average onto the objective by an exact permutation-
-commutant twirl, and maximizes over all channels through the unrestricted
-Choi SDP.  Its optimum equals the covariant optimum, which is precisely what
-makes it an independent check of the block parametrization.
+transfers the state-average onto the objective by an exact Haar quadrature
+over u = Rz(a) Ry(b) Rz(c) (a popcount mask for each Rz, Gauss-Legendre in
+cos b for Ry), and maximizes over all channels through the unrestricted Choi
+SDP, split into blocks by the charge popcount(input) - output bit.  Neither
+step uses Clebsch-Gordan or covariant code.  Its optimum equals the
+covariant optimum, which is precisely what makes it an independent check of
+the block parametrization.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from ._ops import PROJ_UP, SIGMA_Y, kron_all, permutation_index_map, qubit_index_map
+from ._ops import PROJ_UP, SIGMA_Y, kron_all, qubit_index_map
 from .errors import CapacityError
 from .objective import BlockSpec, SdpProblem
 from .sdp import SdpSolution, SolverConfig, solve
@@ -44,12 +47,16 @@ class TwirledObjective:
     p: float
 
 
+def _popcounts(m: int) -> np.ndarray:
+    """Number of spin-down qubits in each m-qubit basis state."""
+    return np.array([bin(i).count("1") for i in range(1 << m)])
+
+
 def sym_projector(m: int) -> np.ndarray:
     """Projector onto the symmetric subspace of m qubits (trace m+1)."""
     if not 1 <= m <= 7:
         raise CapacityError(f"symmetric projector limited to 1..7 qubits, got {m}")
-    dim = 1 << m
-    pop = np.array([bin(i).count("1") for i in range(dim)])
+    pop = _popcounts(m)
     weights = np.array([1.0 / comb(m, w) for w in range(m + 1)])
     proj = np.where(pop[:, None] == pop[None, :], weights[pop][:, None], 0.0)
     return proj
@@ -87,57 +94,39 @@ def build_omega(n1: int, n2: int, p: float) -> OmegaOperator:
 
 @lru_cache(maxsize=None)
 def _twirl_data(m: int):
-    """Permutation index maps and the pseudo-inverted Gram matrix for S_m.
-
-    The permutation operators are linearly dependent once 2^m < m!, so the
-    Gram system is solved with a pseudoinverse.
-    """
+    """Same-popcount mask and (weight, Ry(b)^(x)m) pairs: Gauss-Legendre in
+    cos(b) on m//2 + 1 nodes from the Jacobi matrix, each weight halved for
+    the Haar density sin(b)/2 of b."""
     if m > TWIRL_FACTOR_GUARD:
         raise CapacityError(f"twirl limited to {TWIRL_FACTOR_GUARD} factors, got {m}")
-    perms = list(itertools.permutations(range(m)))
-    index_maps = np.stack([permutation_index_map(perm, m) for perm in perms])
-
-    def cycles(perm) -> int:
-        seen = [False] * m
-        count = 0
-        for start in range(m):
-            if not seen[start]:
-                count += 1
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-        return count
-
-    inverses = [tuple(np.argsort(perm)) for perm in perms]
-    gram = np.empty((len(perms), len(perms)))
-    for i, inv in enumerate(inverses):
-        for j, sigma in enumerate(perms):
-            composed = tuple(inv[sigma[t]] for t in range(m))
-            gram[i, j] = 2.0 ** cycles(composed)
-    gram_pinv = np.linalg.pinv(gram)
-    return index_maps, gram, gram_pinv
+    pop = _popcounts(m)
+    mask = pop[:, None] == pop
+    k = np.arange(1, m // 2 + 1)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    rotations = []
+    for t, weight in zip(nodes, vecs[0] ** 2):
+        c, s = np.sqrt((1.0 + t) / 2.0), np.sqrt((1.0 - t) / 2.0)
+        rotations.append((weight, kron_all([np.array([[c, -s], [s, c]])] * m)))
+    return mask, rotations
 
 
 def twirl(x: np.ndarray, m: int, rest_dim: int = 1) -> np.ndarray:
     """Exact average of (u^(x)m (x) I_rest) x (u^(x)m (x) I_rest)^dag over
-    Haar-random single-qubit u, via projection onto the permutation span.
+    Haar-random single-qubit u = Rz(a) Ry(b) Rz(c).
 
-    Raises ArithmeticError when the Gram solve leaves a residual above 1e-8.
+    Each Rz average keeps the entries whose row and column have the same
+    popcount; between the two masks the Ry average is a polynomial of degree
+    <= m in cos(b), which the quadrature of `_twirl_data` integrates exactly.
     """
-    index_maps, gram, gram_pinv = _twirl_data(m)
+    mask, rotations = _twirl_data(m)
     dim = 1 << m
-    x4 = x.reshape(dim, rest_dim, dim, rest_dim)
-    qrange = np.arange(dim)
-    traces = np.stack([x4[imap, :, qrange, :].sum(axis=0) for imap in index_maps])
-    coeffs = np.tensordot(gram_pinv, traces, axes=(1, 0))
-    residual = np.max(np.abs(np.tensordot(gram, coeffs, axes=(1, 0)) - traces))
-    if residual > 1e-8 * max(1.0, float(np.max(np.abs(traces)))):
-        raise ArithmeticError(f"twirl Gram residual {residual:.3e} too large")
-    out = np.zeros_like(x4, dtype=coeffs.dtype)
-    for imap, coeff in zip(index_maps, coeffs):
-        out[imap, :, qrange, :] += coeff[None]
-    return out.reshape(x.shape)
+    mask4 = mask[:, None, :, None]
+    x4 = np.where(mask4, x.reshape(dim, rest_dim, dim, rest_dim), 0.0)
+    out = np.zeros_like(x4)
+    for weight, v in rotations:
+        left = np.tensordot(v, x4, axes=(1, 0))
+        out += weight * np.tensordot(left, v, axes=(2, 1)).transpose(0, 1, 3, 2)
+    return np.where(mask4, out, 0.0).reshape(x.shape)
 
 
 def twirl_objective(omega: OmegaOperator) -> TwirledObjective:
@@ -159,11 +148,15 @@ def twirl_objective(omega: OmegaOperator) -> TwirledObjective:
 
 
 def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
-    """Unrestricted channel optimization as a single-block SDP.
+    """Unrestricted channel optimization as an SDP with one block per charge.
 
-    The objective operators produced here are real symmetric, so the optimum
-    over Hermitian Choi matrices is attained on real symmetric ones and the
-    real SDP path applies without loss.
+    Choi index (a, s) has charge popcount(a) - s.  The twirled objective
+    commutes with the diagonal rotations this charge generates, and
+    Tr_out J = I is invariant under them, so averaging an optimal J over
+    them keeps it optimal and makes it block diagonal.  The objective is
+    real symmetric, so real symmetric J attain the optimum.  Raises
+    ArithmeticError for an objective with a non-real part or with an entry
+    between two charge sectors.
     """
     matrix = np.asarray(objective_matrix)
     if np.iscomplexobj(matrix) and np.max(np.abs(matrix.imag)) > 1e-10:
@@ -172,24 +165,37 @@ def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
     dim = c.shape[0]
     if dim > 128:
         raise CapacityError(f"Choi dimension {dim} exceeds 128")
-    d_in = dim // 2
+    n = dim.bit_length() - 2
+    pop = _popcounts(n)
+    charge = (pop[:, None] - np.arange(2)).ravel()
+    if np.max(np.abs(c[charge[:, None] != charge]), initial=0.0) > 1e-10:
+        raise ArithmeticError("twirled objective couples different charge sectors")
+    members = [np.flatnonzero(charge == q) for q in range(-1, n + 1)]
+    # only the rows (a, b) of Tr_out J = I with popcount(a) = popcount(b)
+    # survive; each touches one block per output bit s
     equalities = []
-    for a in range(d_in):
-        for b in range(a, d_in):
-            mat = np.zeros((dim, dim))
-            for s in range(2):
-                mat[2 * a + s, 2 * b + s] = 1.0
-                mat[2 * b + s, 2 * a + s] = 1.0
-            equalities.append(({0: mat}, 1.0 if a == b else 0.0))
+    for w in range(n + 1):
+        inputs = np.flatnonzero(pop == w)
+        for i, a in enumerate(inputs):
+            for b in inputs[i:]:
+                coeffs = {}
+                for s in range(2):
+                    pos = w - s + 1  # block of charge w - s
+                    ka, kb = np.searchsorted(members[pos], (2 * a + s, 2 * b + s))
+                    mat = coeffs[pos] = np.zeros((len(members[pos]),) * 2)
+                    mat[ka, kb] = mat[kb, ka] = 1.0
+                equalities.append((coeffs, float(a == b)))
     return SdpProblem(
-        blocks=[BlockSpec(name="choi", dim=dim)], objective=[c], equalities=equalities
+        blocks=[BlockSpec(name=f"charge={q}", dim=len(idx)) for q, idx in enumerate(members, -1)],
+        objective=[c[np.ix_(idx, idx)] for idx in members],
+        equalities=equalities,
     )
 
 
 def solve_choi(
     obj: TwirledObjective, config: SolverConfig | None = None
 ) -> tuple[float, SdpSolution]:
-    """Maximum fidelity over all channels, via the dense Choi SDP."""
+    """Maximum fidelity over all channels, via the charge-block Choi SDP."""
     solution = solve(choi_problem(obj.matrix), config)
     if not solution.success:
         raise RuntimeError(f"Choi SDP did not converge: status {solution.status}")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import uqsub.cli as cli
 from uqsub.cli import main
+from uqsub.oracle import twirl_objective
 
 
 def run(capsys, argv):
@@ -165,6 +167,33 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "--case", "nope", "--p", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["0,3", "2,-1"])
+    def test_case_below_one_exit_2(self, capsys, case):
+        code, out, err = run(capsys, ["verify", "--case", case, "--p", "0.5"])
+        assert code == 2
+        assert "n1, n2 >= 1" in err
+        assert out == ""
+
+    def test_five_qubits(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--case", "3,2", "--p", "0.375"])
+        assert code == 0
+        assert "pass" in out
+        covariant, oracle = (float(line.split(":")[1]) for line in out.splitlines()[:2])
+        assert abs(covariant - oracle) <= 1e-8
+
+    def test_oracle_failure_exit_3(self, capsys, monkeypatch):
+        def mixed_objective(omega):
+            obj = twirl_objective(omega)
+            obj.matrix = obj.matrix.real.copy()
+            obj.matrix[0, 1] = obj.matrix[1, 0] = 1e-3  # charge 0 against charge -1
+            return obj
+
+        monkeypatch.setattr(cli, "twirl_objective", mixed_objective)
+        code, out, err = run(capsys, ["verify", "--case", "1,1", "--p", "0.5"])
+        assert code == 3
+        assert "charge" in err
+        assert "pass" not in out
+
 
 class TestReconstructSimulate:
     def test_round_trip(self, capsys, tmp_path):
@@ -209,6 +238,21 @@ class TestReconstructSimulate:
         )
         assert code == 6
         assert "dimension" in err
+
+
+class TestReconstructInputs:
+    @pytest.mark.parametrize("n1,n2", [(5, 4), (13, 12)])
+    def test_too_many_qubits_exit_2(self, capsys, tmp_path, n1, n2):
+        out_file = tmp_path / "kraus.json"
+        code, out, err = run(
+            capsys,
+            ["reconstruct", "--n1", str(n1), "--n2", str(n2), "--p", "0.5",
+             "--out", str(out_file)],
+        )
+        assert code == 2
+        assert "n1+n2 <= 8" in err
+        assert out == ""
+        assert not out_file.exists()
 
 
 class TestSimulateInputs:

@@ -21,6 +21,7 @@ from references import oracle_fidelity
 from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
 from uqsub.closed_forms import f21_exact
 from uqsub.errors import CapacityError
+from uqsub.objective import assemble, build_objective
 from uqsub.oracle import (
     build_omega,
     choi_problem,
@@ -29,6 +30,7 @@ from uqsub.oracle import (
     twirl,
     twirl_objective,
 )
+from uqsub.sdp import solve
 
 
 def random_channel(n_qubits, rng):
@@ -128,6 +130,32 @@ class TestTwirl:
         assert np.abs(out - expected).max() < 1e-12
 
 
+class TestTwirlSixQubits:
+    """Six factors: the twirl behind every n1+n2 = 5 objective."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        return x, twirl(x, 6)
+
+    def test_commutes_with_diagonal_action(self, pair):
+        _, t = pair
+        for u in haar_su2(np.random.default_rng(32), 5):
+            big = kron_all([u] * 6)
+            assert np.abs(big @ t - t @ big).max() < 1e-10
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2, 3, 4, 5), (5, 0, 1, 2, 3, 4), (2, 4, 0, 5, 3, 1)])
+    def test_permutation_operators_are_fixed(self, perm):
+        op = permutation_operator(perm, 6)
+        assert np.abs(twirl(op, 6) - op).max() < 1e-12
+
+    def test_idempotent_and_trace_preserving(self, pair):
+        x, t = pair
+        assert np.abs(twirl(t, 6) - t).max() < 1e-12
+        assert abs(np.trace(t) - np.trace(x)) < 1e-10
+
+
 class TestTwirledObjective:
     @pytest.mark.parametrize("p", [0.2, 0.7])
     def test_dn_transfer_identity_1_1(self, p):
@@ -224,6 +252,40 @@ class TestSolveChoi:
     def test_rejects_complex_objective(self):
         with pytest.raises(ArithmeticError):
             choi_problem(1j * np.eye(4))
+
+    def test_charge_blocks_at_five_qubits(self):
+        problem = choi_problem(twirl_objective(build_omega(3, 2, 0.5)).matrix)
+        assert [spec.dim for spec in problem.blocks] == [1, 6, 15, 20, 15, 6, 1]
+        assert problem.num_constraints == 142
+
+    def test_rejects_objective_mixing_charge_sectors(self):
+        # Choi indices 0 = (input 0, output 0) and 1 = (input 0, output 1)
+        # carry charges 0 and -1
+        matrix = twirl_objective(build_omega(1, 1, 0.5)).matrix.real.copy()
+        matrix[0, 1] = matrix[1, 0] = 1e-3
+        with pytest.raises(ArithmeticError, match="charge"):
+            choi_problem(matrix)
+
+    def test_five_qubit_cases_match_covariant(self):
+        for n1, n2 in [(3, 2), (2, 3), (1, 4), (4, 1)]:
+            covariant = solve(assemble(build_objective(n1, n2), 0.375)).objective_value
+            value, _ = solve_choi(twirl_objective(build_omega(n1, n2, 0.375)))
+            assert abs(value - covariant) <= 1e-8, (n1, n2)
+
+
+def test_cli_import_skips_numpy_polynomial():
+    # numpy.polynomial costs about 0.1 s per CLI process; the twirl's
+    # quadrature nodes come from linalg.eigh instead
+    probe = "import sys, uqsub.cli; print([m for m in sys.modules if m.startswith('numpy.poly')])"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_oracles_module_imports_nothing_from_uqsub():
