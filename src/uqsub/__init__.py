@@ -9,10 +9,8 @@ reconstructs/simulates the optimal channel.
 """
 
 from .angular import (
-    CgKey,
     HalfInt,
     SectorIndex,
-    cg,
     enumerate_sectors,
     multiplicity,
     q_set,
@@ -42,7 +40,6 @@ from .sdp import SdpSolution, SolverConfig, check_certificate, check_dual, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "CgKey",
     "ChoiMatrix",
     "CoupledBasis",
     "CurveLabel",
@@ -62,7 +59,6 @@ __all__ = [
     "build_objective",
     "build_omega",
     "cem_fidelity",
-    "cg",
     "check_certificate",
     "check_dual",
     "dn_fidelity",

@@ -40,18 +40,6 @@ class HalfInt:
         return f"HalfInt({self})"
 
 
-@dataclass(frozen=True)
-class CgKey:
-    """Labels of a single Clebsch-Gordan coefficient <J,M | j1,m1; j2,m2>."""
-
-    j1: HalfInt
-    m1: HalfInt
-    j2: HalfInt
-    m2: HalfInt
-    J: HalfInt
-    M: HalfInt
-
-
 @dataclass(frozen=True, order=True)
 class SectorIndex:
     """Index (j1, j, jp, q) of one Gram variable of the covariant channel.
@@ -67,11 +55,6 @@ class SectorIndex:
 
     def sort_key(self) -> tuple:
         return (-self.j1.twice, self.q.twice, self.j.twice, self.jp.twice)
-
-
-@lru_cache(maxsize=None)
-def _lnfact(n: int) -> float:
-    return math.lgamma(n + 1)
 
 
 def _cg_selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> bool:
@@ -98,106 +81,40 @@ def _cg_k_range(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int):
 def cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     """Clebsch-Gordan coefficient with all labels given as twice-values.
 
-    Uses the Racah closed form with log-factorial accumulation, switching to
-    the exact big-integer path when the alternating sum cancels enough digits
-    to threaten the 1e-12 relative contract.  Returns 0.0 whenever a
-    selection rule fails.  Cached, and safe for concurrent readers.
+    Racah's closed form in exact integers: the alternating sum is put over
+    the least common multiple of its denominators, so the squared
+    coefficient is a ratio of two ints, divided once (correctly rounded)
+    before the one square root.  Returns 0.0 whenever a selection rule
+    fails.  Cached, and safe for concurrent readers.
     """
-    # plain Python ints keep the big-integer fallback overflow-free
+    # plain ints: numpy integers would overflow in the factorial products
     tj1, tm1, tj2, tm2, tJ, tM = (int(t) for t in (tj1, tm1, tj2, tm2, tJ, tM))
     if not _cg_selection_ok(tj1, tm1, tj2, tm2, tJ, tM):
         return 0.0
-    ln_pref = 0.5 * (
-        math.log(tJ + 1.0)
-        + _lnfact((tj1 + tj2 - tJ) // 2)
-        + _lnfact((tj1 - tj2 + tJ) // 2)
-        + _lnfact((-tj1 + tj2 + tJ) // 2)
-        - _lnfact((tj1 + tj2 + tJ) // 2 + 1)
-        + _lnfact((tJ + tM) // 2)
-        + _lnfact((tJ - tM) // 2)
-        + _lnfact((tj1 + tm1) // 2)
-        + _lnfact((tj1 - tm1) // 2)
-        + _lnfact((tj2 + tm2) // 2)
-        + _lnfact((tj2 - tm2) // 2)
-    )
-    kmin, kmax = _cg_k_range(tj1, tm1, tj2, tm2, tJ)
-    if kmin > kmax:
-        return 0.0
-    ln_terms = []
-    for k in range(kmin, kmax + 1):
-        ln_terms.append(
-            -(
-                _lnfact(k)
-                + _lnfact((tj1 + tj2 - tJ) // 2 - k)
-                + _lnfact((tj1 - tm1) // 2 - k)
-                + _lnfact((tj2 + tm2) // 2 - k)
-                + _lnfact((tJ - tj2 + tm1) // 2 + k)
-                + _lnfact((tJ - tj1 - tm2) // 2 + k)
-            )
-        )
-    peak = max(ln_terms)
-    acc = 0.0
-    for k, ln_t in zip(range(kmin, kmax + 1), ln_terms):
-        acc += (-1.0) ** k * math.exp(ln_t - peak)
-    # each scaled term is <= 1; a small signed sum means the alternating
-    # series cancelled digits the double path cannot certify
-    if kmax > kmin and abs(acc) < 0.1:
-        return cg_exact(
-            CgKey(
-                HalfInt(tj1), HalfInt(tm1), HalfInt(tj2), HalfInt(tm2), HalfInt(tJ), HalfInt(tM)
-            )
-        )
-    return acc * math.exp(ln_pref + peak)
-
-
-def cg(key: CgKey) -> float:
-    """Clebsch-Gordan coefficient <J,M | j1,m1; j2,m2> (Condon-Shortley)."""
-    return cg_twice(
-        key.j1.twice, key.m1.twice, key.j2.twice, key.m2.twice, key.J.twice, key.M.twice
-    )
-
-
-def cg_exact(key: CgKey) -> float:
-    """Audit path: exact big-integer Racah evaluation, rounded once at the end.
-
-    The squared coefficient is a rational number; it is accumulated with
-    Fraction arithmetic and only the final square root is floating point.
-    """
-    tj1, tm1 = int(key.j1.twice), int(key.m1.twice)
-    tj2, tm2 = int(key.j2.twice), int(key.m2.twice)
-    tJ, tM = int(key.J.twice), int(key.M.twice)
-    if not _cg_selection_ok(tj1, tm1, tj2, tm2, tJ, tM):
-        return 0.0
     f = math.factorial
-    radicand = Fraction(
-        (tJ + 1)
-        * f((tj1 + tj2 - tJ) // 2)
-        * f((tj1 - tj2 + tJ) // 2)
-        * f((-tj1 + tj2 + tJ) // 2)
-        * f((tJ + tM) // 2)
-        * f((tJ - tM) // 2)
-        * f((tj1 + tm1) // 2)
-        * f((tj1 - tm1) // 2)
-        * f((tj2 + tm2) // 2)
-        * f((tj2 - tm2) // 2),
-        f((tj1 + tj2 + tJ) // 2 + 1),
-    )
     kmin, kmax = _cg_k_range(tj1, tm1, tj2, tm2, tJ)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            f(k)
-            * f((tj1 + tj2 - tJ) // 2 - k)
-            * f((tj1 - tm1) // 2 - k)
-            * f((tj2 + tm2) // 2 - k)
-            * f((tJ - tj2 + tm1) // 2 + k)
-            * f((tJ - tj1 - tm2) // 2 + k)
-        )
-        total += Fraction((-1) ** k, den)
+    ks = range(kmin, kmax + 1)
+    dens = [
+        f(k)
+        * f((tj1 + tj2 - tJ) // 2 - k)
+        * f((tj1 - tm1) // 2 - k)
+        * f((tj2 + tm2) // 2 - k)
+        * f((tJ - tj2 + tm1) // 2 + k)
+        * f((tJ - tj1 - tm2) // 2 + k)
+        for k in ks
+    ]
+    lcm = math.lcm(*dens)
+    total = sum((-1) ** k * (lcm // den) for k, den in zip(ks, dens))
     if total == 0:
         return 0.0
+    num = (tJ + 1) * math.prod(
+        f(t // 2)
+        for t in (tj1 + tj2 - tJ, tj1 - tj2 + tJ, tj2 - tj1 + tJ, tJ + tM, tJ - tM,
+                  tj1 + tm1, tj1 - tm1, tj2 + tm2, tj2 - tm2)
+    )
+    den = f((tj1 + tj2 + tJ) // 2 + 1)
     sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(total * total * radicand))
+    return sign * math.sqrt(num * total * total / (den * lcm * lcm))
 
 
 def multiplicity(n1: int, j1: HalfInt) -> int:

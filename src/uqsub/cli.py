@@ -18,7 +18,7 @@ from .errors import CapacityError
 from .mcsim import HaarSampler, estimate_fidelity
 from .objective import MAX_TOTAL_QUBITS, assemble, build_objective
 from .oracle import build_omega, solve_choi, twirl_objective
-from .sdp import SolverConfig, solve
+from .sdp import solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,15 +52,14 @@ def _write(path: str, text: str) -> bool:
     return True
 
 
-def _solve_instance(n1: int, n2: int, p: float, tol: float | None = None):
-    config = SolverConfig() if tol is None else SolverConfig(gap_tol=tol)
+def _solve_instance(n1: int, n2: int, p: float):
     problem = assemble(build_objective(n1, n2), p)
-    return problem, solve(problem, config)
+    return problem, solve(problem)
 
 
 def cmd_optimize(args) -> int:
     try:
-        problem, sol = _solve_instance(args.n1, args.n2, args.p, args.tol)
+        problem, sol = _solve_instance(args.n1, args.n2, args.p)
     except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -137,10 +136,15 @@ def cmd_sweep(args) -> int:
     f_dn = closed_forms.dn_fidelity(args.p, 2)
     lines = ["n1,n2,p,f_max,f_dn,gap,status,prefer"]
     for n1, n2, _ in tasks:
-        # which extra copy helps more: "A" mixture, "B" noise, "" grid edge
+        # which extra copy helps more: "A" mixture, "B" noise, "=" both print
+        # the same f_max, "" grid edge
         prefer = ""
         if (n1 + 1, n2) in fmax and (n1, n2 + 1) in fmax:
-            prefer = "A" if fmax[(n1 + 1, n2)] > fmax[(n1, n2 + 1)] else "B"
+            more_a, more_b = fmax[(n1 + 1, n2)], fmax[(n1, n2 + 1)]
+            if _fmt(more_a) == _fmt(more_b):
+                prefer = "="
+            else:
+                prefer = "A" if more_a > more_b else "B"
         f = fmax[(n1, n2)]
         fields = [n1, n2, _fmt(args.p), _fmt(f), _fmt(f_dn), _fmt(f - f_dn), status[(n1, n2)], prefer]
         lines.append(",".join(map(str, fields)))
@@ -305,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize", help="solve one covariant SDP instance")
     add_instance_flags(sp)
-    sp.add_argument("--tol", type=float, default=None, help="duality-gap tolerance")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(func=cmd_optimize)
 

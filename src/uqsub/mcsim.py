@@ -94,6 +94,10 @@ def estimate_fidelity(
         out = np.einsum("bki,bij,bkj->b", vecs.conj(), rho, vecs)
         values[done : done + size] = out.real
         done += size
+        # free the batch's largest arrays before the next batch allocates its
+        # own: freed only on rebinding, they could leave the peak RSS one
+        # batch array higher, depending on where the allocator put them
+        del rho, vecs
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(samples))
     return McEstimate(mean=mean, std_error=std_error, samples=samples)

@@ -21,40 +21,53 @@ from .errors import CapacityError
 MAX_TOTAL_QUBITS = 24
 
 
+def split_weights(n: int, p: float) -> list[float]:
+    """binom(n,k) (1-p)^k p^(n-k) for k = 0..n: the noise-split basis at p."""
+    return [comb(n, k) * (1.0 - p) ** k * p ** (n - k) for k in range(n + 1)]
+
+
 @dataclass(frozen=True)
 class PolyInP:
-    """Polynomial in p on the monomial basis, low degree first."""
+    """Polynomial in p of degree n, stored per noise split k = 0..n.
 
-    coefficients: tuple[float, ...]
+    The value is sum_k split[k] binom(n,k) (1-p)^k p^(n-k) (the Bernstein
+    basis in 1-p, nonnegative on [0, 1]); at p = 1 (p = 0) it is exactly
+    split[0] (split[n]).  Monomial coefficients, which cancel to round-off
+    near p = 1, are derived only for the JSON table.
+    """
+
+    split: tuple[float, ...]
 
     def __call__(self, p: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * p + c
-        return acc
+        return self.at(split_weights(len(self.split) - 1, p))
 
+    def at(self, weights: list[float]) -> float:
+        """Value at the p whose `split_weights` are given."""
+        return sum(c * w for c, w in zip(self.split, weights))
 
-def _binomial_weight_poly(n1: int, k: int) -> np.ndarray:
-    """Monomial coefficients of binom(n1,k) (1-p)^k p^(n1-k), length n1+1."""
-    coeffs = np.zeros(n1 + 1)
-    for i in range(k + 1):
-        coeffs[n1 - k + i] += comb(n1, k) * comb(k, i) * (-1) ** i
-    return coeffs
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        """Monomial coefficients in p, low degree first."""
+        n = len(self.split) - 1
+        coeffs = [0.0] * (n + 1)
+        for k, c in enumerate(self.split):
+            for i in range(k + 1):
+                coeffs[n - k + i] += c * (comb(n, k) * comb(k, i) * (-1) ** i)
+        return tuple(coeffs)
 
 
 def _contract_sectors(n1: int, n2: int, ks) -> dict[tuple[int, int, int, int], np.ndarray]:
-    """Raw unfolded coefficient polynomials keyed by twice-values (tj, tjp, tq, tj1).
+    """Raw unfolded noise-split coefficients keyed by twice-values (tj, tjp, tq, tj1).
 
     For each noise split k (number of first-register qubits left in the fixed
     state) the eight-fold Clebsch-Gordan contraction factorizes through
     F(j, q, mu) = sum_{m+s=mu} of the four unprimed factors, so each sector
-    coefficient is sum_mu F(j,q,mu) F(j',q,mu) weighted by the exact binomial
-    expansion of binom(n1,k)(1-p)^k p^(n1-k) / (n1+n2-k+1).
+    coefficient is sum_mu F(j,q,mu) F(j',q,mu) / (n1+n2-k+1), stored at
+    index k of the sector's noise-split coefficients (see `PolyInP`).
     """
     N = n1 + n2
     table: dict[tuple[int, int, int, int], np.ndarray] = {}
     for k in ks:
-        weight = _binomial_weight_poly(n1, k) / (N - k + 1)
         ta1 = n1 - k  # twice the spin of the randomized part of register A
         tsym = N - k  # twice the spin of the full symmetrized block
         for tj1 in range(abs(k - ta1), n1 + 1, 2):
@@ -94,7 +107,7 @@ def _contract_sectors(n1: int, n2: int, ks) -> dict[tuple[int, int, int, int], n
                             key = (tj, tjp, tq, tj1)
                             if key not in table:
                                 table[key] = np.zeros(n1 + 1)
-                            table[key] += val * weight
+                            table[key][k] += val / (N - k + 1)
     return table
 
 
@@ -116,9 +129,10 @@ class ObjectiveTable:
 
     def evaluate(self, w: Mapping[SectorIndex, float], p: float) -> float:
         """Average fidelity of the channel with Gram values w at mixing p."""
-        total = self.constant(p)
+        weights = split_weights(self.n1, p)
+        total = self.constant.at(weights)
         for sector, poly in self.entries.items():
-            total += poly(p) * w[sector]
+            total += poly.at(weights) * w[sector]
         return total
 
     def to_json(self) -> str:
@@ -158,10 +172,9 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
         coeffs = raw.get((tj, tjp, tq, tj1), np.zeros(n1 + 1)).copy()
         if tj != tjp:
             coeffs = coeffs + raw.get((tjp, tj, tq, tj1), np.zeros(n1 + 1))
-        entries[sector] = PolyInP(tuple(coeffs))
-    constant = np.zeros(n1 + 1)
-    constant[n1] = 0.5
-    return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=PolyInP(tuple(constant)))
+        entries[sector] = PolyInP(tuple(coeffs.tolist()))
+    constant = PolyInP((0.5,) + (0.0,) * n1)
+    return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=constant)
 
 
 @dataclass(frozen=True)
@@ -232,10 +245,11 @@ def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
         index[(q.twice, j1.twice)] = (pos, {j.twice: r for r, j in enumerate(rows)})
         specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows), labels=tuple(rows)))
     objective = [np.zeros((s.dim, s.dim)) for s in specs]
+    weights = split_weights(table.n1, p)
     for sector, poly in table.entries.items():
         pos, rowmap = index[(sector.q.twice, sector.j1.twice)]
         a, b = rowmap[sector.j.twice], rowmap[sector.jp.twice]
-        value = poly(p)
+        value = poly.at(weights)
         if a == b:
             objective[pos][a, a] += value
         else:
@@ -251,6 +265,5 @@ def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
             r = rowmap[row.j.twice]
             mat[r, r] += c
         equalities.append((coeffs, row.rhs))
-    return SdpProblem(
-        blocks=specs, objective=objective, equalities=equalities, offset=table.constant(p)
-    )
+    offset = table.constant.at(weights)
+    return SdpProblem(blocks=specs, objective=objective, equalities=equalities, offset=offset)

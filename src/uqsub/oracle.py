@@ -110,23 +110,20 @@ def _twirl_data(m: int):
     return mask, rotations
 
 
-def twirl(x: np.ndarray, m: int, rest_dim: int = 1) -> np.ndarray:
-    """Exact average of (u^(x)m (x) I_rest) x (u^(x)m (x) I_rest)^dag over
-    Haar-random single-qubit u = Rz(a) Ry(b) Rz(c).
+def twirl(x: np.ndarray, m: int) -> np.ndarray:
+    """Exact average of u^(x)m x (u^(x)m)^dag over Haar-random single-qubit
+    u = Rz(a) Ry(b) Rz(c).
 
     Each Rz average keeps the entries whose row and column have the same
     popcount; between the two masks the Ry average is a polynomial of degree
     <= m in cos(b), which the quadrature of `_twirl_data` integrates exactly.
     """
     mask, rotations = _twirl_data(m)
-    dim = 1 << m
-    mask4 = mask[:, None, :, None]
-    x4 = np.where(mask4, x.reshape(dim, rest_dim, dim, rest_dim), 0.0)
-    out = np.zeros_like(x4)
+    x = np.where(mask, x, 0.0)
+    out = np.zeros_like(x)
     for weight, v in rotations:
-        left = np.tensordot(v, x4, axes=(1, 0))
-        out += weight * np.tensordot(left, v, axes=(2, 1)).transpose(0, 1, 3, 2)
-    return np.where(mask4, out, 0.0).reshape(x.shape)
+        out += weight * (v @ x @ v.T)
+    return np.where(mask, out, 0.0)
 
 
 def twirl_objective(omega: OmegaOperator) -> TwirledObjective:

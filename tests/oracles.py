@@ -83,6 +83,39 @@ def cg_table_ladder(tj1: int, tj2: int) -> dict:
     return table
 
 
+def cg_fraction(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
+    """<J,M|j1,m1;j2,m2> from Racah's sum in Fraction arithmetic, twice-valued
+    labels; the squared value is exact and only the final square root rounds."""
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tJ, tM)):
+        if tj < 0 or abs(tm) > tj or (tj + tm) % 2:
+            return 0.0
+    if tM != tm1 + tm2 or not abs(tj1 - tj2) <= tJ <= tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
+        return 0.0
+    f = math.factorial
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    total = sum(
+        Fraction((-1) ** k, f(k) * f(a - k) * f(b - k) * f(c - k) * f(d + k) * f(e + k))
+        for k in range(max(0, -d, -e), min(a, b, c) + 1)
+    )
+    if total == 0:
+        return 0.0
+    radicand = Fraction(
+        (tJ + 1)
+        * f(a)
+        * f((tj1 - tj2 + tJ) // 2)
+        * f((tj2 - tj1 + tJ) // 2)
+        * f((tJ + tM) // 2)
+        * f((tJ - tM) // 2)
+        * f((tj1 + tm1) // 2)
+        * f(b)
+        * f(c)
+        * f((tj2 - tm2) // 2),
+        f((tj1 + tj2 + tJ) // 2 + 1),
+    )
+    return math.copysign(math.sqrt(float(total * total * radicand)), total)
+
+
 def irrep_multiplicities(n: int) -> dict[int, int]:
     """Count spin-j irreps in n qubits by diagonalizing total J^2 (twice-j keys)."""
     dim = 2**n
@@ -213,9 +246,7 @@ def monte_carlo_omega(
     return mean, stderr
 
 
-def monte_carlo_twirl(
-    x: np.ndarray, m: int, samples: int, seed: int = 0, rest_dim: int = 1
-) -> np.ndarray:
+def monte_carlo_twirl(x: np.ndarray, m: int, samples: int, seed: int = 0) -> np.ndarray:
     """Sample-mean twirl used as a secondary check of the exact projection."""
     rng = np.random.default_rng(seed)
     total = np.zeros_like(x, dtype=complex)
@@ -227,11 +258,6 @@ def monte_carlo_twirl(
         big = np.ones((size, 1, 1), dtype=complex)
         for _ in range(m):
             big = np.einsum("bij,bkl->bikjl", big, u).reshape(size, big.shape[1] * 2, -1)
-        if rest_dim > 1:
-            eye = np.eye(rest_dim)
-            big = np.einsum("bij,kl->bikjl", big, eye).reshape(
-                size, big.shape[1] * rest_dim, -1
-            )
         total += np.einsum("bij,jk,blk->il", big, x, big.conj(), optimize=True)
         done += size
     return total / samples

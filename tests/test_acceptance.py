@@ -231,8 +231,8 @@ def test_criterion_7_structural_suites():
             worst_dn = max(worst_dn, abs(table.evaluate(w, p) - (1 - p / 2)))
     report(
         7,
-        worst_cg <= 1e-10 and dimension_ok and worst_row <= 1e-12 and worst_dn <= 1e-9,
-        f"structural suites: CG orthogonality {worst_cg:.2e} (tol 1e-10); "
+        worst_cg <= 1e-15 and dimension_ok and worst_row <= 1e-12 and worst_dn <= 1e-9,
+        f"structural suites: CG orthogonality {worst_cg:.2e} (tol 1e-15); "
         f"dimension sums exact up to 12 qubits: {dimension_ok}; "
         f"TP row-coefficient sums {worst_row:.2e}; "
         f"doing-nothing extraction vs 1 - p/2: {worst_dn:.2e} (tol 1e-9)",

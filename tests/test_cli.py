@@ -116,6 +116,31 @@ class TestSweep:
         assert not out_file.exists()
 
 
+@pytest.fixture(scope="module")
+def endpoint_sweeps(tmp_path_factory):
+    """CSV rows of the 10x10 sweep at p = 0 and at p = 1."""
+    rows = {}
+    for p in ("0", "1"):
+        out_file = tmp_path_factory.mktemp("endpoints") / f"sweep_{p}.csv"
+        assert main(["sweep", "--p", p, "--out", str(out_file), "--jobs", "2"]) == 0
+        rows[p] = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    return rows
+
+
+class TestSweepEndpoints:
+    def test_f_max_is_exact_at_p_0_and_1(self, endpoint_sweeps):
+        # at p = 1 every mixture copy is noise and every F is 1/2; at p = 0
+        # every machine returns a clean copy of the target
+        assert {row[3] for row in endpoint_sweeps["1"]} == {"0.5"}
+        assert {row[3] for row in endpoint_sweeps["0"]} == {"1"}
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_prefer_prints_equals_for_ties(self, endpoint_sweeps, p):
+        for row in endpoint_sweeps[p]:
+            n1, n2 = int(row[0]), int(row[1])
+            assert row[7] == ("=" if n1 < 10 and n2 < 10 else ""), row
+
+
 class TestCurves:
     def test_endpoint_rows(self, capsys, tmp_path):
         out_file = tmp_path / "curves.csv"

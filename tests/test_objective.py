@@ -67,6 +67,7 @@ def random_feasible_w(n1, n2, rng):
 
 class TestPoly:
     def test_horner_matches_numpy(self):
+        # the noise-split value against numpy on the derived monomials
         poly = PolyInP((1.0, -2.0, 0.5, 3.0))
         for p in P_GRID:
             assert poly(p) == pytest.approx(np.polyval(poly.coefficients[::-1], p), abs=1e-14)
@@ -89,6 +90,12 @@ class TestBuildObjective:
         for p in P_GRID:
             for s, value in closed_form_11(p).items():
                 assert table.entries[s](p) == pytest.approx(value, abs=1e-12), (s, p)
+
+    def test_entries_vanish_exactly_at_p_1(self):
+        # only the k = 0 split survives at p = 1, and it lives in the constant
+        table = build_objective(10, 6)
+        assert all(poly(1.0) == 0.0 for poly in table.entries.values())
+        assert table.constant(1.0) == 0.5
 
     def test_every_sector_has_an_entry(self):
         for n1, n2 in [(1, 1), (2, 1), (2, 2), (3, 2)]:
@@ -141,8 +148,8 @@ class TestBuildObjective:
         by_key = {
             (s["tj1"], s["tj"], s["tjp"], s["tq"]): s["coefficients"] for s in doc["sectors"]
         }
-        poly = PolyInP(tuple(by_key[(2, 3, 3, 4)]))
-        assert poly(0.5) == pytest.approx(5 * 0.5 * (3 + 2.5) / 72, abs=1e-12)
+        value = np.polyval(by_key[(2, 3, 3, 4)][::-1], 0.5)
+        assert value == pytest.approx(5 * 0.5 * (3 + 2.5) / 72, abs=1e-12)
 
 
 class TestConstraints:

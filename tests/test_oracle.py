@@ -121,14 +121,6 @@ class TestTwirl:
         sampled = monte_carlo_twirl(x, 3, samples=400_000, seed=9)
         assert np.abs(exact - sampled).max() < 8e-3
 
-    def test_partial_twirl_leaves_rest_factor_alone(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal((3, 3))
-        out = twirl(np.kron(a, b), 2, rest_dim=3)
-        expected = np.kron(twirl(a, 2), b)
-        assert np.abs(out - expected).max() < 1e-12
-
 
 class TestTwirlSixQubits:
     """Six factors: the twirl behind every n1+n2 = 5 objective."""
