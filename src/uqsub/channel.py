@@ -166,13 +166,14 @@ def w_values_from_solution(solution: SdpSolution, n1: int, n2: int) -> dict[Sect
     blocks = sector_blocks(n1, n2)
     if len(blocks) != len(solution.blocks):
         raise ValueError("solution does not match the (n1, n2) block layout")
+    index = {
+        (q.twice, j1.twice): (mat, {j.twice: r for r, j in enumerate(rows)})
+        for (q, j1, rows), mat in zip(blocks, solution.blocks)
+    }
     values: dict[SectorIndex, float] = {}
-    for (q, j1, rows), mat in zip(blocks, solution.blocks):
-        rowmap = {j.twice: r for r, j in enumerate(rows)}
-        for s in enumerate_sectors(n1, n2):
-            if s.q != q or s.j1 != j1:
-                continue
-            values[s] = float(mat[rowmap[s.j.twice], rowmap[s.jp.twice]])
+    for s in enumerate_sectors(n1, n2):
+        mat, rowmap = index[(s.q.twice, s.j1.twice)]
+        values[s] = float(mat[rowmap[s.j.twice], rowmap[s.jp.twice]])
     return values
 
 

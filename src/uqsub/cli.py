@@ -146,7 +146,9 @@ def cmd_sweep(args) -> int:
             else:
                 prefer = "A" if more_a > more_b else "B"
         f = fmax[(n1, n2)]
-        fields = [n1, n2, _fmt(args.p), _fmt(f), _fmt(f_dn), _fmt(f - f_dn), status[(n1, n2)], prefer]
+        # digits below the printed f_max are round-off; a real negative gap still shows
+        gap = 0.0 if _fmt(f) == _fmt(f_dn) else f - f_dn
+        fields = [n1, n2, _fmt(args.p), _fmt(f), _fmt(f_dn), _fmt(gap), status[(n1, n2)], prefer]
         lines.append(",".join(map(str, fields)))
     if not _write(args.out, "\n".join(lines) + "\n"):
         return EXIT_IO

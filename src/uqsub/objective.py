@@ -1,15 +1,19 @@
 """Fidelity objective and trace-preservation constraints of the covariant SDP.
 
 The average fidelity of a covariant n1+n2 -> 1 qubit channel is a linear
-functional of the Gram variables W^{j,j'}_{q,j1}: each coefficient is a
-contraction of eight Clebsch-Gordan factors, polynomial in the mixing
-probability p.  This module builds those polynomials once per (n1, n2) and
+functional of the Gram variables W^{j,j'}_{q,j1}, with coefficients
+polynomial in the mixing probability p.  At noise split k (k qubits of the
+first register in the target state) Racah recoupling makes each coefficient
+a product of recoupling coefficients,
+U_k(j1, j) U_k(j1, j') G_k(q, j, j') / (n1+n2-k+1), where G_k does not depend
+on j1.  This module builds those polynomials once per (n1, n2) and
 assembles block-structured SDP instances for any p.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Mapping
 
@@ -56,67 +60,52 @@ class PolyInP:
         return tuple(coeffs)
 
 
-def _contract_sectors(n1: int, n2: int, ks) -> dict[tuple[int, int, int, int], np.ndarray]:
-    """Raw unfolded noise-split coefficients keyed by twice-values (tj, tjp, tq, tj1).
+@lru_cache(maxsize=None)
+def _recoupling(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
+    """U_k(j1, j) of noise split k, spins as twice-values.
 
-    For each noise split k (number of first-register qubits left in the fixed
-    state) the eight-fold Clebsch-Gordan contraction factorizes through
-    F(j, q, mu) = sum_{m+s=mu} of the four unprimed factors, so each sector
-    coefficient is sum_mu F(j,q,mu) F(j',q,mu) / (n1+n2-k+1), stored at
-    index k of the sector's noise-split coefficients (see `PolyInP`).
+    With a = (n1-k)/2, b = n2/2 and the stretched S = a+b, U is the overlap
+    of the coupling ((k/2, a) j1, b) j with (k/2, (a, b) S) j, a column of an
+    orthogonal recoupling matrix (proportional to the 6j symbol
+    {k/2 a j1; b j S}).  It is read off the highest weight mu = j of
+    sum_m <k/2 k/2; a m|j1 .> <a m; b s|S .> <j1 .; b s|j mu> = U <k/2 k/2; S mu-k/2|j mu>,
+    whose right-hand factor is nonzero whenever the triangle (k/2, S, j) holds.
     """
-    N = n1 + n2
-    table: dict[tuple[int, int, int, int], np.ndarray] = {}
-    for k in ks:
-        ta1 = n1 - k  # twice the spin of the randomized part of register A
-        tsym = N - k  # twice the spin of the full symmetrized block
-        for tj1 in range(abs(k - ta1), n1 + 1, 2):
-            F: dict[tuple[int, int, int], float] = {}
-            for tm in range(-ta1, ta1 + 1, 2):
-                c2 = cg_twice(k, k, ta1, tm, tj1, k + tm)
-                if c2 == 0.0:
-                    continue
-                for ts in range(-n2, n2 + 1, 2):
-                    c1 = cg_twice(ta1, tm, n2, ts, tsym, tm + ts)
-                    if c1 == 0.0:
-                        continue
-                    tmu = k + tm + ts
-                    for tj in range(abs(tj1 - n2), tj1 + n2 + 1, 2):
-                        c3 = cg_twice(tj1, k + tm, n2, ts, tj, tmu)
-                        if c3 == 0.0:
-                            continue
-                        base = c1 * c2 * c3
-                        for tq in (tj - 1, tj + 1):
-                            if tq < 0:
-                                continue
-                            c4 = cg_twice(1, 1, tj, -tmu, tq, 1 - tmu)
-                            if c4 != 0.0:
-                                key = (tj, tq, tmu)
-                                F[key] = F.get(key, 0.0) + base * c4
-            by_q: dict[int, dict[int, dict[int, float]]] = {}
-            for (tj, tq, tmu), val in F.items():
-                by_q.setdefault(tq, {}).setdefault(tj, {})[tmu] = val
-            for tq, jmap in by_q.items():
-                tjs = sorted(jmap)
-                for tj in tjs:
-                    for tjp in tjs:
-                        val = sum(
-                            f * jmap[tjp].get(tmu, 0.0) for tmu, f in jmap[tj].items()
-                        )
-                        if abs(val) > 1e-16:
-                            key = (tj, tjp, tq, tj1)
-                            if key not in table:
-                                table[key] = np.zeros(n1 + 1)
-                            table[key][k] += val / (N - k + 1)
-    return table
+    ta, tsym = n1 - k, n1 + n2 - k
+    top = cg_twice(k, k, tsym, tj - k, tj, tj)
+    if top == 0.0:
+        return 0.0
+    total = 0.0
+    for tm in range(-ta, ta + 1, 2):
+        ts = tj - k - tm
+        total += (
+            cg_twice(k, k, ta, tm, tj1, k + tm)
+            * cg_twice(ta, tm, n2, ts, tsym, tm + ts)
+            * cg_twice(tj1, k + tm, n2, ts, tj, tj)
+        )
+    return total / top
+
+
+@lru_cache(maxsize=None)
+def _split_overlap(k: int, tsym: int, tq: int, tj: int, tjp: int) -> float:
+    """G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu), the j1-free factor, with
+    f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu> and S = tsym/2."""
+    total = 0.0
+    for tmu in range(-min(tj, tjp), min(tj, tjp) + 1, 2):
+        f = cg_twice(k, k, tsym, tmu - k, tj, tmu) * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu)
+        fp = cg_twice(k, k, tsym, tmu - k, tjp, tmu) * cg_twice(1, 1, tjp, -tmu, tq, 1 - tmu)
+        total += f * fp
+    return total
 
 
 @dataclass
 class ObjectiveTable:
     """Folded fidelity coefficients for every Gram sector of (n1, n2).
 
-    entries holds the noise-split k >= 1 part with symmetric partners summed
-    (the stored polynomial for j < jp is C[j,jp] + C[jp,j]).  The k = 0 part
+    entries holds the noise-split k >= 1 part, each split coefficient a
+    product U_k(j1,j) U_k(j1,jp) G_k(q,j,jp) / (n1+n2-k+1) of recoupling
+    coefficients, with symmetric partners summed (the stored polynomial for
+    j < jp is C[j,jp] + C[jp,j] = 2 C[j,jp]).  The k = 0 part
     touches only the fully symmetric j = (n1+n2)/2 diagonal and is pinned to
     p^n1 / 2 by the trace-preservation row of that spin; it is kept as the
     separate constant so the entries match the per-sector closed forms.
@@ -165,14 +154,20 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
         raise ValueError("need n1 >= 1 and n2 >= 1")
     if n1 + n2 > MAX_TOTAL_QUBITS:
         raise CapacityError(f"n1+n2 = {n1+n2} exceeds enumeration guard {MAX_TOTAL_QUBITS}")
-    raw = _contract_sectors(n1, n2, range(1, n1 + 1))
+    N = n1 + n2
     entries: dict[SectorIndex, PolyInP] = {}
     for sector in enumerate_sectors(n1, n2):
         tj, tjp, tq, tj1 = sector.j.twice, sector.jp.twice, sector.q.twice, sector.j1.twice
-        coeffs = raw.get((tj, tjp, tq, tj1), np.zeros(n1 + 1)).copy()
-        if tj != tjp:
-            coeffs = coeffs + raw.get((tjp, tj, tq, tj1), np.zeros(n1 + 1))
-        entries[sector] = PolyInP(tuple(coeffs.tolist()))
+        fold = 1.0 if tj == tjp else 2.0  # the product is symmetric in j and j'
+        split = [0.0] + [
+            fold
+            * _recoupling(k, n1, n2, tj1, tj)
+            * _recoupling(k, n1, n2, tj1, tjp)
+            * _split_overlap(k, N - k, tq, tj, tjp)
+            / (N - k + 1)
+            for k in range(1, n1 + 1)
+        ]
+        entries[sector] = PolyInP(tuple(split))
     constant = PolyInP((0.5,) + (0.0,) * n1)
     return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=constant)
 

@@ -42,6 +42,61 @@ def oracle_fidelity(n1: int, n2: int, p: float, config: SolverConfig | None = No
     return value
 
 
+def _contract_sectors(n1: int, n2: int, ks) -> dict[tuple[int, int, int, int], np.ndarray]:
+    """Raw unfolded noise-split coefficients keyed by twice-values (tj, tjp, tq, tj1).
+
+    For each noise split k (number of first-register qubits left in the fixed
+    state) the eight-fold Clebsch-Gordan contraction factorizes through
+    F(j, q, mu) = sum_{m+s=mu} of the four unprimed factors, so each sector
+    coefficient is sum_mu F(j,q,mu) F(j',q,mu) / (n1+n2-k+1), stored at
+    index k of the sector's noise-split coefficients (see `PolyInP`).
+    """
+    N = n1 + n2
+    table: dict[tuple[int, int, int, int], np.ndarray] = {}
+    for k in ks:
+        ta1 = n1 - k  # twice the spin of the randomized part of register A
+        tsym = N - k  # twice the spin of the full symmetrized block
+        for tj1 in range(abs(k - ta1), n1 + 1, 2):
+            F: dict[tuple[int, int, int], float] = {}
+            for tm in range(-ta1, ta1 + 1, 2):
+                c2 = cg_twice(k, k, ta1, tm, tj1, k + tm)
+                if c2 == 0.0:
+                    continue
+                for ts in range(-n2, n2 + 1, 2):
+                    c1 = cg_twice(ta1, tm, n2, ts, tsym, tm + ts)
+                    if c1 == 0.0:
+                        continue
+                    tmu = k + tm + ts
+                    for tj in range(abs(tj1 - n2), tj1 + n2 + 1, 2):
+                        c3 = cg_twice(tj1, k + tm, n2, ts, tj, tmu)
+                        if c3 == 0.0:
+                            continue
+                        base = c1 * c2 * c3
+                        for tq in (tj - 1, tj + 1):
+                            if tq < 0:
+                                continue
+                            c4 = cg_twice(1, 1, tj, -tmu, tq, 1 - tmu)
+                            if c4 != 0.0:
+                                key = (tj, tq, tmu)
+                                F[key] = F.get(key, 0.0) + base * c4
+            by_q: dict[int, dict[int, dict[int, float]]] = {}
+            for (tj, tq, tmu), val in F.items():
+                by_q.setdefault(tq, {}).setdefault(tj, {})[tmu] = val
+            for tq, jmap in by_q.items():
+                tjs = sorted(jmap)
+                for tj in tjs:
+                    for tjp in tjs:
+                        val = sum(
+                            f * jmap[tjp].get(tmu, 0.0) for tmu, f in jmap[tj].items()
+                        )
+                        if abs(val) > 1e-16:
+                            key = (tj, tjp, tq, tj1)
+                            if key not in table:
+                                table[key] = np.zeros(n1 + 1)
+                            table[key][k] += val / (N - k + 1)
+    return table
+
+
 def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
     """Gram values of the doing-nothing channel, extracted through the
     covariant characterization by per-sector least squares and averaged over

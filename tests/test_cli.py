@@ -82,6 +82,16 @@ class TestSweep:
         for line in out_file.read_text().splitlines()[1:]:
             assert float(line.split(",")[5]) >= -1e-8
 
+    def test_gap_prints_zero_where_f_equals_doing_nothing(self, capsys, tmp_path):
+        # one mixture copy pins F to 1 - p/2; the gap must not print round-off
+        out_file = tmp_path / "g.csv"
+        run(capsys, ["sweep", "--n1-max", "1", "--n2-max", "10", "--p", "0.05",
+                     "--out", str(out_file), "--jobs", "1"])
+        rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+        assert len(rows) == 10
+        for row in rows:
+            assert row[3] == row[4] and row[5] == "0", row
+
     def test_unwritable_path_exit_4(self, capsys):
         code, _, err = run(
             capsys,
@@ -133,6 +143,10 @@ class TestSweepEndpoints:
         # every machine returns a clean copy of the target
         assert {row[3] for row in endpoint_sweeps["1"]} == {"0.5"}
         assert {row[3] for row in endpoint_sweeps["0"]} == {"1"}
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_gap_prints_zero(self, endpoint_sweeps, p):
+        assert {row[5] for row in endpoint_sweeps[p]} == {"0"}
 
     @pytest.mark.parametrize("p", ["0", "1"])
     def test_prefer_prints_equals_for_ties(self, endpoint_sweeps, p):

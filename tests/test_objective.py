@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from references import degree
-from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
+from references import _contract_sectors, degree
+from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, j1_values
 from uqsub.errors import CapacityError
 from uqsub.objective import (
     PolyInP,
-    _contract_sectors,
+    _recoupling,
     assemble,
     build_constraints,
     build_objective,
@@ -135,6 +135,25 @@ class TestBuildObjective:
                     continue
                 assert tj == tjp == N and tj1 == n1
 
+    @pytest.mark.parametrize(
+        "n1,n2",
+        [(n1, n2) for n1 in range(1, 12) for n2 in range(1, 13 - n1)] + [(12, 12)],
+    )
+    def test_matches_eight_factor_contraction(self, n1, n2):
+        # the recoupled product against the m-sum contraction, folded as stored
+        raw = _contract_sectors(n1, n2, range(1, n1 + 1))
+        table = build_objective(n1, n2)
+        keys = {(s.j.twice, s.jp.twice, s.q.twice, s.j1.twice) for s in table.entries}
+        assert all((min(tj, tjp), max(tj, tjp), tq, tj1) in keys for tj, tjp, tq, tj1 in raw)
+        assert set(table.entries) == set(enumerate_sectors(n1, n2))
+        zero = np.zeros(n1 + 1)
+        for s, poly in table.entries.items():
+            tj, tjp, tq, tj1 = s.j.twice, s.jp.twice, s.q.twice, s.j1.twice
+            expected = raw.get((tj, tjp, tq, tj1), zero)
+            if tj != tjp:
+                expected = expected + raw.get((tjp, tj, tq, tj1), zero)
+            assert np.max(np.abs(np.array(poly.split) - expected)) <= 1e-15, s
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             build_objective(20, 10)
@@ -150,6 +169,24 @@ class TestBuildObjective:
         }
         value = np.polyval(by_key[(2, 3, 3, 4)][::-1], 0.5)
         assert value == pytest.approx(5 * 0.5 * (3 + 2.5) / 72, abs=1e-12)
+
+
+class TestRecoupling:
+    def test_columns_are_unit_vectors(self):
+        # U_k(., j) is a column of an orthogonal recoupling matrix over j1
+        cases = 0
+        for n in range(2, 13):
+            for n1 in range(1, n):
+                n2 = n - n1
+                for k in range(1, n1 + 1):
+                    tsym = n - k
+                    for tj in range(abs(tsym - k), tsym + k + 1, 2):
+                        norm = sum(
+                            _recoupling(k, n1, n2, j1.twice, tj) ** 2 for j1 in j1_values(n1)
+                        )
+                        assert norm == pytest.approx(1.0, abs=1e-14), (n1, n2, k, tj)
+                        cases += 1
+        assert cases == 1042
 
 
 class TestConstraints:

@@ -1,0 +1,17 @@
+"""The README's library quick start runs against the current API."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_code() -> str:
+    text = README.read_text()
+    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 1, "expected one python block under 'Library quick start'"
+    return blocks[0]
+
+
+def test_library_quick_start_runs():
+    exec(compile(quick_start_code(), str(README), "exec"), {})
