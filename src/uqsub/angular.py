@@ -7,9 +7,11 @@ Condon-Shortley phase convention throughout the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 
 @dataclass(frozen=True, order=True)
@@ -70,11 +72,15 @@ def _cg_selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -
     return True
 
 
-def _cg_k_range(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int):
-    # Racah sum index bounds; all quantities are plain integers here.
-    kmin = max(0, (tj2 - tJ - tm1) // 2, (tj1 - tJ + tm2) // 2)
-    kmax = min((tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    return kmin, kmax
+# 0!, 1!, ..., 127!: enough for every cg_twice label with 2j <= 84
+_FACTORIALS = tuple(accumulate(range(1, 128), operator.mul, initial=1))
+
+
+def _factorials(top: int) -> tuple[int, ...]:
+    """A table of 0!, 1!, ... reaching at least top!; the shared one when it suffices."""
+    if top < len(_FACTORIALS):
+        return _FACTORIALS
+    return tuple(accumulate(range(1, top + 1), operator.mul, initial=1))
 
 
 @lru_cache(maxsize=None)
@@ -88,31 +94,23 @@ def cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     fails.  Cached, and safe for concurrent readers.
     """
     # plain ints: numpy integers would overflow in the factorial products
-    tj1, tm1, tj2, tm2, tJ, tM = (int(t) for t in (tj1, tm1, tj2, tm2, tJ, tM))
+    tj1, tm1, tj2, tm2, tJ, tM = map(int, (tj1, tm1, tj2, tm2, tJ, tM))
     if not _cg_selection_ok(tj1, tm1, tj2, tm2, tJ, tM):
         return 0.0
-    f = math.factorial
-    kmin, kmax = _cg_k_range(tj1, tm1, tj2, tm2, tJ)
-    ks = range(kmin, kmax + 1)
-    dens = [
-        f(k)
-        * f((tj1 + tj2 - tJ) // 2 - k)
-        * f((tj1 - tm1) // 2 - k)
-        * f((tj2 + tm2) // 2 - k)
-        * f((tJ - tj2 + tm1) // 2 + k)
-        * f((tJ - tj1 - tm2) // 2 + k)
-        for k in ks
-    ]
+    f = _factorials((tj1 + tj2 + tJ) // 2 + 1)
+    # Racah's sum over k of (-1)^k / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!)
+    a, b, c = (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    d, e = (tJ - tj2 + tm1) // 2, (tJ - tj1 - tm2) // 2
+    ks = range(max(0, -d, -e), min(a, b, c) + 1)
+    dens = [f[k] * f[a - k] * f[b - k] * f[c - k] * f[d + k] * f[e + k] for k in ks]
     lcm = math.lcm(*dens)
-    total = sum((-1) ** k * (lcm // den) for k, den in zip(ks, dens))
+    total = sum(-(lcm // den) if k & 1 else lcm // den for k, den in zip(ks, dens))
     if total == 0:
         return 0.0
-    num = (tJ + 1) * math.prod(
-        f(t // 2)
-        for t in (tj1 + tj2 - tJ, tj1 - tj2 + tJ, tj2 - tj1 + tJ, tJ + tM, tJ - tM,
-                  tj1 + tm1, tj1 - tm1, tj2 + tm2, tj2 - tm2)
-    )
-    den = f((tj1 + tj2 + tJ) // 2 + 1)
+    num = (tJ + 1) * f[a] * f[b] * f[c]
+    for t in (tj1 - tj2 + tJ, tj2 - tj1 + tJ, tJ + tM, tJ - tM, tj1 + tm1, tj2 - tm2):
+        num *= f[t // 2]
+    den = f[(tj1 + tj2 + tJ) // 2 + 1]
     sign = 1.0 if total > 0 else -1.0
     return sign * math.sqrt(num * total * total / (den * lcm * lcm))
 
@@ -156,28 +154,27 @@ def enumerate_sectors(n1: int, n2: int) -> list[SectorIndex]:
     Deterministic order: j1 descending, then q ascending, then (j, jp)
     ascending; this order is part of the CSV/JSON contract.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("need n1 >= 1 and n2 >= 1")
-    sectors = []
-    for j1 in j1_values(n1):
-        js = j_values(j1, n2)
-        for a, j in enumerate(js):
-            for jp in js[a:]:
-                for q in q_set(j, jp):
-                    sectors.append(SectorIndex(j1=j1, j=j, jp=jp, q=q))
-    sectors.sort(key=SectorIndex.sort_key)
-    return sectors
+    return [
+        SectorIndex(j1=j1, j=j, jp=jp, q=q)
+        for q, j1, rows in sector_blocks(n1, n2)
+        for a, j in enumerate(rows)
+        for jp in rows[a:]
+    ]
 
 
 def sector_blocks(n1: int, n2: int) -> list[tuple[HalfInt, HalfInt, list[HalfInt]]]:
-    """Gram blocks (q, j1, sorted valid j labels) in enumeration order."""
-    blocks: dict[tuple[int, int], set[int]] = {}
-    for s in enumerate_sectors(n1, n2):
-        rows = blocks.setdefault((s.q.twice, s.j1.twice), set())
-        rows.add(s.j.twice)
-        rows.add(s.jp.twice)
-    ordered = sorted(blocks.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
-    return [
-        (HalfInt(tq), HalfInt(tj1), [HalfInt(t) for t in sorted(rows)])
-        for (tq, tj1), rows in ordered
-    ]
+    """Gram blocks (q, j1, sorted valid j labels) in enumeration order.
+
+    q_set(j, jp) is empty unless jp - j is 0 or 1, so the block of q holds
+    the spins q - 1/2 and q + 1/2 that j_values(j1, n2) contains.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("need n1 >= 1 and n2 >= 1")
+    blocks = []
+    for j1 in j1_values(n1):
+        js = {j.twice: j for j in j_values(j1, n2)}
+        lo, hi = min(js), max(js)
+        for tq in range(lo - 1 if lo else 1, hi + 2, 2):
+            rows = [js[t] for t in (tq - 1, tq + 1) if t in js]
+            blocks.append((HalfInt(tq), j1, rows))
+    return blocks

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ops import choi_output_trace
-from .angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors, sector_blocks
+from .angular import HalfInt, SectorIndex, cg_twice
 from .errors import CapacityError, ReconstructionError
+from .objective import _layout
 from .sdp import SdpSolution
 
 BASIS_QUBIT_GUARD = 8
@@ -163,18 +164,10 @@ class KrausSet:
 
 def w_values_from_solution(solution: SdpSolution, n1: int, n2: int) -> dict[SectorIndex, float]:
     """Read the per-sector Gram values out of the solver's block layout."""
-    blocks = sector_blocks(n1, n2)
-    if len(blocks) != len(solution.blocks):
+    specs, slots, _ = _layout(n1, n2)
+    if len(specs) != len(solution.blocks):
         raise ValueError("solution does not match the (n1, n2) block layout")
-    index = {
-        (q.twice, j1.twice): (mat, {j.twice: r for r, j in enumerate(rows)})
-        for (q, j1, rows), mat in zip(blocks, solution.blocks)
-    }
-    values: dict[SectorIndex, float] = {}
-    for s in enumerate_sectors(n1, n2):
-        mat, rowmap = index[(s.q.twice, s.j1.twice)]
-        values[s] = float(mat[rowmap[s.j.twice], rowmap[s.jp.twice]])
-    return values
+    return {s: float(solution.blocks[pos][a, b]) for s, (pos, a, b) in slots.items()}
 
 
 def _sector_lookup(w: dict[SectorIndex, float], tj1: int, tj: int, tjp: int, tq: int) -> float:

@@ -8,7 +8,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import closed_forms
 from .channel import (
@@ -103,7 +102,10 @@ def cmd_optimize(args) -> int:
             f"min_eigenvalue={sol.min_eigenvalue:.3e}"
         )
         for s, value in sorted(w.items(), key=lambda kv: kv[0].sort_key()):
-            print(f"  W[j1={s.j1} j={s.j} j'={s.jp} q={s.q}] = {_fmt(value)}")
+            # every row fixes a positive mix of two diagonal entries to 1, so an
+            # entry this small is solver round-off that cannot move F's digits
+            shown = _fmt(value) if abs(value) >= 1e-12 else "0"
+            print(f"  W[j1={s.j1} j={s.j} j'={s.jp} q={s.q}] = {shown}")
     return EXIT_OK
 
 
@@ -127,6 +129,8 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks, chunksize=4))
     else:

@@ -5,13 +5,16 @@ functional of the Gram variables W^{j,j'}_{q,j1}, with coefficients
 polynomial in the mixing probability p.  At noise split k (k qubits of the
 first register in the target state) Racah recoupling makes each coefficient
 a product of recoupling coefficients,
-U_k(j1, j) U_k(j1, j') G_k(q, j, j') / (n1+n2-k+1), where G_k does not depend
-on j1.  This module builds those polynomials once per (n1, n2) and
-assembles block-structured SDP instances for any p.
+U_k(j1, j) U_k(j1, j') G_k(q, j, j') / (n1+n2-k+1), where U_k is the closed
+form of a stretched 6j symbol and G_k does not depend on j1.  This module
+builds those polynomials once per (n1, n2) and assembles block-structured SDP
+instances for any p from a placement computed once per (n1, n2).
 """
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -19,7 +22,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors, sector_blocks
+from .angular import (
+    HalfInt,
+    SectorIndex,
+    _factorials,
+    cg_twice,
+    enumerate_sectors,
+    j1_values,
+    j_values,
+    sector_blocks,
+)
 from .errors import CapacityError
 
 MAX_TOTAL_QUBITS = 24
@@ -47,7 +59,7 @@ class PolyInP:
 
     def at(self, weights: list[float]) -> float:
         """Value at the p whose `split_weights` are given."""
-        return sum(c * w for c, w in zip(self.split, weights))
+        return sum(map(operator.mul, self.split, weights))
 
     @property
     def coefficients(self) -> tuple[float, ...]:
@@ -66,33 +78,42 @@ def _recoupling(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
 
     With a = (n1-k)/2, b = n2/2 and the stretched S = a+b, U is the overlap
     of the coupling ((k/2, a) j1, b) j with (k/2, (a, b) S) j, a column of an
-    orthogonal recoupling matrix (proportional to the 6j symbol
-    {k/2 a j1; b j S}).  It is read off the highest weight mu = j of
-    sum_m <k/2 k/2; a m|j1 .> <a m; b s|S .> <j1 .; b s|j mu> = U <k/2 k/2; S mu-k/2|j mu>,
-    whose right-hand factor is nonzero whenever the triangle (k/2, S, j) holds.
+    orthogonal recoupling matrix:
+    U = (-1)^(k/2+a+b+j) sqrt((2j1+1)(2S+1)) {k/2 a j1; b j S}.
+    The stretched triad (a, b, S) leaves a single term t = k/2+j+S in
+    Racah's sum for the 6j symbol, and its sign (-1)^t cancels the phase, so
+    U >= 0.  U^2 is one exact ratio of factorial products, divided once
+    before the one square root; U = 0 when a triangle (k/2, a, j1),
+    (k/2, j, S) or (b, j, j1) fails.
     """
-    ta, tsym = n1 - k, n1 + n2 - k
-    top = cg_twice(k, k, tsym, tj - k, tj, tj)
-    if top == 0.0:
+    ta, ts = n1 - k, n1 + n2 - k
+    # the three legs of each triad: (x+y-z)/2, (x-y+z)/2, (-x+y+z)/2
+    a0, a1, a2 = (k + ta - tj1) // 2, (k - ta + tj1) // 2, (ta + tj1 - k) // 2
+    b0, b1, b2 = (k + tj - ts) // 2, (k + ts - tj) // 2, (tj + ts - k) // 2
+    c0, c1, c2 = (n2 + tj - tj1) // 2, (n2 + tj1 - tj) // 2, (tj + tj1 - n2) // 2
+    if min(a0, a1, a2, b0, b1, b2, c0, c1, c2) < 0:
         return 0.0
-    total = 0.0
-    for tm in range(-ta, ta + 1, 2):
-        ts = tj - k - tm
-        total += (
-            cg_twice(k, k, ta, tm, tj1, k + tm)
-            * cg_twice(ta, tm, n2, ts, tsym, tm + ts)
-            * cg_twice(tj1, k + tm, n2, ts, tj, tj)
-        )
-    return total / top
+    f = _factorials((k + tj + ts) // 2 + 1)
+    num = (tj1 + 1) * (ts + 1) * f[ta] * f[n2] * f[(k + tj + ts) // 2 + 1]
+    num *= f[a1] * f[b1] * f[b2] * f[c2]
+    den = f[(k + ta + tj1) // 2 + 1] * f[ts + 1] * f[(n2 + tj + tj1) // 2 + 1]
+    den *= f[a0] * f[a2] * f[b0] * f[c0] * f[c1]
+    return math.sqrt(num / den)
 
 
 @lru_cache(maxsize=None)
 def _split_overlap(k: int, tsym: int, tq: int, tj: int, tjp: int) -> float:
     """G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu), the j1-free factor, with
     f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu> and S = tsym/2."""
+    # outside |mu - k/2| <= S and |1/2 - mu| <= q every term is zero
+    lo = max(-min(tj, tjp), k - tsym, 1 - tq)
+    hi = min(tj, tjp, k + tsym, 1 + tq)
     total = 0.0
-    for tmu in range(-min(tj, tjp), min(tj, tjp) + 1, 2):
+    for tmu in range(lo, hi + 1, 2):
         f = cg_twice(k, k, tsym, tmu - k, tj, tmu) * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu)
+        if tj == tjp:
+            total += f * f
+            continue
         fp = cg_twice(k, k, tsym, tmu - k, tjp, tmu) * cg_twice(1, 1, tjp, -tmu, tq, 1 - tmu)
         total += f * fp
     return total
@@ -188,20 +209,16 @@ def build_constraints(n1: int, n2: int) -> list[EqualityRow]:
     The row is (2+2j)/(1+2j) W^{j,j}_{j+1/2} + 2j/(1+2j) W^{j,j}_{j-1/2} = 1;
     for j = 0 the second term has coefficient zero and is dropped.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("need n1 >= 1 and n2 >= 1")
     rows = []
-    seen = set()
-    for sector in enumerate_sectors(n1, n2):
-        for j in (sector.j, sector.jp):
-            key = (j.twice, sector.j1.twice)
-            if key in seen:
-                continue
-            seen.add(key)
+    for j1 in j1_values(n1):
+        for j in j_values(j1, n2):  # every such j has its sector (j, j, j+1/2)
             tj = j.twice
             terms = [(HalfInt(tj + 1), (tj + 2) / (tj + 1))]
             if tj > 0:
                 terms.append((HalfInt(tj - 1), tj / (tj + 1)))
-            rows.append(EqualityRow(j=j, j1=sector.j1, terms=tuple(terms)))
-    rows.sort(key=lambda r: (-r.j1.twice, r.j.twice))
+            rows.append(EqualityRow(j=j, j1=j1, terms=tuple(terms)))
     return rows
 
 
@@ -229,21 +246,41 @@ class SdpProblem:
         return len(self.equalities)
 
 
+@lru_cache(maxsize=None)
+def _layout(n1: int, n2: int):
+    """The p-independent placement of (n1, n2), computed once.
+
+    Returns the block specs, each sector's (block, row, column) slot and,
+    per trace-preservation row, its (block, row, coefficient) terms and rhs.
+    """
+    specs = []
+    where = {}  # (tq, tj1) -> (block position, {tj: row})
+    for pos, (q, j1, rows) in enumerate(sector_blocks(n1, n2)):
+        where[q.twice, j1.twice] = pos, {j.twice: r for r, j in enumerate(rows)}
+        specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows), labels=tuple(rows)))
+    slots = {}
+    for s in enumerate_sectors(n1, n2):
+        pos, rowmap = where[s.q.twice, s.j1.twice]
+        slots[s] = pos, rowmap[s.j.twice], rowmap[s.jp.twice]
+    equalities = []
+    for row in build_constraints(n1, n2):
+        terms = []
+        for q, c in row.terms:
+            pos, rowmap = where[q.twice, row.j1.twice]
+            terms.append((pos, rowmap[row.j.twice], c))
+        equalities.append((tuple(terms), row.rhs))
+    return tuple(specs), slots, tuple(equalities)
+
+
 def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
     """Instantiate the block SDP for a given mixing probability."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    blocks = sector_blocks(table.n1, table.n2)
-    index = {}  # (tq, tj1) -> (block position, {tj: row})
-    specs = []
-    for pos, (q, j1, rows) in enumerate(blocks):
-        index[(q.twice, j1.twice)] = (pos, {j.twice: r for r, j in enumerate(rows)})
-        specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows), labels=tuple(rows)))
+    specs, slots, rows = _layout(table.n1, table.n2)
     objective = [np.zeros((s.dim, s.dim)) for s in specs]
     weights = split_weights(table.n1, p)
     for sector, poly in table.entries.items():
-        pos, rowmap = index[(sector.q.twice, sector.j1.twice)]
-        a, b = rowmap[sector.j.twice], rowmap[sector.jp.twice]
+        pos, a, b = slots[sector]
         value = poly.at(weights)
         if a == b:
             objective[pos][a, a] += value
@@ -252,13 +289,11 @@ def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
             objective[pos][a, b] += value / 2.0
             objective[pos][b, a] += value / 2.0
     equalities = []
-    for row in build_constraints(table.n1, table.n2):
+    for terms, rhs in rows:
         coeffs: dict[int, np.ndarray] = {}
-        for q, c in row.terms:
-            pos, rowmap = index[(q.twice, row.j1.twice)]
+        for pos, r, c in terms:
             mat = coeffs.setdefault(pos, np.zeros((specs[pos].dim, specs[pos].dim)))
-            r = rowmap[row.j.twice]
             mat[r, r] += c
-        equalities.append((coeffs, row.rhs))
+        equalities.append((coeffs, rhs))
     offset = table.constant.at(weights)
-    return SdpProblem(blocks=specs, objective=objective, equalities=equalities, offset=offset)
+    return SdpProblem(blocks=list(specs), objective=objective, equalities=equalities, offset=offset)

@@ -116,6 +116,35 @@ def cg_fraction(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> flo
     return math.copysign(math.sqrt(float(total * total * radicand)), total)
 
 
+def sixj_fraction(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> tuple[int, Fraction]:
+    """The 6j symbol {a b c; d e f} from Racah's sum in Fraction arithmetic,
+    twice-valued labels, as (sign, exact square); (0, 0) when it vanishes."""
+    f = math.factorial
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    for x, y, z in triads:
+        if (x + y + z) % 2 or not abs(x - y) <= z <= x + y:
+            return 0, Fraction(0)
+    delta = math.prod(
+        Fraction(
+            f((x + y - z) // 2) * f((x - y + z) // 2) * f((y + z - x) // 2),
+            f((x + y + z) // 2 + 1),
+        )
+        for x, y, z in triads
+    )
+    alphas = [(x + y + z) // 2 for x, y, z in triads]
+    betas = [(ta + tb + td + te) // 2, (tb + tc + te + tf) // 2, (tc + ta + tf + td) // 2]
+    total = sum(
+        Fraction(
+            (-1) ** t * f(t + 1),
+            math.prod(f(t - a) for a in alphas) * math.prod(f(b - t) for b in betas),
+        )
+        for t in range(max(alphas), min(betas) + 1)
+    )
+    if total == 0:
+        return 0, Fraction(0)
+    return (1 if total > 0 else -1), total * total * delta
+
+
 def irrep_multiplicities(n: int) -> dict[int, int]:
     """Count spin-j irreps in n qubits by diagonalizing total J^2 (twice-j keys)."""
     dim = 2**n

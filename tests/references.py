@@ -97,6 +97,26 @@ def _contract_sectors(n1: int, n2: int, ks) -> dict[tuple[int, int, int, int], n
     return table
 
 
+def recoupling_by_m_sum(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
+    """U_k(j1, j) read off the highest weight mu = j, twice-valued spins:
+    sum_m <k/2 k/2; a m|j1 .> <a m; b s|S .> <j1 .; b s|j mu> = U <k/2 k/2; S mu-k/2|j mu>
+    with a = (n1-k)/2, b = n2/2 and S = a+b, the right-hand factor nonzero
+    whenever the triangle (k/2, S, j) holds."""
+    ta, tsym = n1 - k, n1 + n2 - k
+    top = cg_twice(k, k, tsym, tj - k, tj, tj)
+    if top == 0.0:
+        return 0.0
+    total = 0.0
+    for tm in range(-ta, ta + 1, 2):
+        ts = tj - k - tm
+        total += (
+            cg_twice(k, k, ta, tm, tj1, k + tm)
+            * cg_twice(ta, tm, n2, ts, tsym, tm + ts)
+            * cg_twice(tj1, k + tm, n2, ts, tj, tj)
+        )
+    return total / top
+
+
 def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
     """Gram values of the doing-nothing channel, extracted through the
     covariant characterization by per-sector least squares and averaged over

@@ -82,6 +82,20 @@ class TestCg:
             checked += 1
             assert cg_twice(*labels) == cg_fraction(*labels), labels
 
+    def test_labels_beyond_the_factorial_table(self):
+        # 2j up to 120 needs factorials past the shared table's 127!
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 200:
+            tj1, tj2 = (int(t) for t in rng.integers(60, 121, size=2))
+            tJ = int(rng.integers(abs(tj1 - tj2), tj1 + tj2 + 1))
+            tm1, tm2 = int(rng.integers(-tj1, tj1 + 1)), int(rng.integers(-tj2, tj2 + 1))
+            if (tj1 + tj2 + tJ) % 2 or (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or abs(tm1 + tm2) > tJ:
+                continue
+            labels = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
+            checked += 1
+            assert cg_twice(*labels) == cg_fraction(*labels), labels
+
     def test_orthogonality(self):
         # sum over (m1, m2) at fixed M of C(J) C(J') = delta_JJ'
         for tj1 in range(0, 13, 3):

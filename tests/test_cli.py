@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,24 @@ class TestOptimize:
         first = out.splitlines()[0]
         assert first.endswith("= 1") or "= 0.99999999" in first
 
+    def test_round_off_prints_as_zero(self, capsys):
+        # the solver leaves ~1e-50 in entries that are zero at the optimum
+        argv = ["optimize", "--n1", "2", "--n2", "1", "--p", "0.5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        shown = {
+            line.split(" = ")[0].strip(): line.split(" = ")[1]
+            for line in out.splitlines()
+            if line.startswith("  W[")
+        }
+        assert len(shown) == 7
+        assert shown["W[j1=1 j=1/2 j'=1/2 q=0]"] == "0"
+        assert all(text == "0" or abs(float(text)) >= 1e-12 for text in shown.values())
+        _, out, _ = run(capsys, argv + ["--json"])
+        raw = {(w["tj1"], w["tj"], w["tjp"], w["tq"]): w["value"] for w in json.loads(out)["w"]}
+        assert isinstance(raw[(2, 1, 1, 0)], float)
+        assert abs(raw[(2, 1, 1, 0)]) < 1e-12
+
     def test_invalid_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--n1", "1", "--n2", "1", "--p", "1.5"])
@@ -69,11 +91,12 @@ class TestSweep:
 
     def test_byte_stable_and_jobs_invariant(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, ["sweep", "--n1-max", "2", "--n2-max", "2", "--p", "0.9",
-                     "--out", str(a), "--jobs", "1"])
-        run(capsys, ["sweep", "--n1-max", "2", "--n2-max", "2", "--p", "0.9",
-                     "--out", str(b), "--jobs", "2"])
-        assert a.read_bytes() == b.read_bytes()
+        c = tmp_path / "c.csv"
+        # 9 points make chunks of 4, 4 and 1, so a third worker can get a share
+        for out_file, jobs in ((a, "1"), (b, "2"), (c, "3")):
+            run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.9",
+                         "--out", str(out_file), "--jobs", jobs])
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_gaps_nonnegative(self, capsys, tmp_path):
         out_file = tmp_path / "g.csv"
@@ -346,3 +369,20 @@ class TestSimulateInputs:
         assert code == 6
         assert "completeness" in err
         assert out == ""
+
+
+def test_cli_import_skips_process_pool():
+    # the sweep imports its worker pool only when it runs more than one job
+    probe = (
+        "import sys, uqsub.cli; print(sorted(m for m in sys.modules "
+        "if m == 'concurrent.futures.process' or m.startswith('multiprocessing')))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from references import _contract_sectors, degree
+from oracles import sixj_fraction
+from references import _contract_sectors, degree, recoupling_by_m_sum
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, j1_values
 from uqsub.errors import CapacityError
 from uqsub.objective import (
@@ -187,6 +188,33 @@ class TestRecoupling:
                         assert norm == pytest.approx(1.0, abs=1e-14), (n1, n2, k, tj)
                         cases += 1
         assert cases == 1042
+
+    @staticmethod
+    def labels():
+        """(k, n1, n2, tj1, tj) of every U the tables of n1+n2 <= 12 and (12,12) use."""
+        pairs = [(n1, n - n1) for n in range(2, 13) for n1 in range(1, n)] + [(12, 12)]
+        for n1, n2 in pairs:
+            for k in range(1, n1 + 1):
+                for j1 in j1_values(n1):
+                    for tj in range(abs(j1.twice - n2), j1.twice + n2 + 1, 2):
+                        yield k, n1, n2, j1.twice, tj
+
+    def test_equals_exact_stretched_six_j(self):
+        # U = (-1)^(k/2+a+b+j) sqrt((2j1+1)(2S+1)) {k/2 a j1; b j S}, a = (n1-k)/2,
+        # b = n2/2, S = a+b: the square root of the exact value, bit for bit
+        vanishing = 0
+        for k, n1, n2, tj1, tj in self.labels():
+            ts = n1 + n2 - k
+            sign, square = sixj_fraction(k, n1 - k, tj1, n2, tj, ts)
+            sign *= -1 if ((n1 + n2 + tj) // 2) % 2 else 1
+            expected = math.copysign(math.sqrt((tj1 + 1) * (ts + 1) * square), sign)
+            assert _recoupling(k, n1, n2, tj1, tj) == expected, (k, n1, n2, tj1, tj)
+            vanishing += sign == 0
+        assert vanishing > 0
+
+    def test_matches_m_sum_reference(self):
+        for label in self.labels():
+            assert _recoupling(*label) == pytest.approx(recoupling_by_m_sum(*label), abs=1e-14)
 
 
 class TestConstraints:
