@@ -236,6 +236,15 @@ def dn_kraus(n: int) -> list[np.ndarray]:
     return ops
 
 
+def random_channel(n_qubits: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random CPTP map on n_qubits -> 1 qubit from a Haar-ish isometry."""
+    d_in = 1 << n_qubits
+    d_env = d_in
+    a = rng.standard_normal((2 * d_env, d_in)) + 1j * rng.standard_normal((2 * d_env, d_in))
+    q, _ = np.linalg.qr(a)
+    return [q.reshape(2, d_env, d_in)[:, k, :] for k in range(d_env)]
+
+
 def dn_choi(n1: int, n2: int) -> np.ndarray:
     """Real Choi matrix of the doing-nothing strategy on n1+n2 qubits."""
     return choi_from_kraus(dn_kraus(n1 + n2)).real

@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from uqsub.angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors
-from uqsub.channel import BasisColumn, build_coupled_basis
+from uqsub.channel import BasisColumn, KrausSet, build_coupled_basis
 from uqsub.errors import CapacityError
-from uqsub.mcsim import HaarSampler
+from uqsub.mcsim import HaarSampler, McEstimate
 from uqsub.objective import PolyInP, SdpProblem
 from uqsub.oracle import build_omega, solve_choi, twirl_objective
 from uqsub.sdp import SdpSolution, SolverConfig
@@ -34,6 +34,41 @@ def block_dict(solution: SdpSolution, problem: SdpProblem) -> dict[str, np.ndarr
 def sample_state(sampler: HaarSampler) -> np.ndarray:
     """One Haar-random pure qubit state as a 2-component unit vector."""
     return sampler.sample_states(1)[0]
+
+
+def _batched_kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    b, m, _ = left.shape
+    _, k, _ = right.shape
+    return np.einsum("bij,bkl->bikjl", left, right).reshape(b, m * k, m * k)
+
+
+def estimate_fidelity_dense(
+    kraus: KrausSet, n1: int, n2: int, p: float, samples: int, sampler: HaarSampler
+) -> McEstimate:
+    """Density-matrix form of mcsim.estimate_fidelity on the same draws: builds
+    each sample's 2^n x 2^n input state and contracts it with M_k^dag |psi>."""
+    ops = np.stack(kraus.operators)
+    values = np.empty(samples)
+    done = 0
+    while done < samples:
+        size = min(2000, samples - done)
+        psi = sampler.sample_states(size)
+        phi = sampler.sample_states(size)
+        target = np.einsum("bi,bj->bij", psi, psi.conj())
+        noise = np.einsum("bi,bj->bij", phi, phi.conj())
+        mix = (1 - p) * target + p * noise
+        rho = np.ones((size, 1, 1), dtype=complex)
+        for _ in range(n1):
+            rho = _batched_kron(rho, mix)
+        for _ in range(n2):
+            rho = _batched_kron(rho, noise)
+        vecs = np.einsum("koi,bo->bki", ops.conj(), psi)  # rows M_k^dag |psi>
+        out = np.einsum("bki,bij,bkj->b", vecs.conj(), rho, vecs)
+        values[done : done + size] = out.real
+        done += size
+    mean = float(np.mean(values))
+    std_error = float(np.std(values, ddof=1) / np.sqrt(samples))
+    return McEstimate(mean=mean, std_error=std_error, samples=samples)
 
 
 def oracle_fidelity(n1: int, n2: int, p: float, config: SolverConfig | None = None) -> float:

@@ -278,6 +278,21 @@ class TestReconstructSimulate:
         assert report["pass"] is True
         assert report["mean"] == pytest.approx(0.75, abs=0.01)
 
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1)])
+    def test_optimal_channel_passes_at_p_zero(self, capsys, tmp_path, n1, n2):
+        # every sample is 1 up to round-off, so std_error alone (~1e-18) is
+        # narrower than the round-off in the mean
+        kraus_file = tmp_path / "kraus.json"
+        flags = ["--n1", str(n1), "--n2", str(n2), "--p", "0"]
+        code, _, _ = run(capsys, ["reconstruct", *flags, "--out", str(kraus_file)])
+        assert code == 0
+        code, out, _ = run(
+            capsys,
+            ["simulate", *flags, "--kraus", str(kraus_file), "--samples", "20000", "--seed", "0"],
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_schema_mismatch_exit_6(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "other", "operators": []}))

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import dn_choi
-from references import sample_state
-from uqsub.channel import ChoiMatrix, kraus_from_choi, reconstruct_choi
+from oracles import dn_choi, dn_kraus, random_channel
+from references import estimate_fidelity_dense, sample_state
+from uqsub.channel import ChoiMatrix, KrausSet, kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import f21_exact
 from uqsub.mcsim import HaarSampler, McEstimate, estimate_fidelity
 from uqsub.objective import assemble, build_objective
@@ -42,14 +44,6 @@ class TestSampler:
         overlap = np.abs(states[:, 0]) ** 2
         se = overlap.std(ddof=1) / np.sqrt(len(overlap))
         assert abs(overlap.mean() - 0.5) <= 4 * se
-
-    def test_block_splitting_gives_distinct_reproducible_streams(self):
-        base = HaarSampler(seed=5)
-        b1 = base.block(0).sample_states(4)
-        b2 = base.block(1).sample_states(4)
-        assert not np.allclose(b1, b2)
-        again = HaarSampler(seed=5).block(0).sample_states(4)
-        assert np.array_equal(b1, again)
 
 
 class TestEstimateFidelity:
@@ -103,3 +97,57 @@ class TestEstimateFidelity:
         est = McEstimate(mean=0.5, std_error=0.01, samples=100)
         assert est.within(0.52, n_sigma=4)
         assert not est.within(0.55, n_sigma=4)
+
+    def test_round_off_floor_when_every_sample_agrees(self):
+        # the optimal channel at p = 0 recovers every target: std_error is
+        # round-off (~1e-18) and so is the distance to the SDP value (~1e-16)
+        est = McEstimate(mean=1.0 - 2.2e-16, std_error=5.2e-18, samples=100)
+        assert est.within(1.0, n_sigma=4)
+        assert not McEstimate(mean=1.0 - 2e-12, std_error=0.0, samples=100).within(1.0)
+
+
+def random_kraus_3():
+    return KrausSet(operators=random_channel(3, np.random.default_rng(23)))
+
+
+class TestAgainstDensityMatrixReference:
+    """Amplitude estimator vs the density-matrix estimator on identical draws."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.45, 1.0])
+    @pytest.mark.parametrize(
+        "n1,n2,kraus",
+        [
+            (1, 1, lambda: optimal_kraus(1, 1, 0.3)[0]),
+            (2, 1, lambda: optimal_kraus(2, 1, 0.3)[0]),
+            (2, 2, lambda: optimal_kraus(2, 2, 0.3)[0]),
+            (2, 1, random_kraus_3),
+        ],
+        ids=["1-1", "2-1", "2-2", "random-2-1"],
+    )
+    def test_same_mean_and_std_error(self, n1, n2, kraus, p):
+        ops = kraus()
+        # 4,500 samples: two full blocks and a partial one
+        est = estimate_fidelity(ops, n1, n2, p, samples=4500, sampler=HaarSampler(seed=8))
+        ref = estimate_fidelity_dense(ops, n1, n2, p, samples=4500, sampler=HaarSampler(seed=8))
+        assert est.samples == ref.samples == 4500
+        assert est.mean == pytest.approx(ref.mean, abs=1e-12)
+        assert est.std_error == pytest.approx(ref.std_error, abs=1e-12)
+
+
+class TestSize:
+    def test_peak_memory_at_six_qubits(self):
+        kraus = KrausSet(operators=dn_kraus(6))
+        tracemalloc.start()
+        try:
+            estimate_fidelity(kraus, 3, 3, 0.5, samples=2000, sampler=HaarSampler(seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_doing_nothing_at_reconstruct_guard(self):
+        # n1+n2 = 8 is the largest channel reconstruct writes
+        p = 0.4
+        kraus = KrausSet(operators=dn_kraus(8))
+        est = estimate_fidelity(kraus, 4, 4, p, samples=2000, sampler=HaarSampler(seed=5))
+        assert est.within(1 - p / 2, n_sigma=4)

@@ -16,6 +16,7 @@ from oracles import (
     monte_carlo_omega,
     monte_carlo_twirl,
     permutation_operator,
+    random_channel,
 )
 from references import oracle_fidelity
 from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
@@ -31,15 +32,6 @@ from uqsub.oracle import (
     twirl_objective,
 )
 from uqsub.sdp import solve
-
-
-def random_channel(n_qubits, rng):
-    """Random CPTP map on n_qubits -> 1 qubit from a Haar-ish isometry."""
-    d_in = 1 << n_qubits
-    d_env = d_in
-    a = rng.standard_normal((2 * d_env, d_in)) + 1j * rng.standard_normal((2 * d_env, d_in))
-    q, _ = np.linalg.qr(a)
-    return [q.reshape(2, d_env, d_in)[:, k, :] for k in range(d_env)]
 
 
 class TestSymProjector:
