@@ -133,19 +133,13 @@ class KrausSet:
         acc = sum(m.conj().T @ m for m in self.operators)
         return float(np.abs(acc - np.eye(dim)).max())
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(m @ rho @ m.conj().T for m in self.operators)
-
     def to_json(self) -> str:
-        ops = [
-            [[[float(x.real), float(x.imag)] for x in row] for row in m]
-            for m in self.operators
-        ]
+        ops = np.asarray(self.operators)
         return json.dumps(
             {
                 "schema": "uqsub.kraus.v1",
                 "n_in_qubits": int(np.log2(self.operators[0].shape[1])),
-                "operators": ops,
+                "operators": np.stack([ops.real, ops.imag], -1).tolist(),
             }
         )
 

@@ -76,7 +76,7 @@ def cmd_optimize(args) -> int:
             "n2": args.n2,
             "p": args.p,
             "f_max": sol.objective_value,
-            "f_dn": closed_forms.dn_fidelity(args.p, 2),
+            "f_dn": closed_forms.dn_fidelity(args.p),
             "status": sol.status,
             "iterations": sol.iterations,
             "primal_residual": sol.primal_residual,
@@ -126,18 +126,21 @@ def cmd_sweep(args) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
+    chunk = 4  # grid points per task handed to a worker
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
+    # the pool starts all its workers up front; more than one per chunk would idle
+    jobs = min(jobs, -(-len(tasks) // chunk))
     log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks, chunksize=4))
+            results = list(pool.map(_sweep_point, tasks, chunksize=chunk))
     else:
         results = [_sweep_point(t) for t in tasks]
     fmax = {(n1, n2): value for n1, n2, value, _ in results}
     status = {(n1, n2): st for n1, n2, _, st in results}
-    f_dn = closed_forms.dn_fidelity(args.p, 2)
+    f_dn = closed_forms.dn_fidelity(args.p)
     lines = ["n1,n2,p,f_max,f_dn,gap,status,prefer"]
     for n1, n2, _ in tasks:
         # which extra copy helps more: "A" mixture, "B" noise, "=" both print
@@ -195,7 +198,7 @@ def cmd_curves(args) -> int:
                 for v in (
                     p,
                     sol.objective_value,
-                    closed_forms.dn_fidelity(p, 2),
+                    closed_forms.dn_fidelity(p),
                     closed_forms.mp_upper(p, args.n1),
                     closed_forms.f2inf(p),
                 )

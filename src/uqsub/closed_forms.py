@@ -8,10 +8,9 @@ protocol, and the two-copy limit of infinitely many noise copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class CurveLabel(str, Enum):
@@ -24,39 +23,27 @@ class CurveLabel(str, Enum):
     F2INF = "F2INF"
 
 
-@dataclass(frozen=True)
-class FidelityCurvePoint:
-    p: float
-    value: float
-    label: CurveLabel
-
-
 def _check_p(p: float):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
 
 
-def dn_fidelity(p: float, d: int = 2) -> float:
-    """Average fidelity of returning one register-A system unchanged."""
-    _check_p(p)
-    if d < 2:
-        raise ValueError("need dimension d >= 2")
-    return 1.0 - p * (d - 1) / d
+def dn_fidelity(p: float) -> float:
+    """Average fidelity of returning one register-A qubit unchanged: 1 - p/2.
 
-
-def f1n2(p: float) -> float:
-    """Optimal fidelity with a single mixture copy; independent of n2."""
-    _check_p(p)
-    return 1.0 - p / 2.0
-
-
-def cem_fidelity(p: float) -> float:
-    """Symmetric/antisymmetric-measurement purification protocol, two copies.
-
-    Coincides with the doing-nothing value for qubits.
+    Three curves share this formula for qubits. Doing nothing keeps the
+    target with weight 1 - p and the noise with weight p, whose Haar-averaged
+    overlap with the target is 1/d = 1/2. With a single mixture copy
+    (`f1n2`) the noise copies cannot raise that, for any n2: the covariant
+    SDP gives F(1, n2) = 1 - p/2. The symmetric/antisymmetric-measurement
+    purification protocol on two copies (`cem_fidelity`) gains nothing over
+    doing nothing for qubits.
     """
     _check_p(p)
     return 1.0 - p / 2.0
+
+
+f1n2 = cem_fidelity = dn_fidelity
 
 
 def f21_exact(p: float) -> float:
@@ -87,32 +74,6 @@ def mp_upper(p: float, n1: int) -> float:
     )
 
 
-def golden_section_max(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Bracketed golden-section maximization of a unimodal function.
-
-    Returns (argmax, max); the interval endpoints are always evaluated too.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    t_best = 0.5 * (a + b)
-    candidates = [(lo, fn(lo)), (hi, fn(hi)), (t_best, fn(t_best))]
-    return max(candidates, key=lambda tv: tv[1])
-
-
 def f2inf(p: float) -> float:
     """Optimal fidelity with two mixture copies and exact knowledge of the
     noise state (the infinite-noise-copy limit).
@@ -120,8 +81,10 @@ def f2inf(p: float) -> float:
     After fixing the Kraus weights whose coefficients dominate their
     trace-preservation partners, the remaining freedom is the split t^2 of
     the spin-up weight on the m = 0 triplet column plus two Cauchy-Schwarz
-    cross terms, leaving a one-variable concave maximization on t in [0, 1]
-    solved by golden section.
+    cross terms: maximize g(t) on t in [0, 1]. Since beta <= alpha, g is
+    concave, and g'(t) = 2(beta - alpha)t + gamma - delta t/sqrt(1 - t^2)
+    falls from gamma >= 0 at t = 0. Bisection on the sign of g' runs until
+    the bracket stops shrinking, so the maximizer is found to round-off.
     """
     _check_p(p)
     q = 1.0 - p
@@ -136,12 +99,19 @@ def f2inf(p: float) -> float:
             max(0.0, 1 - t * t)
         )
 
-    _, best = golden_section_max(g, 0.0, 1.0, tol=1e-10)
-    return const + best
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if 2 * (beta - alpha) * mid + gamma - delta * mid / math.sqrt(1 - mid * mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return const + max(g(lo), g(hi))
 
 
-_CURVE_FUNCTIONS: dict[CurveLabel, Callable[[float], float]] = {
-    CurveLabel.DN: lambda p: dn_fidelity(p, 2),
+_CURVE_FUNCTIONS = {
+    CurveLabel.DN: dn_fidelity,
     CurveLabel.F11: f1n2,
     CurveLabel.F1N2: f1n2,
     CurveLabel.F21: f21_exact,
@@ -157,31 +127,17 @@ def default_p_grid(steps: int = 101) -> list[float]:
     return [i / (steps - 1) for i in range(steps)]
 
 
-def curve_points(
-    labels: Iterable[CurveLabel] | None = None, p_values: Sequence[float] | None = None
-) -> list[FidelityCurvePoint]:
-    """Evaluate the analytic curves on a p grid (default 101 uniform points)."""
-    labels = list(labels) if labels is not None else list(CurveLabel)
-    ps = list(p_values) if p_values is not None else default_p_grid()
-    points = []
-    for label in labels:
-        fn = _CURVE_FUNCTIONS[label]
-        for p in ps:
-            points.append(FidelityCurvePoint(p=p, value=fn(p), label=label))
-    return points
-
-
 def curves_csv(
     labels: Iterable[CurveLabel] | None = None,
     p_values: Sequence[float] | None = None,
     full_precision: bool = False,
 ) -> str:
-    """Long-format CSV of the analytic curves: columns p,label,value.
-
-    Values carry 6 significant digits by default, full doubles on request.
-    """
+    """Long-format CSV p,label,value of the analytic curves (default: every
+    label on 101 uniform p), with 6 significant digits or full doubles."""
     digits = 17 if full_precision else 6
+    ps = list(p_values) if p_values is not None else default_p_grid()
     lines = ["p,label,value"]
-    for point in curve_points(labels, p_values):
-        lines.append(f"{point.p:.{digits}g},{point.label.value},{point.value:.{digits}g}")
+    for label in labels if labels is not None else CurveLabel:
+        fn = _CURVE_FUNCTIONS[label]
+        lines += (f"{p:.{digits}g},{label.value},{fn(p):.{digits}g}" for p in ps)
     return "\n".join(lines) + "\n"

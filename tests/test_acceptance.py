@@ -120,8 +120,8 @@ def test_criterion_4_bounds_and_orderings():
     ordering_ok = True
     for i in range(1, 100):
         p = i / 100
-        ordering_ok &= mp_upper(p, 2) < dn_fidelity(p, 2)
-        ordering_ok &= f21_exact(p) > dn_fidelity(p, 2)
+        ordering_ok &= mp_upper(p, 2) < dn_fidelity(p)
+        ordering_ok &= f21_exact(p) > dn_fidelity(p)
         ordering_ok &= f21_exact(p) <= f2inf(p) + 1e-9
     report(
         4,

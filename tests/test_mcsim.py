@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dn_choi, dn_kraus, random_channel
+from oracles import apply_choi, choi_from_kraus, dn_choi, dn_kraus, random_channel
 from references import estimate_fidelity_dense, sample_state
 from uqsub.channel import ChoiMatrix, KrausSet, kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import f21_exact
@@ -75,6 +75,7 @@ class TestEstimateFidelity:
 
     def test_output_states_are_densities(self):
         kraus, _ = optimal_kraus(2, 1, 0.5)
+        choi = choi_from_kraus(kraus.operators)
         sampler = HaarSampler(seed=9)
         psi = sampler.sample_states(20)
         phi = sampler.sample_states(20)
@@ -83,7 +84,7 @@ class TestEstimateFidelity:
             noise = np.outer(phi[k], phi[k].conj())
             mix = 0.5 * target + 0.5 * noise
             rho = np.kron(np.kron(mix, mix), noise)
-            out = kraus.apply(rho)
+            out = apply_choi(choi, rho)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
             assert abs(np.trace(out).imag) < 1e-12
             assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-10
