@@ -8,13 +8,7 @@ checks it against closed forms and a symmetry-free brute-force oracle, and
 reconstructs/simulates the optimal channel.
 """
 
-from .angular import (
-    HalfInt,
-    SectorIndex,
-    enumerate_sectors,
-    multiplicity,
-    q_set,
-)
+from .angular import HalfInt, SectorIndex, enumerate_sectors
 from .channel import (
     ChoiMatrix,
     CoupledBasis,
@@ -33,9 +27,9 @@ from .closed_forms import (
     mp_upper,
 )
 from .mcsim import HaarSampler, McEstimate, estimate_fidelity
-from .objective import ObjectiveTable, PolyInP, SdpProblem, assemble, build_constraints, build_objective
+from .objective import ObjectiveTable, PolyInP, assemble, build_constraints, build_objective
 from .oracle import build_omega, solve_choi, sym_projector, twirl_objective
-from .sdp import SdpSolution, SolverConfig, check_certificate, check_dual, solve
+from .sdp import SdpProblem, SdpSolution, SolverConfig, check_certificate, check_dual, solve
 
 __version__ = "0.1.0"
 
@@ -69,8 +63,6 @@ __all__ = [
     "f2inf",
     "kraus_from_choi",
     "mp_upper",
-    "multiplicity",
-    "q_set",
     "reconstruct_choi",
     "solve",
     "solve_choi",

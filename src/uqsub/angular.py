@@ -55,9 +55,6 @@ class SectorIndex:
     jp: HalfInt
     q: HalfInt
 
-    def sort_key(self) -> tuple:
-        return (-self.j1.twice, self.q.twice, self.j.twice, self.jp.twice)
-
 
 def _cg_selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> bool:
     if tM != tm1 + tm2:
@@ -115,19 +112,6 @@ def cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     return sign * math.sqrt(num * total * total / (den * lcm * lcm))
 
 
-def multiplicity(n1: int, j1: HalfInt) -> int:
-    """Number of inequivalent spin-j1 irreps inside n1 qubits."""
-    tj1 = j1.twice
-    if n1 < 1 or tj1 < 0 or tj1 > n1 or (n1 - tj1) % 2 != 0:
-        raise ValueError(f"invalid spin label j1={j1} for n1={n1} qubits")
-    num = math.factorial(n1) * (tj1 + 1)
-    den = math.factorial((n1 - tj1) // 2) * math.factorial((n1 + tj1) // 2 + 1)
-    count, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("multiplicity formula did not divide evenly")
-    return count
-
-
 def j1_values(n1: int) -> list[HalfInt]:
     """Total spins of n1 qubits, largest first: n1/2, n1/2-1, ..., 0 or 1/2."""
     return [HalfInt(t) for t in range(n1, -1, -2)]
@@ -137,15 +121,6 @@ def j_values(j1: HalfInt, n2: int) -> list[HalfInt]:
     """Total spins reachable by coupling j1 with the symmetric spin n2/2."""
     lo = abs(j1.twice - n2)
     return [HalfInt(t) for t in range(lo, j1.twice + n2 + 1, 2)]
-
-
-def q_set(j: HalfInt, jp: HalfInt) -> set[HalfInt]:
-    """Common output-coupling labels {j +- 1/2} intersect {jp +- 1/2}, q >= 0."""
-    if j.twice < 0 or jp.twice < 0:
-        raise ValueError("total-spin labels must be non-negative")
-    lhs = {j.twice - 1, j.twice + 1}
-    rhs = {jp.twice - 1, jp.twice + 1}
-    return {HalfInt(t) for t in lhs & rhs if t >= 0}
 
 
 def enumerate_sectors(n1: int, n2: int) -> list[SectorIndex]:
@@ -165,8 +140,9 @@ def enumerate_sectors(n1: int, n2: int) -> list[SectorIndex]:
 def sector_blocks(n1: int, n2: int) -> list[tuple[HalfInt, HalfInt, list[HalfInt]]]:
     """Gram blocks (q, j1, sorted valid j labels) in enumeration order.
 
-    q_set(j, jp) is empty unless jp - j is 0 or 1, so the block of q holds
-    the spins q - 1/2 and q + 1/2 that j_values(j1, n2) contains.
+    A sector (j, jp, q) needs q >= 0 in both {j - 1/2, j + 1/2} and
+    {jp - 1/2, jp + 1/2}, so jp - j is 0 or 1, and the block of q holds the
+    spins q - 1/2 and q + 1/2 that j_values(j1, n2) contains.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("need n1 >= 1 and n2 >= 1")

@@ -153,6 +153,9 @@ class KrausSet:
             np.array([[complex(re, im) for re, im in row] for row in m])
             for m in doc["operators"]
         ]
+        # json reads NaN, Infinity and 1e999; they would poison every check
+        if not all(np.isfinite(m).all() for m in ops):
+            raise ValueError("non-finite entry in the Kraus operators")
         return cls(operators=ops)
 
 

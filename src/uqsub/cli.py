@@ -90,7 +90,7 @@ def cmd_optimize(args) -> int:
                     "tq": s.q.twice,
                     "value": value,
                 }
-                for s, value in sorted(w.items(), key=lambda kv: kv[0].sort_key())
+                for s, value in w.items()
             ],
         }
         print(json.dumps(doc, indent=2))
@@ -101,7 +101,7 @@ def cmd_optimize(args) -> int:
             f"primal_residual={sol.primal_residual:.3e} gap={sol.gap_estimate:.3e} "
             f"min_eigenvalue={sol.min_eigenvalue:.3e}"
         )
-        for s, value in sorted(w.items(), key=lambda kv: kv[0].sort_key()):
+        for s, value in w.items():
             # every row fixes a positive mix of two diagonal entries to 1, so an
             # entry this small is solver round-off that cannot move F's digits
             shown = _fmt(value) if abs(value) >= 1e-12 else "0"
@@ -262,6 +262,9 @@ def cmd_reconstruct(args) -> int:
 def cmd_simulate(args) -> int:
     if args.samples < 2:
         print(f"error: --samples must be >= 2, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0 <= args.seed < 2**128:  # the range of a Philox key
+        print(f"error: --seed must lie in [0, 2**128), got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     try:
         with open(args.kraus) as fh:

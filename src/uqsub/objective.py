@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Mapping
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .angular import (
     sector_blocks,
 )
 from .errors import CapacityError
+from .sdp import BlockSpec, SdpProblem
 
 MAX_TOTAL_QUBITS = 24
 
@@ -137,14 +137,6 @@ class ObjectiveTable:
     entries: dict[SectorIndex, PolyInP]
     constant: PolyInP
 
-    def evaluate(self, w: Mapping[SectorIndex, float], p: float) -> float:
-        """Average fidelity of the channel with Gram values w at mixing p."""
-        weights = split_weights(self.n1, p)
-        total = self.constant.at(weights)
-        for sector, poly in self.entries.items():
-            total += poly.at(weights) * w[sector]
-        return total
-
     def to_json(self) -> str:
         sectors = [
             {
@@ -154,7 +146,7 @@ class ObjectiveTable:
                 "tq": s.q.twice,
                 "coefficients": list(poly.coefficients),
             }
-            for s, poly in sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
+            for s, poly in self.entries.items()
         ]
         return json.dumps(
             {
@@ -222,42 +214,18 @@ def build_constraints(n1: int, n2: int) -> list[EqualityRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """One PSD block of an SDP: a name, its dimension and row labels."""
-
-    name: str
-    dim: int
-    labels: tuple = ()
-
-
-@dataclass
-class SdpProblem:
-    """maximize sum_b <objective[b], X_b> + offset over PSD blocks X_b
-    subject to the linear equality rows sum_b <coeff[b], X_b> = rhs."""
-
-    blocks: list[BlockSpec]
-    objective: list[np.ndarray]
-    equalities: list[tuple[dict[int, np.ndarray], float]]
-    offset: float = 0.0
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self.equalities)
-
-
 @lru_cache(maxsize=None)
 def _layout(n1: int, n2: int):
     """The p-independent placement of (n1, n2), computed once.
 
-    Returns the block specs, each sector's (block, row, column) slot and,
-    per trace-preservation row, its (block, row, coefficient) terms and rhs.
+    Returns the block specs, each sector's (block, row, column) slot and the
+    trace-preservation rows as SdpProblem equalities: diagonal terms and rhs.
     """
     specs = []
     where = {}  # (tq, tj1) -> (block position, {tj: row})
     for pos, (q, j1, rows) in enumerate(sector_blocks(n1, n2)):
         where[q.twice, j1.twice] = pos, {j.twice: r for r, j in enumerate(rows)}
-        specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows), labels=tuple(rows)))
+        specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows)))
     slots = {}
     for s in enumerate_sectors(n1, n2):
         pos, rowmap = where[s.q.twice, s.j1.twice]
@@ -267,7 +235,8 @@ def _layout(n1: int, n2: int):
         terms = []
         for q, c in row.terms:
             pos, rowmap = where[q.twice, row.j1.twice]
-            terms.append((pos, rowmap[row.j.twice], c))
+            r = rowmap[row.j.twice]
+            terms.append((pos, r, r, c))
         equalities.append((tuple(terms), row.rhs))
     return tuple(specs), slots, tuple(equalities)
 
@@ -288,12 +257,5 @@ def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
             # folded value split across the two symmetric matrix entries
             objective[pos][a, b] += value / 2.0
             objective[pos][b, a] += value / 2.0
-    equalities = []
-    for terms, rhs in rows:
-        coeffs: dict[int, np.ndarray] = {}
-        for pos, r, c in terms:
-            mat = coeffs.setdefault(pos, np.zeros((specs[pos].dim, specs[pos].dim)))
-            mat[r, r] += c
-        equalities.append((coeffs, rhs))
     offset = table.constant.at(weights)
-    return SdpProblem(blocks=list(specs), objective=objective, equalities=equalities, offset=offset)
+    return SdpProblem(blocks=list(specs), objective=objective, equalities=rows, offset=offset)

@@ -20,8 +20,7 @@ import numpy as np
 
 from ._ops import PROJ_UP, SIGMA_Y, kron_all, qubit_index_map
 from .errors import CapacityError
-from .objective import BlockSpec, SdpProblem
-from .sdp import SdpSolution, SolverConfig, solve
+from .sdp import BlockSpec, SdpProblem, SdpSolution, SolverConfig, solve
 
 DENSE_QUBIT_GUARD = 6
 TWIRL_FACTOR_GUARD = 6
@@ -175,13 +174,12 @@ def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
         inputs = np.flatnonzero(pop == w)
         for i, a in enumerate(inputs):
             for b in inputs[i:]:
-                coeffs = {}
+                terms = []
                 for s in range(2):
                     pos = w - s + 1  # block of charge w - s
                     ka, kb = np.searchsorted(members[pos], (2 * a + s, 2 * b + s))
-                    mat = coeffs[pos] = np.zeros((len(members[pos]),) * 2)
-                    mat[ka, kb] = mat[kb, ka] = 1.0
-                equalities.append((coeffs, float(a == b)))
+                    terms.append((pos, int(ka), int(kb), 1.0))
+                equalities.append((tuple(terms), float(a == b)))
     return SdpProblem(
         blocks=[BlockSpec(name=f"charge={q}", dim=len(idx)) for q, idx in enumerate(members, -1)],
         objective=[c[np.ix_(idx, idx)] for idx in members],

@@ -15,15 +15,53 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-
-from .objective import SdpProblem
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_STALLED = "stalled"
+
+
+@dataclass(frozen=True)
+class BlockSpec:
+    """One PSD block of an SDP: a name and its dimension."""
+
+    name: str
+    dim: int
+
+
+@dataclass
+class SdpProblem:
+    """maximize sum_b <objective[b], X_b> + offset over PSD blocks X_b
+    subject to equality rows (terms, rhs), sum_b <A_b, X_b> = rhs.
+
+    Each term (block, i, k, coef) puts coef at (i, k) and (k, i) of that
+    block's coefficient matrix A_b, so a diagonal term weighs X_b[i, i] by
+    coef and an off-diagonal one X_b[i, k] by 2 coef; terms on one entry add.
+    Raises ValueError for a term outside its block or an objective matrix
+    whose shape is not its block's.
+    """
+
+    blocks: list[BlockSpec]
+    objective: list[np.ndarray]
+    equalities: Sequence[tuple[tuple[tuple[int, int, int, float], ...], float]]
+    offset: float = 0.0
+
+    def __post_init__(self):
+        dims = [spec.dim for spec in self.blocks]
+        if [np.shape(c) for c in self.objective] != [(d, d) for d in dims]:
+            raise ValueError("the objective needs one dim x dim matrix per block")
+        for terms, _ in self.equalities:
+            for pos, i, k, _ in terms:
+                if not (0 <= pos < len(dims) and 0 <= i < dims[pos] and 0 <= k < dims[pos]):
+                    raise ValueError(f"term ({pos}, {i}, {k}) lies outside the problem's blocks")
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self.equalities)
 
 
 @dataclass
@@ -116,18 +154,17 @@ class _Instance:
         self.c = [0.5 * (c + c.T) for c in problem.objective]
         self.m = len(problem.equalities)
         self.b = np.array([rhs for _, rhs in problem.equalities])
-        # per block: dense (m, dim*dim) stack of symmetrized constraint rows,
+        # per block: dense (m, dim*dim) stack of the symmetric row matrices,
         # kept only for blocks any row actually touches
-        self.stacks: list[tuple[int, np.ndarray]] = []
-        touched = sorted({pos for coeffs, _ in problem.equalities for pos in coeffs})
-        for pos in touched:
-            d = self.dims[pos]
-            stack = np.zeros((self.m, d * d))
-            for i, (coeffs, _) in enumerate(problem.equalities):
-                if pos in coeffs:
-                    mat = coeffs[pos]
-                    stack[i] = (0.5 * (mat + mat.T)).ravel()
-            self.stacks.append((pos, stack))
+        stacks = {}
+        for r, (terms, _) in enumerate(problem.equalities):
+            for pos, i, k, coef in terms:
+                d = self.dims[pos]
+                stack = stacks.setdefault(pos, np.zeros((self.m, d * d)))
+                stack[r, i * d + k] += coef
+                if i != k:
+                    stack[r, k * d + i] += coef
+        self.stacks: list[tuple[int, np.ndarray]] = sorted(stacks.items())
 
     def apply(self, xs) -> np.ndarray:
         out = np.zeros(self.m)
@@ -348,29 +385,19 @@ def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | N
     order, when the problem is a chain; None otherwise.
 
     A chain has blocks of dimension 1 or 2, and equality rows with a positive
-    rhs whose coefficients sit on one or two diagonal entries, all positive;
+    rhs and one or two terms, each diagonal with a positive coefficient;
     every diagonal entry lies in exactly one row.
     """
     if not problem.equalities or any(spec.dim not in (1, 2) for spec in problem.blocks):
         return None
     owner: dict[tuple[int, int], tuple[int, float]] = {}
-    for r, (coeffs, rhs) in enumerate(problem.equalities):
-        if not rhs > 0:
+    for r, (terms, rhs) in enumerate(problem.equalities):
+        if not rhs > 0 or not 1 <= len(terms) <= 2:
             return None
-        terms = 0
-        for pos, mat in coeffs.items():
-            if mat.shape != (problem.blocks[pos].dim,) * 2:
+        for pos, i, k, a in terms:
+            if i != k or not a > 0 or (pos, i) in owner:
                 return None
-            for i, line in enumerate(mat.tolist()):
-                for k, a in enumerate(line):
-                    if a == 0:
-                        continue
-                    if i != k or not a > 0 or (pos, i) in owner:
-                        return None
-                    owner[(pos, i)] = (r, a)
-                    terms += 1
-        if not 1 <= terms <= 2:
-            return None
+            owner[(pos, i)] = (r, a)
     entries = [(pos, i) for pos, spec in enumerate(problem.blocks) for i in range(spec.dim)]
     if len(owner) != len(entries):
         return None

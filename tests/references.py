@@ -5,15 +5,18 @@ basis, the Clebsch-Gordan table or the solver, so it cannot live there.
 """
 from __future__ import annotations
 
+import math
+from typing import Mapping
+
 import numpy as np
 
 from uqsub.angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors
 from uqsub.channel import BasisColumn, KrausSet, build_coupled_basis
 from uqsub.errors import CapacityError
 from uqsub.mcsim import HaarSampler, McEstimate
-from uqsub.objective import PolyInP, SdpProblem
+from uqsub.objective import ObjectiveTable, PolyInP, split_weights
 from uqsub.oracle import build_omega, solve_choi, twirl_objective
-from uqsub.sdp import SdpSolution, SolverConfig
+from uqsub.sdp import SdpProblem, SdpSolution, SolverConfig
 
 EXTRACT_QUBIT_GUARD = 6
 
@@ -24,6 +27,37 @@ class ExtractionError(RuntimeError):
 
 def degree(poly: PolyInP) -> int:
     return len(poly.coefficients) - 1
+
+
+def multiplicity(n1: int, j1: HalfInt) -> int:
+    """Number of inequivalent spin-j1 irreps inside n1 qubits."""
+    tj1 = j1.twice
+    if n1 < 1 or tj1 < 0 or tj1 > n1 or (n1 - tj1) % 2 != 0:
+        raise ValueError(f"invalid spin label j1={j1} for n1={n1} qubits")
+    num = math.factorial(n1) * (tj1 + 1)
+    den = math.factorial((n1 - tj1) // 2) * math.factorial((n1 + tj1) // 2 + 1)
+    count, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("multiplicity formula did not divide evenly")
+    return count
+
+
+def q_set(j: HalfInt, jp: HalfInt) -> set[HalfInt]:
+    """Common output-coupling labels {j +- 1/2} intersect {jp +- 1/2}, q >= 0."""
+    if j.twice < 0 or jp.twice < 0:
+        raise ValueError("total-spin labels must be non-negative")
+    lhs = {j.twice - 1, j.twice + 1}
+    rhs = {jp.twice - 1, jp.twice + 1}
+    return {HalfInt(t) for t in lhs & rhs if t >= 0}
+
+
+def evaluate(table: ObjectiveTable, w: Mapping[SectorIndex, float], p: float) -> float:
+    """Average fidelity of the channel with Gram values w at mixing p."""
+    weights = split_weights(table.n1, p)
+    total = table.constant.at(weights)
+    for sector, poly in table.entries.items():
+        total += poly.at(weights) * w[sector]
+    return total
 
 
 def block_dict(solution: SdpSolution, problem: SdpProblem) -> dict[str, np.ndarray]:

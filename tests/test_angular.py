@@ -9,12 +9,11 @@ from uqsub.angular import (
     enumerate_sectors,
     j1_values,
     j_values,
-    multiplicity,
-    q_set,
     sector_blocks,
 )
 
 from oracles import cg_fraction, cg_table_ladder, irrep_multiplicities
+from references import multiplicity, q_set
 
 H = HalfInt.of
 
@@ -211,7 +210,7 @@ class TestEnumerateSectors:
 
     def test_order_is_j1_desc_q_asc_j_asc(self):
         sectors = enumerate_sectors(2, 1)
-        keys = [s.sort_key() for s in sectors]
+        keys = [(-s.j1.twice, s.q.twice, s.j.twice, s.jp.twice) for s in sectors]
         assert keys == sorted(keys)
         assert sectors[0].j1 == H(1)
 

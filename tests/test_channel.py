@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import apply_choi, choi_from_kraus, dn_choi, haar_su2
-from references import dn_w_values
+from references import dn_w_values, evaluate
 from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
 from uqsub.channel import (
@@ -147,7 +147,7 @@ class TestReconstruct:
             for p in (0.3, 0.7):
                 omega = build_omega(n1, n2, p).matrix
                 fid = float(np.real(np.trace(choi.matrix @ np.kron(omega.T, PROJ_UP))))
-                assert fid == pytest.approx(table.evaluate(w, p), abs=1e-9)
+                assert fid == pytest.approx(evaluate(table, w, p), abs=1e-9)
 
     def test_psd_violation_raises(self):
         w = dn_w_values(2, 1)
@@ -237,7 +237,7 @@ class TestDnWValues:
         w = dn_w_values(n1, n2)
         table = build_objective(n1, n2)
         for p in (0.0, 0.3, 0.8, 1.0):
-            assert table.evaluate(w, p) == pytest.approx(1 - p / 2, abs=1e-9)
+            assert evaluate(table, w, p) == pytest.approx(1 - p / 2, abs=1e-9)
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (3, 2)])
     def test_diagonal_values_satisfy_tp_rows(self, n1, n2):

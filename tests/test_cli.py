@@ -409,6 +409,27 @@ class TestSimulateInputs:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_entry_exit_6(self, capsys, tmp_path, spelling):
+        kraus_file = tmp_path / "kraus.json"
+        run(capsys, ["reconstruct", "--n1", "1", "--n2", "1", "--p", "0.5",
+                     "--out", str(kraus_file)])
+        text = kraus_file.read_text()
+        start = text.index("[[[[") + 4  # real part of the first entry
+        kraus_file.write_text(text[:start] + spelling + text[text.index(",", start):])
+        code, out, err = self.simulate(capsys, kraus_file, "--samples", "10")
+        assert code == 6
+        assert "non-finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_philox_range_exit_2(self, capsys, tmp_path, seed):
+        # rejected with the flags, before the (missing) Kraus file is read
+        code, out, err = self.simulate(capsys, tmp_path / "missing.json", "--seed", seed)
+        assert code == 2
+        assert "--seed" in err
+        assert out == ""
+
     def test_not_trace_preserving_exit_6(self, capsys, tmp_path):
         kraus_file = tmp_path / "kraus.json"
         run(capsys, ["reconstruct", "--n1", "1", "--n2", "1", "--p", "0.5",

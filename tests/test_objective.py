@@ -266,12 +266,15 @@ class TestAssemble:
 
     def test_equality_rows_touch_at_most_two_blocks(self):
         problem = assemble(build_objective(3, 2), 0.4)
-        for coeffs, rhs in problem.equalities:
+        for terms, rhs in problem.equalities:
             assert rhs == 1.0
-            assert 1 <= len(coeffs) <= 2
-            for pos, mat in coeffs.items():
-                off = mat - np.diag(np.diag(mat))
-                assert np.all(off == 0.0)
+            assert 1 <= len({pos for pos, _, _, _ in terms}) <= 2
+            for pos, i, k, _ in terms:
+                assert i == k
+
+    def test_rows_are_built_once_per_size(self):
+        table = build_objective(3, 2)
+        assert assemble(table, 0.2).equalities is assemble(table, 0.7).equalities
 
     def test_objective_matrices_reproduce_folded_values(self):
         table = build_objective(2, 1)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from oracles import (
     random_channel,
 )
 from references import oracle_fidelity
+from uqsub import oracle
 from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
 from uqsub.closed_forms import f21_exact
 from uqsub.errors import CapacityError
@@ -284,3 +286,15 @@ def test_oracles_module_imports_nothing_from_uqsub():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_oracle_module_imports_no_covariant_code():
+    # the oracle checks the covariant SDP only while it shares none of its code
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            imported |= {name.split(".", 1)[-1] for name in names if name.startswith("uqsub")}
+    assert imported <= {"_ops", "errors", "sdp"}

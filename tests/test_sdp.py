@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from references import block_dict
 from uqsub import sdp
-from uqsub.objective import BlockSpec, SdpProblem, assemble, build_objective
+from uqsub.objective import assemble, build_objective
 from uqsub.sdp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    BlockSpec,
+    SdpProblem,
     SolverConfig,
     SdpSolution,
     check_certificate,
@@ -44,11 +46,11 @@ def random_chain_problem(rng, num_blocks):
     k = 0
     while k < len(order):
         size = 1 if k == len(order) - 1 or rng.uniform() < 0.25 else 2
-        coeffs = {}
+        terms = []
         for j in order[k : k + size]:
             b, i = entries[j]
-            coeffs.setdefault(b, np.zeros((dims[b], dims[b])))[i, i] = rng.uniform(0.2, 3.0)
-        equalities.append((coeffs, float(rng.uniform(0.2, 3.0))))
+            terms.append((b, i, i, rng.uniform(0.2, 3.0)))
+        equalities.append((tuple(terms), float(rng.uniform(0.2, 3.0))))
         k += size
     objective = []
     for d in dims:
@@ -148,7 +150,7 @@ class TestSolveGeneric:
         prob = SdpProblem(
             blocks=[BlockSpec(name="dense", dim=6)],
             objective=[c],
-            equalities=[({0: np.eye(6)}, 1.0)],
+            equalities=[(tuple((0, i, i, 1.0) for i in range(6)), 1.0)],
         )
         sol = solve(prob)
         assert sol.status == STATUS_OPTIMAL
@@ -158,7 +160,7 @@ class TestSolveGeneric:
         prob = SdpProblem(
             blocks=[BlockSpec(name="x", dim=1)],
             objective=[np.zeros((1, 1))],
-            equalities=[({0: np.eye(1)}, 1.0), ({0: np.eye(1)}, 2.0)],
+            equalities=[(((0, 0, 0, 1.0),), 1.0), (((0, 0, 0, 1.0),), 2.0)],
         )
         sol = solve(prob)
         assert sol.status == STATUS_INFEASIBLE
@@ -168,10 +170,53 @@ class TestSolveGeneric:
         prob = SdpProblem(
             blocks=[BlockSpec(name="x", dim=1)],
             objective=[np.zeros((1, 1))],
-            equalities=[({0: -np.eye(1)}, 1.0)],
+            equalities=[(((0, 0, 0, -1.0),), 1.0)],
         )
         sol = solve(prob)
         assert sol.status != STATUS_OPTIMAL
+
+
+class TestProblem:
+    @pytest.mark.parametrize(
+        "term",
+        [(1, 0, 0, 1.0), (-1, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, 1.0), (0, -1, 0, 1.0)],
+        ids=["block", "negative-block", "i", "k", "negative-i"],
+    )
+    def test_term_outside_its_block_is_rejected(self, term):
+        with pytest.raises(ValueError, match="outside"):
+            SdpProblem(
+                blocks=[BlockSpec(name="x", dim=2)],
+                objective=[np.zeros((2, 2))],
+                equalities=[(((0, 0, 0, 1.0),), 1.0), ((term,), 1.0)],
+            )
+
+    @pytest.mark.parametrize(
+        "objective", [[np.eye(1)], [np.eye(1), np.eye(2)], [np.eye(1), np.eye(1), np.eye(1)]],
+        ids=["too-few", "wrong-shape", "too-many"],
+    )
+    def test_objective_not_matching_the_blocks_is_rejected(self, objective):
+        with pytest.raises(ValueError, match="objective"):
+            SdpProblem(
+                blocks=[BlockSpec(name="a", dim=1), BlockSpec(name="b", dim=1)],
+                objective=objective,
+                equalities=[(((0, 0, 0, 1.0),), 1.0), (((1, 0, 0, 1.0),), 1.0)],
+            )
+
+    def test_off_diagonal_term_weighs_both_entries(self):
+        # X_00 = X_11 = 1 and 2 X_01 = 1: the objective 2 X_01 is pinned to 1
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=2)],
+            objective=[np.array([[0.0, 1.0], [1.0, 0.0]])],
+            equalities=[
+                (((0, 0, 0, 1.0),), 1.0),
+                (((0, 1, 1, 1.0),), 1.0),
+                (((0, 0, 1, 1.0),), 1.0),
+            ],
+        )
+        sol = solve(prob)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
+        assert sol.blocks[0][0, 1] == pytest.approx(0.5, abs=1e-7)
 
 
 class TestCertificate:
@@ -278,9 +323,6 @@ class TestChainSolver:
     def test_no_local_maximum_with_a_negative_cross_term(self):
         # without folding the angles into [0, pi/2], Newton stops here at a
         # maximum of the sign pattern with sin < 0 in block b3 (gap 2e-3)
-        def diag2(a, b):
-            return np.diag([a, b])
-
         prob = SdpProblem(
             blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate([2, 2, 1, 2])],
             objective=[
@@ -290,11 +332,11 @@ class TestChainSolver:
                 np.array([[1.702, -0.871], [-0.871, -1.095]]),
             ],
             equalities=[
-                ({3: diag2(2.931, 0.0), 2: np.array([[1.414]])}, 2.44),
-                ({1: diag2(1.398, 0.0)}, 0.239),
-                ({0: diag2(1.044, 0.0)}, 0.483),
-                ({1: diag2(0.0, 1.247), 3: diag2(0.0, 2.563)}, 1.785),
-                ({0: diag2(0.0, 1.136)}, 1.144),
+                (((3, 0, 0, 2.931), (2, 0, 0, 1.414)), 2.44),
+                (((1, 0, 0, 1.398),), 0.239),
+                (((0, 0, 0, 1.044),), 0.483),
+                (((1, 1, 1, 1.247), (3, 1, 1, 2.563)), 1.785),
+                (((0, 1, 1, 1.136),), 1.144),
             ],
         )
         sol = solve(prob)
@@ -327,19 +369,26 @@ class TestChainSolver:
         dense = SdpProblem(
             blocks=[BlockSpec(name="dense", dim=3)],
             objective=[a + a.T],
-            equalities=[({0: np.diag(np.eye(3)[i])}, 1.0) for i in range(3)],
+            equalities=[(((0, i, i, 1.0),), 1.0) for i in range(3)],
         )
         # x sits in both rows: x + y = 2 and x = 1
         shared = SdpProblem(
             blocks=[BlockSpec(name="x", dim=1), BlockSpec(name="y", dim=1)],
             objective=[np.eye(1), np.eye(1)],
-            equalities=[({0: np.eye(1), 1: np.eye(1)}, 2.0), ({0: np.eye(1)}, 1.0)],
+            equalities=[(((0, 0, 0, 1.0), (1, 0, 0, 1.0)), 2.0), (((0, 0, 0, 1.0),), 1.0)],
         )
-        for prob in (dense, shared):
+        # 2 X_01 = 1 and X_11 = 1: a row on an off-diagonal entry, optimum at X_00 = 1/4
+        offdiag = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=2)],
+            objective=[-np.eye(2)],
+            equalities=[(((0, 0, 1, 1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
+        )
+        for prob in (dense, shared, offdiag):
             sol = solve(prob)
             assert calls[-1] is prob
             assert sol.status == STATUS_OPTIMAL
         assert solve(shared).objective_value == pytest.approx(2.0, abs=1e-7)
+        assert solve(offdiag).objective_value == pytest.approx(-1.25, abs=1e-7)
         calls.clear()
         solve(covariant_problem(2, 1, 0.5))
         assert calls == []
