@@ -366,7 +366,15 @@ def main(argv=None) -> int:
         parser.error(f"--p must lie in [0, 1], got {args.p}")
     if hasattr(args, "n1") and (args.n1 < 1 or args.n2 < 1):
         parser.error("--n1 and --n2 must be >= 1")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

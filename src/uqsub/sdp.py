@@ -3,17 +3,22 @@
 `solve` reads the structure of the problem it receives.  The covariant SDP
 is a chain: PSD blocks of dimension <= 2, and equality rows that each fix a
 positive combination of at most two diagonal entries, every diagonal entry
-lying in exactly one row.  Such problems go to an exact Newton method on one
-angle per row (`_solve_chain`), which closes a primal/dual bracket at
-round-off.  Every other problem -- the dense Choi block of the oracle, and
-anything malformed -- goes to `solve_ipm`, a primal-dual path-following
-method with Nesterov-Todd scaling and a Mehrotra-style adaptive centering
-parameter.  The IPM favors robustness and verifiability over speed: dense
-linear algebra, explicit residuals, and an independent certificate checker.
+lying in exactly one row.  Such problems go to `_solve_chain`, which splits
+the rows into components joined by 2x2 blocks (one path per j1 in the
+covariant problem) and maximizes each in s = sin^2 theta per row, where the
+objective is concave: projected Newton steps with an explicit active set,
+each one tridiagonal solve, until a primal/dual bracket closes at round-off.
+Every other problem -- the dense Choi block of the oracle, and anything
+malformed -- goes to `solve_ipm`, a primal-dual path-following method with
+Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.  The
+IPM favors robustness and verifiability over speed: dense linear algebra,
+explicit residuals, and an independent certificate checker.
 """
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,6 +28,8 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_STALLED = "stalled"
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -405,192 +412,241 @@ def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | N
 
 
 class _Chain:
-    """A chain problem over its diagonal entries e = 0..E-1, in block order.
+    """One component of a chain problem: rows joined by 2x2 blocks, in walk
+    order (a path from one end, a cycle from any row).
 
-    Entry e lies in row `row[e]` with coefficient `coef[e]` and is written
-    x_e = v_e**2.  A row with two entries owns one angle theta and sets
-    v = sqrt(rhs/coef) * (sin theta, cos theta) on them, so the row holds for
-    every theta; a row with one entry pins it.  A 2x2 block is the rank-one
-    w w^T with w = (|v_e|, sign(C_ef) |v_f|), which maximizes its cross term
-    |2 C_ef| |v_e v_f| under c^2 <= x_e x_f.  The smooth objective v^T C v,
-    with every off-diagonal replaced by its magnitude, therefore has the SDP
-    optimum as its unconstrained maximum over the angles: each sin and each
-    cos occurs in one block only, so a maximizer can make every cross term
-    nonnegative.  On [0, pi/2]^n, where every v >= 0, it is h(sin^2 theta)
-    for the concave h(s) of the box-constrained problem in s = sin^2 theta,
-    so there every local maximum is global.
+    A row with two entries owns s in [0, 1] and sets t = s on its first entry
+    and t = 1 - s on its second (side +1, -1), x = (rhs/a) t; a pinned entry
+    has t = 1 (side 0).  A 2x2 block is the rank-one w w^T with
+    w = (sqrt x_e, sign(C_ef) sqrt x_f), so the optimum is the maximum over the
+    box of h(s) = sum_e C_ee x_e + sum_b 2|C_b| sqrt(x_e x_f), concave in s,
+    whose Hessian is tridiagonal but for a cycle's corner.  Entries are indexed
+    locally; a pinned row's second entry is -1, which reads an appended 0.
     """
 
-    def __init__(self, problem: SdpProblem, entries):
-        num = len(entries)
-        index = np.arange(num)
-        block = np.array([pos for pos, _, _, _ in entries])
-        self.row = np.array([r for _, _, r, _ in entries])
-        self.coef = np.array([a for _, _, _, a in entries])
-        self.rhs = np.array([rhs for _, rhs in problem.equalities], dtype=float)
-        self.scale = np.sqrt(self.rhs[self.row] / self.coef)
-        self.dims = [spec.dim for spec in problem.blocks]
+    def __init__(self, rows, members, entries, rhs, sym, cfg):
+        ents = [e for r in rows for e in members[r]]
+        local = {e: k for k, e in enumerate(ents)}
+        self.rows, self.ents, self.rhs = rows, ents, [rhs[r] for r in rows]
+        self.first = [local[members[r][0]] for r in rows]
+        self.second = [local[members[r][1]] if len(members[r]) == 2 else -1 for r in rows]
+        self.row = [i for i, r in enumerate(rows) for _ in members[r]]
+        self.side = [(1, -1)[j] if len(m) == 2 else 0 for m in map(members.__getitem__, rows)
+                     for j in range(len(m))]
+        self.a = [entries[e][3] for e in ents]
+        self.q = [rhs[entries[e][2]] / entries[e][3] for e in ents]
+        self.cd = [sym[entries[e][0]][entries[e][1]] for e in ents]
+        self.coff = [abs(sym[entries[e][0]][2]) for e in ents]
+        self.part = [local[e + 1 - 2 * entries[e][1]] if c else k
+                     for k, (e, c) in enumerate(zip(ents, self.coff))]
+        self.lin = [c * q for c, q in zip(self.cd, self.q)] + [0.0]
+        self.pairs = [(k, p, 2 * self.coff[k] * math.sqrt(self.q[k] * self.q[p]))
+                      for k, p in enumerate(self.part) if p > k]
+        # s = 1/2, but a row without a cross term, linear in s, starts at the
+        # bound where h is larger
+        self.s = [0.5 if k < 0 or self.part[f] != f or self.part[k] != k
+                  or self.lin[f] == self.lin[k] else float(self.lin[f] > self.lin[k])
+                  for f, k in zip(self.first, self.second)]
+        # round-off of h grows with |C|, that of the gap also with the rows
+        scale = sum(map(abs, self.lin)) + sum(k for _, _, k in self.pairs)
+        self.slack = 4 * _EPS * scale
+        self.target = min(1e-3 * cfg.gap_tol, 4 * _EPS * len(rows)) * scale
 
-        # first and second entry of each row; a pinned row repeats its entry
-        first = np.full(len(self.rhs), -1)
-        second = np.full(len(self.rhs), -1)
-        for e, r in enumerate(self.row):
-            if first[r] < 0:
-                first[r] = e
-            else:
-                second[r] = e
-        angled = np.flatnonzero(second >= 0)
-        self.first, self.second = first, np.where(second >= 0, second, first)
-        self.sin_entries, self.cos_entries = first[angled], second[angled]
-        self.incidence = np.zeros((num, len(angled)))
-        self.incidence[self.sin_entries, np.arange(len(angled))] = 1.0
-        self.incidence[self.cos_entries, np.arange(len(angled))] = 1.0
+    def terms(self, s) -> list[float]:
+        return [s[i] if d > 0 else 1.0 - s[i] if d else 1.0 for i, d in zip(self.row, self.side)]
 
-        # the two entries of a 2x2 block are adjacent; a 1x1 entry partners itself
-        self.partner = index.copy()
-        pairs = index[:-1][block[:-1] == block[1:]]
-        self.partner[pairs], self.partner[pairs + 1] = pairs + 1, pairs
-        sym = [0.5 * (c + c.T) for c in problem.objective]
-        self.signs = [-1.0 if c.shape[0] == 2 and c[0, 1] < 0 else 1.0 for c in sym]
-        self.cdiag = np.array([sym[pos][i, i] for pos, i, _, _ in entries])
-        self.coff = np.array(
-            [abs(sym[pos][0, 1]) if self.dims[pos] == 2 else 0.0 for pos, _, _, _ in entries]
-        )
-        self.cmat = np.diag(self.cdiag)
-        self.cmat[index, self.partner] += self.coff
+    def min_eig(self, lam) -> list[float]:
+        """Smallest eigenvalue of each entry's block of Z = sum_r lam_r A_r - C."""
+        z = [lam[i] * a - c for i, a, c in zip(self.row, self.a, self.cd)]
+        return [0.5 * (x + z[p]) - math.hypot(0.5 * (x - z[p]), o)
+                for x, p, o in zip(z, self.part, self.coff)]
 
-    def factors(self, theta: np.ndarray):
-        """v and dv/dtheta of every entry (dv on the entry's own angle)."""
-        s, c = np.sin(theta), np.cos(theta)
-        t = np.ones(len(self.row))
-        dt = np.zeros(len(self.row))
-        t[self.sin_entries], t[self.cos_entries] = s, c
-        dt[self.sin_entries], dt[self.cos_entries] = c, -s
-        return self.scale * t, self.scale * dt
+    def certificate(self, t):
+        """w, primal value h, multipliers and gap at t.  lam_r = sum_{e in r}
+        (C w)_e w_e / rhs_r, which complementary slackness Z_b w_b = 0 gives and
+        whose dual value equals the primal one, is raised by just enough to make
+        every Z_b PSD; the gap is the cost of that repair, sum_r rhs_r raise_r."""
+        w = [math.sqrt(q * x) for q, x in zip(self.q, t)]
+        uw = [(c * x + o * w[p]) * x for c, x, o, p in zip(self.cd, w, self.coff, self.part)]
+        uw.append(0.0)
+        lam = [(uw[f] + uw[k]) / b for f, k, b in zip(self.first, self.second, self.rhs)]
+        need = [(-m if m < 0.0 else 0.0) / a for m, a in zip(self.min_eig(lam), self.a)] + [0.0]
+        up = [max(need[f], need[k]) for f, k in zip(self.first, self.second)]
+        return w, sum(uw), [x + u for x, u in zip(lam, up)], sum(map(operator.mul, self.rhs, up))
 
-    def value(self, theta: np.ndarray) -> float:
-        v, _ = self.factors(theta)
-        return float(v @ self.cmat @ v)
+    def derivatives(self, t):
+        """Gradient of h in s and -Hessian: its diagonal and links (i, i+1), the
+        last slot the corner (0, R-1) of a cycle.  A corner, a block with two
+        zero entries, adds nothing: on that face its term is zero."""
+        grad = [self.lin[f] - self.lin[k] if k >= 0 else 0.0
+                for f, k in zip(self.first, self.second)]
+        diag, link = [0.0] * len(grad), [0.0] * len(grad)
+        for e, f, k in self.pairs:
+            if t[e] * t[f] > 0.0:
+                h = 0.25 * k / math.sqrt(t[e] * t[f])
+                re, rf, se, sf = self.row[e], self.row[f], self.side[e], self.side[f]
+                grad[re] += 2 * se * h * t[f]
+                grad[rf] += 2 * sf * h * t[e]
+                diag[re] += h * t[f] / t[e] + (2 * h if re == rf else 0.0)
+                diag[rf] += h * t[e] / t[f]
+                if re != rf:
+                    link[min(re, rf) if abs(re - rf) == 1 else -1] -= se * sf * h
+        return grad, diag, link
 
-    def min_eig_z(self, lam: np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of Z_b = sum_r lam_r A_rb - C_b, per entry of b."""
-        zd = lam[self.row] * self.coef - self.cdiag
-        zp = zd[self.partner]
-        return 0.5 * (zd + zp) - np.hypot(0.5 * (zd - zp), self.coff)
+    def ascend(self, max_iterations: int):
+        """Projected Newton ascent from self.s with an explicit active set; sets
+        w and lam, returns (steps, status, primal, gap).  A row at a bound stays
+        there while h falls toward the inside; a corner, both entries of a
+        block zero (see `search`), while it is a maximum over its two rows.
+        The free rows take a Newton step damped by |gradient| row by row."""
+        s, steps = self.s, 0
+        t = self.terms(s)
+        cert = self.certificate(t)
+        while True:
+            self.w, primal, self.lam, gap = cert
+            if gap <= self.target or steps >= max_iterations:
+                done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
+                return steps, done, primal, gap
+            steps += 1
+            grad, diag, link = self.derivatives(t)
+            free = [0.0 < x < 1.0 and k >= 0 for x, k in zip(s, self.second)]
+            step, rate = [0.0] * len(s), 0.0
+            for i in [i for i, x in enumerate(s) if x == 0.0 or x == 1.0]:
+                # the entry the bound zeroes, and the row of its partner
+                zero = self.first[i] if s[i] == 0.0 else self.second[i]
+                j = self.row[self.part[zero]]
+                inward = grad[i] if s[i] == 0.0 else -grad[i]
+                if j == i:
+                    free[i] = inward > 0
+                elif j > i:  # release a corner along t ~ u**2, u the top eigenvector
+                    other = grad[j] if s[j] == 0.0 else -grad[j]
+                    half = self.coff[zero] * math.sqrt(self.q[zero] * self.q[self.part[zero]])
+                    top = 0.5 * (inward + other) + math.hypot(0.5 * (inward - other), half)
+                    u = (half, top - inward)
+                    if top > self.slack:
+                        norm = math.hypot(*u)
+                        for r, x in zip((i, j), u):
+                            step[r] = (1 - 2 * s[r]) * (x / norm) ** 2
+                        rate += top
+            if not rate and any(free):
+                # damped by |gradient| and, so that every pivot stays positive,
+                # by a few round-offs of the row's own curvature
+                damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
+                          for x, g in zip(diag, grad)]
+                step = _cyclic_solve(damped, link, grad, free)
+                longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
+                step = [x / longest for x in step]
+                rate = sum(map(operator.mul, grad, step))
+            found = self.search(s, primal, step, rate)
+            if found is None or found[0] == s:
+                return steps, STATUS_STALLED, primal, gap
+            s[:], t, cert = found
 
-    def certificate(self, v: np.ndarray):
-        """Primal value, dual multipliers, gap and min eig Z at v.
+    def search(self, s, base, step, rate):
+        """Armijo search along the projected path s + alpha step; returns the
+        accepted s, its t and certificate.  A trial that zeroes an entry with a
+        positive partner moves the partner's row to the bound that zeroes it
+        too; one that leaves a block one zero entry fails."""
+        alpha = 1.0
+        while rate > 0 and alpha >= 1e-12:
+            trial = [min(1.0, max(0.0, x + alpha * d)) for x, d in zip(s, step)]
+            t = self.terms(trial)
+            if 0.0 in t:
+                for e, f, _ in self.pairs:
+                    k = f if t[e] == 0.0 else e
+                    if (t[e] == 0.0) != (t[f] == 0.0) and self.side[k]:
+                        trial[self.row[k]] = 0.0 if self.side[k] > 0 else 1.0
+                t = self.terms(trial)
+            if 0.0 not in t or all((t[e] == 0.0) == (t[f] == 0.0) for e, f, _ in self.pairs):
+                cert = self.certificate(t)
+                if cert[1] >= base + 1e-4 * alpha * rate - self.slack:
+                    return trial, t, cert
+            alpha *= 0.5
+        return None
 
-        lam_r = sum_{e in r} (C w)_e w_e / rhs_r is the multiplier that
-        complementary slackness Z_b w_b = 0 gives on any block where the row's
-        entry is nonzero; with it the dual value sum_r rhs_r lam_r equals the
-        primal one.  Each lam_r is then raised by just enough to make every
-        Z_b PSD, so the dual value bounds the optimum from above and the gap
-        dual - primal is the cost of that repair, sum_r rhs_r raise_r.
-        """
-        w = np.abs(v)
-        u = self.cmat @ w
-        lam = np.bincount(self.row, weights=u * w, minlength=len(self.rhs)) / self.rhs
-        need = np.maximum(0.0, -self.min_eig_z(lam)) / self.coef
-        raise_ = np.maximum(need[self.first], need[self.second])
-        lam = lam + raise_
-        return float(w @ u), lam, float(self.rhs @ raise_), float(self.min_eig_z(lam).min())
 
-    def blocks(self, v: np.ndarray) -> list[np.ndarray]:
-        w = np.abs(v)
-        out = []
-        start = 0
-        for dim, sign in zip(self.dims, self.signs):
-            vec = w[start : start + dim] * np.array([1.0, sign][:dim])
-            out.append(np.outer(vec, vec))
-            start += dim
-        return out
+def _cyclic_solve(diag, link, rhs, free):
+    """x = 0 off the free rows and A x = rhs on them, for the symmetric
+    positive definite A with diagonal `diag`, A[i, i+1] = link[i] and the
+    corner A[0, n-1] = link[n-1], eliminated in row order."""
+    n = len(diag)
+    d = [x if f else 1.0 for x, f in zip(diag, free)]
+    x = [y if f else 0.0 for y, f in zip(rhs, free)]
+    c = [y if f and g else 0.0 for y, f, g in zip(link, free, free[1:] + free[:1])]
+    fill = [c[-1]] + [0.0] * n  # A[i, n-1] when row i is eliminated
+    for i in range(n - 1):
+        if i == n - 2:
+            c[i], fill[i] = c[i] + fill[i], 0.0
+        d[i + 1] -= c[i] * c[i] / d[i]
+        x[i + 1] -= c[i] * x[i] / d[i]
+        fill[i + 1] -= c[i] * fill[i] / d[i]
+        d[-1] -= fill[i] * fill[i] / d[i]
+        x[-1] -= fill[i] * x[i] / d[i]
+    x[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - c[i] * x[i + 1] - fill[i] * x[-1]) / d[i]
+    return x
 
 
 def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution:
-    """Newton ascent on the row angles, stopped by the primal/dual certificate.
-
-    The Hessian's eigenvalues are replaced by their magnitudes, so every step
-    ascends even where the angle objective is not concave, and an Armijo
-    backtracking search scales the step.  The loop stops once the gap is far
-    below gap_tol (at round-off by default) or the angles stop moving; the
-    status then judges the final certificate against the config's tolerances.
-    """
-    chain = _Chain(problem, entries)
-    theta = np.full(chain.incidence.shape[1], np.pi / 4)
-    status = STATUS_MAX_ITERATIONS
-    it = 0
-    while True:
-        v, dv = chain.factors(theta)
-        primal, lam, gap, min_z = chain.certificate(v)
-        rel = 1.0 + abs(primal + problem.offset)
-        if gap <= min(1e-3 * cfg.gap_tol, 1e-14) * rel and min_z >= -cfg.psd_tol:
-            status = STATUS_OPTIMAL
-            break
-        if it >= cfg.max_iterations or not theta.size:
-            break
-        u = chain.cmat @ v
-        grad = 2.0 * chain.incidence.T @ (u * dv)
-        jac = chain.incidence * dv[:, None]
-        hess = 2.0 * jac.T @ chain.cmat @ jac - np.diag(2.0 * chain.incidence.T @ (u * v))
-        evals, vecs = np.linalg.eigh(hess)
-        top = float(np.abs(evals).max())
-        step = vecs @ ((vecs.T @ grad) / np.maximum(np.abs(evals), max(1e-12 * top, 1e-300)))
-        longest = float(np.abs(step).max())
-        if longest > 1.0:
-            step /= longest
-        # where the objective is convex along an eigenvector the gradient can
-        # vanish (an angle stuck at 0 or pi/2 whose entry should grow), so
-        # the path theta + t*step + sqrt(t)*turn also moves along it
-        turn = np.zeros_like(theta)
-        gain = float(grad @ step)
-        if evals[-1] > 1e-8 * top:
-            turn = vecs[:, -1] if vecs[:, -1] @ grad >= 0 else -vecs[:, -1]
-            gain += 0.5 * float(evals[-1])
-        # Armijo test with round-off slack: near the optimum the value no
-        # longer moves while the angles, and the dual bound, still improve
-        floor = float(v @ u) - 1e-15 * rel
-        t = 1.0
-        while chain.value(theta + t * step + np.sqrt(t) * turn) < floor + 1e-4 * t * gain:
-            t *= 0.5
-            if t < 1e-12:
-                break
-        it += 1
-        # fold into [0, pi/2]: same |sin| and |cos|, so every v >= 0 and every
-        # cross term is nonnegative; folding never lowers the value, and it
-        # leaves no local maximum of another sign pattern to converge to
-        new_theta = theta + t * step + np.sqrt(t) * turn
-        new_theta = np.arctan2(np.abs(np.sin(new_theta)), np.abs(np.cos(new_theta)))
-        if t < 1e-12 or np.abs(new_theta - theta).max() <= 1e-15:
-            status = STATUS_STALLED
-            break
-        theta = new_theta
-
-    # every exit leaves v and its certificate computed at the final theta
-    residual = np.bincount(chain.row, weights=chain.coef * v * v, minlength=len(chain.rhs))
-    rp_norm = float(np.max(np.abs(residual - chain.rhs)))
+    """Each component maximized on its own from s = 1/2 until its gap is below
+    a target that scales with its rows and |C| (round-off by default), or it
+    cannot move; `iterations` counts the steps of the slowest component, and
+    the status judges the certificate against the config's tolerances."""
+    rhs = [float(b) for _, b in problem.equalities]
+    # diagonal and symmetrized cross term (0 on a 1x1 block) of each block
+    sym = [(c[0][0], c[-1][-1], (c[0][-1] + c[-1][0]) / 2 if len(c) == 2 else 0.0)
+           for c in map(np.ndarray.tolist, problem.objective)]
+    members, links = [[] for _ in rhs], [[] for _ in rhs]
+    for e, (_, i, r, _) in enumerate(entries):
+        members[r].append(e)
+        if i:  # the second entry of a 2x2 block joins its row to the first's
+            links[r].append(entries[e - 1][2])
+            links[entries[e - 1][2]].append(r)
+    # a row has at most two links: walk each path from an end, a cycle from any row
+    chains, seen = [], [False] * len(rhs)
+    for start in sorted(range(len(rhs)), key=lambda r: len(links[r])):
+        rows = [] if seen[start] else [start]
+        while rows and not seen[rows[-1]]:
+            seen[rows[-1]] = True
+            rows += [n for n in links[rows[-1]] if not seen[n]][:1]
+        chains += [_Chain(rows, members, entries, rhs, sym, cfg)] if rows else []
+    w, lam = [0.0] * len(entries), [0.0] * len(rhs)
+    status, it, primal, gap, min_z, rp_norm = STATUS_OPTIMAL, 0, 0.0, 0.0, 0.0, 0.0
+    for chain in chains:
+        steps, done, value, chain_gap = chain.ascend(cfg.max_iterations)
+        status = done if status == STATUS_OPTIMAL or done == STATUS_MAX_ITERATIONS else status
+        it, primal, gap = max(it, steps), primal + value, gap + chain_gap
+        min_z = min(min_z, *chain.min_eig(chain.lam))
+        x = [a * v * v for a, v in zip(chain.a, chain.w)] + [0.0]
+        for f, k, b in zip(chain.first, chain.second, chain.rhs):
+            rp_norm = max(rp_norm, abs(x[f] + x[k] - b))
+        for e, v in zip(chain.ents, chain.w):
+            w[e] = v
+        for r, v in zip(chain.rows, chain.lam):
+            lam[r] = v
+    rel = 1.0 + abs(primal + problem.offset)
     if rp_norm <= cfg.feas_tol and gap <= cfg.gap_tol * rel and min_z >= -cfg.psd_tol:
         status = STATUS_OPTIMAL
     elif status == STATUS_OPTIMAL:
         status = STATUS_STALLED
+    blocks, e = [], 0
+    for spec, c in zip(problem.blocks, sym):
+        u, v = w[e], w[e + spec.dim - 1] * (-1.0 if c[2] < 0 else 1.0)
+        blocks.append(np.array([[u * u, u * v], [u * v, v * v]] if spec.dim == 2 else [[u * u]]))
+        e += spec.dim
+    # every block is w w^T, so its smallest eigenvalue is 0
     return SdpSolution(
-        blocks=chain.blocks(v),
-        objective_value=primal + problem.offset,
-        primal_residual=rp_norm,
-        dual_residual=max(0.0, -min_z),
-        min_eigenvalue=0.0,  # every block is w w^T
-        gap_estimate=gap,
-        iterations=it,
-        status=status,
-        dual_multipliers=lam,
+        blocks, primal + problem.offset, rp_norm, max(0.0, -min_z), 0.0, gap, it, status,
+        np.array(lam),
     )
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Maximize the linear objective over block-PSD variables with equalities.
 
-    Chain-structured problems (see `_chain_entries`) are solved exactly by
-    `_solve_chain`; all others by `solve_ipm`.  Both are deterministic and
+    Chain-structured problems (see `_chain_entries`) are solved to round-off
+    by `_solve_chain`; all others by `solve_ipm`.  Both are deterministic and
     return the same `SdpSolution` layout: blocks in problem order and the
     dual multipliers y of the rows, with dual slack Z = sum_r y_r A_r - C.
     """

@@ -43,7 +43,8 @@ class TestOptimize:
         assert first.endswith("= 1") or "= 0.99999999" in first
 
     def test_round_off_prints_as_zero(self, capsys):
-        # the solver leaves ~1e-50 in entries that are zero at the optimum
+        # entries that are zero at the optimum print as 0 even when a solver
+        # leaves round-off in them
         argv = ["optimize", "--n1", "2", "--n2", "1", "--p", "0.5"]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -443,6 +444,42 @@ class TestSimulateInputs:
         assert code == 6
         assert "completeness" in err
         assert out == ""
+
+
+class TestClosedStdout:
+    """A reader that closes standard output early gets exit 4 and one line."""
+
+    @staticmethod
+    def run_closed(argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "uqsub.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        return proc.returncode, proc.stderr
+
+    def test_optimize(self):
+        code, err = self.run_closed(["optimize", "--n1", "2", "--n2", "1", "--p", "0.5"])
+        assert code == 4
+        assert err == "error: standard output is closed\n"
+
+    def test_simulate(self, capsys, tmp_path):
+        kraus_file = tmp_path / "kraus.json"
+        flags = ["--n1", "1", "--n2", "1", "--p", "0.5"]
+        assert run(capsys, ["reconstruct", *flags, "--out", str(kraus_file)])[0] == 0
+        code, err = self.run_closed(
+            ["simulate", *flags, "--kraus", str(kraus_file), "--samples", "100"]
+        )
+        assert code == 4
+        assert err == "error: standard output is closed\n"
 
 
 def test_cli_import_skips_process_pool():

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import block_dict
-from uqsub import sdp
+from uqsub import objective, sdp
 from uqsub.objective import assemble, build_objective
 from uqsub.sdp import (
     STATUS_INFEASIBLE,
@@ -321,8 +322,9 @@ class TestChainSolver:
             assert sol.objective_value >= reference.objective_value - 1e-7 * scale
 
     def test_no_local_maximum_with_a_negative_cross_term(self):
-        # without folding the angles into [0, pi/2], Newton stops here at a
-        # maximum of the sign pattern with sin < 0 in block b3 (gap 2e-3)
+        # a method on angles with sin and cos of either sign has a local
+        # maximum here, with sin < 0 in block b3 (gap 2e-3); in s = sin^2 each
+        # cross term takes the sign of its C and the objective is concave
         prob = SdpProblem(
             blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate([2, 2, 1, 2])],
             objective=[
@@ -392,3 +394,125 @@ class TestChainSolver:
         calls.clear()
         solve(covariant_problem(2, 1, 0.5))
         assert calls == []
+
+
+def chain_scale(prob):
+    """sum_e |C_ee| rhs/a + sum_b 2|C_b| sqrt(x_e x_f) at full rows: the size of
+    the objective that the chain solver's round-off targets scale with."""
+    x = {(pos, i): rhs / a for terms, rhs in prob.equalities for pos, i, _, a in terms}
+    scale = sum(abs(prob.objective[pos][i, i]) * v for (pos, i), v in x.items())
+    return scale + sum(
+        2 * abs(c[0, 1]) * math.sqrt(x[pos, 0] * x[pos, 1])
+        for pos, c in enumerate(prob.objective)
+        if c.shape == (2, 2)
+    )
+
+
+class TestChainShapes:
+    """Chains that are not paths: cycles, a block inside one row, pinned rows."""
+
+    @staticmethod
+    def closes_its_bracket(prob):
+        sol = solve(prob)
+        scale = 1.0 + abs(sol.objective_value)
+        dual = check_dual(prob, sol.dual_multipliers)
+        assert sol.status == STATUS_OPTIMAL
+        assert check_certificate(prob, sol).passed
+        assert dual.passed
+        assert sol.gap_estimate <= 1e-10 * scale
+        assert -1e-12 * scale <= dual.dual_value - sol.objective_value <= 1e-10 * scale
+        assert sol.objective_value == pytest.approx(solve_ipm(prob).objective_value, abs=1e-8)
+        return sol
+
+    def test_two_blocks_on_the_same_two_rows(self):
+        # rows (b0[0], b1[0]) and (b0[1], b1[1]) form a cycle of two rows
+        prob = SdpProblem(
+            blocks=[BlockSpec("b0", 2), BlockSpec("b1", 2)],
+            objective=[np.array([[1.0, 0.8], [0.8, 0.3]]), np.array([[0.2, -0.9], [-0.9, 1.1]])],
+            equalities=[
+                (((0, 0, 0, 1.0), (1, 0, 0, 2.0)), 1.0),
+                (((0, 1, 1, 1.5), (1, 1, 1, 0.5)), 2.0),
+            ],
+        )
+        self.closes_its_bracket(prob)
+
+    def test_three_rows_in_a_cycle(self):
+        # blocks b0, b1, b2 join rows (0, 1), (1, 2) and (2, 0)
+        prob = SdpProblem(
+            blocks=[BlockSpec(f"b{i}", 2) for i in range(3)],
+            objective=[
+                np.array([[0.4, 1.2], [1.2, -0.3]]),
+                np.array([[-0.5, 0.7], [0.7, 0.9]]),
+                np.array([[1.3, -1.1], [-1.1, 0.1]]),
+            ],
+            equalities=[
+                (((0, 0, 0, 1.0), (2, 1, 1, 0.7)), 1.3),
+                (((0, 1, 1, 2.0), (1, 0, 0, 1.0)), 0.8),
+                (((1, 1, 1, 0.5), (2, 0, 0, 1.5)), 1.1),
+            ],
+        )
+        self.closes_its_bracket(prob)
+
+    def test_block_inside_one_row(self):
+        # X_00 + X_11 = 1: the maximum is the top eigenvalue of C
+        c = np.array([[0.3, -0.7], [-0.7, 1.2]])
+        prob = SdpProblem(
+            blocks=[BlockSpec("b", 2)],
+            objective=[c],
+            equalities=[(((0, 0, 0, 1.0), (0, 1, 1, 1.0)), 1.0)],
+        )
+        sol = self.closes_its_bracket(prob)
+        assert sol.objective_value == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-12)
+
+    def test_every_row_pinned(self):
+        c = np.array([[0.5, -0.4], [-0.4, -1.0]])
+        prob = SdpProblem(
+            blocks=[BlockSpec("b0", 2), BlockSpec("b1", 1)],
+            objective=[c, np.array([[-2.0]])],
+            equalities=[
+                (((0, 0, 0, 1.0),), 1.0),
+                (((0, 1, 1, 0.5),), 1.0),
+                (((1, 0, 0, 4.0),), 2.0),
+            ],
+        )
+        sol = self.closes_its_bracket(prob)
+        assert sol.iterations == 0
+        assert sol.objective_value == pytest.approx(0.5 - 2.0 + 0.8 * math.sqrt(2.0) - 1.0, abs=1e-12)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        prob = covariant_problem(6, 6, 0.4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain solver decomposed a matrix")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        sol = solve(prob)
+        monkeypatch.undo()
+        assert sol.status == STATUS_OPTIMAL
+        assert check_certificate(prob, sol).passed
+
+
+class TestLargeChains:
+    """Beyond the enumeration guard, each j1 chain still closes its bracket at
+    round-off in a few Newton steps."""
+
+    @pytest.mark.parametrize(
+        "n, value, gap",
+        # the value and gap an earlier solver reported, which bracket the optimum
+        [(30, 0.9662159490010626, 6.24e-12), (40, 0.9746263475123954, 4.38e-12)],
+    )
+    def test_half_mixing_certified(self, monkeypatch, n, value, gap):
+        monkeypatch.setattr(objective, "MAX_TOTAL_QUBITS", 2 * n)
+        prob = assemble(build_objective(n, n), 0.5)
+        start = time.perf_counter()
+        sol = solve(prob)
+        elapsed = time.perf_counter() - start
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.iterations <= 50
+        assert elapsed <= 0.5
+        eps = np.finfo(float).eps
+        assert sol.gap_estimate <= 4 * eps * prob.num_constraints * chain_scale(prob)
+        assert check_certificate(prob, sol).passed
+        assert check_dual(prob, sol.dual_multipliers).passed
+        assert value - 1e-12 <= sol.objective_value <= value + gap + 1e-12
