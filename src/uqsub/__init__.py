@@ -8,15 +8,8 @@ checks it against closed forms and a symmetry-free brute-force oracle, and
 reconstructs/simulates the optimal channel.
 """
 
+from ._lazy import lazy_getattr
 from .angular import HalfInt, SectorIndex, enumerate_sectors
-from .channel import (
-    ChoiMatrix,
-    CoupledBasis,
-    KrausSet,
-    build_coupled_basis,
-    kraus_from_choi,
-    reconstruct_choi,
-)
 from .closed_forms import (
     CurveLabel,
     cem_fidelity,
@@ -26,10 +19,25 @@ from .closed_forms import (
     f2inf,
     mp_upper,
 )
-from .mcsim import HaarSampler, McEstimate, estimate_fidelity
 from .objective import ObjectiveTable, PolyInP, assemble, build_constraints, build_objective
-from .oracle import build_omega, solve_choi, sym_projector, twirl_objective
-from .sdp import SdpProblem, SdpSolution, SolverConfig, check_certificate, check_dual, solve
+from .sdp import SdpProblem, SdpSolution, SolverConfig, solve
+
+# the numpy-backed exports load on first use
+__getattr__ = lazy_getattr(
+    globals(),
+    {
+        **dict.fromkeys(
+            ("ChoiMatrix", "CoupledBasis", "KrausSet", "build_coupled_basis", "kraus_from_choi",
+             "reconstruct_choi"),
+            ".channel",
+        ),
+        **dict.fromkeys(("HaarSampler", "McEstimate", "estimate_fidelity"), ".mcsim"),
+        **dict.fromkeys(
+            ("build_omega", "solve_choi", "sym_projector", "twirl_objective"), ".oracle"
+        ),
+        **dict.fromkeys(("check_certificate", "check_dual"), ".sdp"),
+    },
+)
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,7 @@ import numpy as np
 from ._ops import choi_output_trace
 from .angular import HalfInt, SectorIndex, cg_twice
 from .errors import CapacityError, ReconstructionError
-from .objective import _layout
+from .objective import w_values_from_solution
 from .sdp import SdpSolution
 
 BASIS_QUBIT_GUARD = 8
@@ -157,14 +157,6 @@ class KrausSet:
         if not all(np.isfinite(m).all() for m in ops):
             raise ValueError("non-finite entry in the Kraus operators")
         return cls(operators=ops)
-
-
-def w_values_from_solution(solution: SdpSolution, n1: int, n2: int) -> dict[SectorIndex, float]:
-    """Read the per-sector Gram values out of the solver's block layout."""
-    specs, slots, _ = _layout(n1, n2)
-    if len(specs) != len(solution.blocks):
-        raise ValueError("solution does not match the (n1, n2) block layout")
-    return {s: float(solution.blocks[pos][a, b]) for s, (pos, a, b) in slots.items()}
 
 
 def _sector_lookup(w: dict[SectorIndex, float], tj1: int, tj: int, tjp: int, tq: int) -> float:

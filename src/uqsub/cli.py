@@ -1,6 +1,12 @@
 """Command-line surface: optimize single instances, sweep grids, emit
 baseline curves, verify against the brute-force oracle, and reconstruct or
-simulate optimal channels."""
+simulate optimal channels.
+
+`optimize`, `sweep` and `curves` run on the standard library alone.  The
+oracle, channel and Monte-Carlo names below import numpy; each is bound in
+this module by the first command that needs it, or when it is read as
+`uqsub.cli.<name>`, and a name bound already is never rebound.
+"""
 from __future__ import annotations
 
 import argparse
@@ -10,14 +16,21 @@ import os
 import sys
 
 from . import closed_forms
-from .channel import (
-    BASIS_QUBIT_GUARD, KrausSet, kraus_from_choi, reconstruct_choi, w_values_from_solution
-)
+from ._lazy import lazy_getattr
 from .errors import CapacityError
-from .mcsim import HaarSampler, estimate_fidelity
-from .objective import MAX_TOTAL_QUBITS, assemble, build_objective
-from .oracle import build_omega, solve_choi, twirl_objective
+from .objective import MAX_TOTAL_QUBITS, assemble, build_objective, w_values_from_solution
 from .sdp import solve
+
+__getattr__ = lazy_getattr(
+    globals(),
+    {
+        **dict.fromkeys(("build_omega", "solve_choi", "twirl_objective"), ".oracle"),
+        **dict.fromkeys(
+            ("BASIS_QUBIT_GUARD", "KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"
+        ),
+        **dict.fromkeys(("HaarSampler", "estimate_fidelity"), ".mcsim"),
+    },
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,6 +128,13 @@ def _sweep_point(task):
     return n1, n2, sol.objective_value, sol.status
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     if min(args.n1_max, args.n2_max) < 1 or args.n1_max + args.n2_max > MAX_TOTAL_QUBITS:
         print(
@@ -127,7 +147,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
     chunk = 4  # grid points per task handed to a worker
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
+    jobs = args.jobs if args.jobs is not None else _usable_cores()
     # the pool starts all its workers up front; more than one per chunk would idle
     jobs = min(jobs, -(-len(tasks) // chunk))
     log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
@@ -223,6 +243,9 @@ def cmd_verify(args) -> int:
     if not sol.success:
         print(f"covariant solver failure: {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
+    build_omega, twirl_objective, solve_choi = map(
+        __getattr__, ("build_omega", "twirl_objective", "solve_choi")
+    )
     try:
         oracle_value, _ = solve_choi(twirl_objective(build_omega(n1, n2, args.p)))
     except (RuntimeError, ArithmeticError, CapacityError) as exc:
@@ -240,8 +263,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    if args.n1 + args.n2 > BASIS_QUBIT_GUARD:
-        print(f"error: reconstruct limited to n1+n2 <= {BASIS_QUBIT_GUARD}", file=sys.stderr)
+    guard, reconstruct_choi, kraus_from_choi = map(
+        __getattr__, ("BASIS_QUBIT_GUARD", "reconstruct_choi", "kraus_from_choi")
+    )
+    if args.n1 + args.n2 > guard:
+        print(f"error: reconstruct limited to n1+n2 <= {guard}", file=sys.stderr)
         return EXIT_USAGE
     _, sol = _solve_instance(args.n1, args.n2, args.p)
     if not sol.success:
@@ -266,6 +292,9 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.seed < 2**128:  # the range of a Philox key
         print(f"error: --seed must lie in [0, 2**128), got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
+    KrausSet, estimate_fidelity, HaarSampler = map(
+        __getattr__, ("KrausSet", "estimate_fidelity", "HaarSampler")
+    )
     try:
         with open(args.kraus) as fh:
             kraus = KrausSet.from_json(fh.read())
@@ -329,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n2-max", type=int, default=10)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--jobs", type=int, default=None, help="workers (default: logical cores)")
+    sp.add_argument(
+        "--jobs", type=int, default=None,
+        help="workers (default: the cores this process may run on)",
+    )
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("curves", help="analytic baselines plus the solver curve as CSV")

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .angular import (
     HalfInt,
     SectorIndex,
@@ -32,7 +30,7 @@ from .angular import (
     sector_blocks,
 )
 from .errors import CapacityError
-from .sdp import BlockSpec, SdpProblem
+from .sdp import BlockSpec, SdpProblem, SdpSolution
 
 MAX_TOTAL_QUBITS = 24
 
@@ -246,16 +244,24 @@ def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
     specs, slots, rows = _layout(table.n1, table.n2)
-    objective = [np.zeros((s.dim, s.dim)) for s in specs]
+    objective = [[[0.0] * s.dim for _ in range(s.dim)] for s in specs]
     weights = split_weights(table.n1, p)
     for sector, poly in table.entries.items():
         pos, a, b = slots[sector]
         value = poly.at(weights)
         if a == b:
-            objective[pos][a, a] += value
+            objective[pos][a][a] += value
         else:
             # folded value split across the two symmetric matrix entries
-            objective[pos][a, b] += value / 2.0
-            objective[pos][b, a] += value / 2.0
+            objective[pos][a][b] += value / 2.0
+            objective[pos][b][a] += value / 2.0
     offset = table.constant.at(weights)
     return SdpProblem(blocks=list(specs), objective=objective, equalities=rows, offset=offset)
+
+
+def w_values_from_solution(solution: SdpSolution, n1: int, n2: int) -> dict[SectorIndex, float]:
+    """Read the per-sector Gram values out of the solver's block layout."""
+    specs, slots, _ = _layout(n1, n2)
+    if len(specs) != len(solution.blocks):
+        raise ValueError("solution does not match the (n1, n2) block layout")
+    return {s: float(solution.blocks[pos][a][b]) for s, (pos, a, b) in slots.items()}

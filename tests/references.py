@@ -62,7 +62,7 @@ def evaluate(table: ObjectiveTable, w: Mapping[SectorIndex, float], p: float) ->
 
 def block_dict(solution: SdpSolution, problem: SdpProblem) -> dict[str, np.ndarray]:
     """Solution blocks keyed by the block names of the problem."""
-    return {spec.name: blk for spec, blk in zip(problem.blocks, solution.blocks)}
+    return {spec.name: np.asarray(blk) for spec, blk in zip(problem.blocks, solution.blocks)}
 
 
 def sample_state(sampler: HaarSampler) -> np.ndarray:

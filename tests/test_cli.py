@@ -482,18 +482,85 @@ class TestClosedStdout:
         assert err == "error: standard output is closed\n"
 
 
-def test_cli_import_skips_process_pool():
-    # the sweep imports its worker pool only when it runs more than one job
-    probe = (
-        "import sys, uqsub.cli; print(sorted(m for m in sys.modules "
-        "if m == 'concurrent.futures.process' or m.startswith('multiprocessing')))"
-    )
+def probe(code: str, cwd=None) -> str:
+    """Standard output of `code` run in a fresh interpreter on this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_process_pool():
+    # the sweep imports its worker pool only when it runs more than one job
+    loaded = probe(
+        "import sys, uqsub.cli; print(sorted(m for m in sys.modules "
+        "if m == 'concurrent.futures.process' or m.startswith('multiprocessing')))"
+    )
+    assert loaded == "[]"
+
+
+def test_sweep_default_jobs_follow_the_affinity_mask(tmp_path):
+    # a process allowed on one core runs the default sweep without a pool,
+    # whatever the machine's core count
+    loaded = probe(
+        "import os, sys; os.sched_getaffinity = lambda pid: {0}; from uqsub.cli import main; "
+        "code = main(['sweep', '--n1-max', '3', '--n2-max', '3', '--p', '0.5', "
+        "'--out', 'sweep.csv']); print(code, 'concurrent.futures.process' in sys.modules)",
+        cwd=tmp_path,
+    )
+    assert loaded.splitlines()[-1] == "0 False"
+
+
+NUMPY_BACKED = ("uqsub.ipm", "uqsub.oracle", "uqsub.channel", "uqsub.mcsim", "uqsub._ops")
+
+
+def test_cli_import_leaves_numpy_out():
+    loaded = probe(
+        "import sys, uqsub.cli; print(sorted(m for m in sys.modules "
+        f"if m.split('.')[0] == 'numpy' or m in {NUMPY_BACKED!r}))"
+    )
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n1-max", "4", "--n2-max", "3", "--p", "0.375", "--out", "out", "--jobs", "1"],
+        ["sweep", "--n1-max", "4", "--n2-max", "3", "--p", "0.375", "--out", "out", "--jobs", "2"],
+        ["curves", "--n1", "2", "--n2", "1", "--p-steps", "11", "--out", "out"],
+        ["optimize", "--n1", "3", "--n2", "2", "--p", "0.5", "--json"],
+    ],
+    ids=["sweep-jobs-1", "sweep-jobs-2", "curves", "optimize-json"],
+)
+def test_covariant_commands_run_without_numpy(capsys, monkeypatch, tmp_path, argv):
+    # sys.modules["numpy"] = None makes every numpy import raise ImportError
+    printed = probe(
+        "import sys; sys.modules['numpy'] = None; from uqsub.cli import main; "
+        f"sys.exit(main({argv!r}))",
+        cwd=tmp_path,
+    )
+    with_numpy = tmp_path / "with_numpy"
+    with_numpy.mkdir()
+    monkeypatch.chdir(with_numpy)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert printed == out.strip()
+    if "--out" in argv:
+        assert (tmp_path / "out").read_bytes() == (with_numpy / "out").read_bytes()
+
+
+def test_numpy_backed_names_load_on_first_use():
+    names = probe(
+        "import sys, uqsub, uqsub.cli as cli; before = 'numpy' in sys.modules; "
+        "from uqsub.sdp import check_dual; "
+        "print(before, uqsub.solve_choi.__module__, uqsub.KrausSet.__module__, "
+        "check_dual.__module__, cli.twirl_objective.__module__, "
+        "all(hasattr(uqsub, name) for name in uqsub.__all__))"
+    )
+    assert names == "False uqsub.oracle uqsub.channel uqsub.ipm uqsub.oracle True"

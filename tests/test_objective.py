@@ -282,8 +282,8 @@ class TestAssemble:
         pos = next(i for i, b in enumerate(problem.blocks) if b.dim == 2)
         mat = problem.objective[pos]
         folded = table.entries[sector(1, 1 / 2, 3 / 2, 1)](0.25)
-        assert mat[0, 1] * 2 == pytest.approx(folded, abs=1e-14)
-        assert mat[0, 0] == pytest.approx(table.entries[sector(1, 1 / 2, 1 / 2, 1)](0.25))
+        assert mat[0][1] * 2 == pytest.approx(folded, abs=1e-14)
+        assert mat[0][0] == pytest.approx(table.entries[sector(1, 1 / 2, 1 / 2, 1)](0.25))
 
     def test_p_domain_error(self):
         table = build_objective(1, 1)

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import json
 import math
 import time
 
@@ -203,6 +205,19 @@ class TestProblem:
                 equalities=[(((0, 0, 0, 1.0),), 1.0), (((1, 0, 0, 1.0),), 1.0)],
             )
 
+    @pytest.mark.parametrize(
+        "objective",
+        [[[1.0, 0.0], [0.0]], [[1.0, 0.0], 0.0], np.zeros((2, 3)), np.zeros(2)],
+        ids=["ragged-list", "number-for-a-row", "wrong-shape-array", "vector"],
+    )
+    def test_objective_not_dim_by_dim_is_rejected(self, objective):
+        with pytest.raises(ValueError, match="objective"):
+            SdpProblem(
+                blocks=[BlockSpec(name="x", dim=2)],
+                objective=[objective],
+                equalities=[(((0, 0, 0, 1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
+            )
+
     def test_off_diagonal_term_weighs_both_entries(self):
         # X_00 = X_11 = 1 and 2 X_01 = 1: the objective 2 X_01 is pinned to 1
         prob = SdpProblem(
@@ -217,7 +232,43 @@ class TestProblem:
         sol = solve(prob)
         assert sol.status == STATUS_OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
-        assert sol.blocks[0][0, 1] == pytest.approx(0.5, abs=1e-7)
+        assert sol.blocks[0][0][1] == pytest.approx(0.5, abs=1e-7)
+
+
+def dense_trace_problem(dim, seed):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    return SdpProblem(
+        blocks=[BlockSpec(name="dense", dim=dim)],
+        objective=[a + a.T],
+        equalities=[(tuple((0, i, i, 1.0) for i in range(dim)), 1.0)],
+    )
+
+
+class TestMatrixFormat:
+    """Objective matrices are nested sequences read as m[i][k]; both solvers
+    return plain float lists whatever form the objective came in."""
+
+    @pytest.mark.parametrize("solver", [solve, solve_ipm], ids=["solve", "solve_ipm"])
+    @pytest.mark.parametrize(
+        "prob",
+        [covariant_problem(3, 2, 0.4), dense_trace_problem(4, 7)],
+        ids=["covariant-chain", "dense-block"],
+    )
+    def test_lists_and_arrays_give_identical_solutions(self, solver, prob):
+        arrays = [np.asarray(c) for c in prob.objective]
+        as_lists = dataclasses.replace(prob, objective=[c.tolist() for c in arrays])
+        as_arrays = dataclasses.replace(prob, objective=arrays)
+        from_lists, from_arrays = solver(as_lists), solver(as_arrays)
+        assert from_lists == from_arrays
+        assert from_lists.status == STATUS_OPTIMAL
+        for sol in (from_lists, from_arrays):
+            assert type(sol.blocks) is list
+            assert all(type(x) is float for blk in sol.blocks for row in blk for x in row)
+            assert all(type(y) is float for y in sol.dual_multipliers)
+            assert type(sol.objective_value) is float and type(sol.gap_estimate) is float
+            doc = json.loads(sol.to_json())
+            assert doc["blocks"] == sol.blocks
+            assert doc["objective_value"] == sol.objective_value
 
 
 class TestCertificate:
@@ -231,7 +282,7 @@ class TestCertificate:
     def test_constructed_violation_names_block(self):
         prob = covariant_problem(2, 1, 0.6)
         sol = solve(prob)
-        bad = [b.copy() for b in sol.blocks]
+        bad = [np.array(b) for b in sol.blocks]
         pos = next(i for i, spec in enumerate(prob.blocks) if spec.dim == 2)
         bad[pos][0, 1] = bad[pos][1, 0] = math.sqrt(
             max(bad[pos][0, 0] * bad[pos][1, 1], 0.0) + 1e-3
@@ -400,11 +451,11 @@ def chain_scale(prob):
     """sum_e |C_ee| rhs/a + sum_b 2|C_b| sqrt(x_e x_f) at full rows: the size of
     the objective that the chain solver's round-off targets scale with."""
     x = {(pos, i): rhs / a for terms, rhs in prob.equalities for pos, i, _, a in terms}
-    scale = sum(abs(prob.objective[pos][i, i]) * v for (pos, i), v in x.items())
+    scale = sum(abs(prob.objective[pos][i][i]) * v for (pos, i), v in x.items())
     return scale + sum(
-        2 * abs(c[0, 1]) * math.sqrt(x[pos, 0] * x[pos, 1])
+        2 * abs(c[0][1]) * math.sqrt(x[pos, 0] * x[pos, 1])
         for pos, c in enumerate(prob.objective)
-        if c.shape == (2, 2)
+        if len(c) == 2
     )
 
 
