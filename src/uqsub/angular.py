@@ -3,20 +3,33 @@
 Half-integer labels are stored as twice their value so that all label
 arithmetic stays in exact integers.  Clebsch-Gordan coefficients follow the
 Condon-Shortley phase convention throughout the package.
+
+Labels are named tuples: hashing and ordering them, which every sector dict
+of the covariant path does, runs in C.  A label has no tuple arithmetic, but
+it equals the plain tuple of its fields (HalfInt(3) == (3,)).  Like the rest
+of the covariant path, this module imports only light standard-library
+modules (`typing`, `functools`, ...) at import time: `fractions`, which
+loads `decimal`, is imported by `HalfInt.of` when it runs.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact half-integer angular-momentum label, stored as twice its value."""
+def _not_a_sequence(self, other):
+    """A label is no sequence: `+` and `*` raise TypeError as for any object
+    without them, instead of concatenating or repeating the tuple."""
+    return NotImplemented
+
+
+class HalfInt(NamedTuple):
+    """An exact half-integer angular-momentum label, stored as twice its value.
+
+    Equality, hashing and order are those of `twice`."""
 
     twice: int
 
@@ -25,6 +38,8 @@ class HalfInt:
         """Build from an int, Fraction or exactly-representable float."""
         if isinstance(value, HalfInt):
             return value
+        from fractions import Fraction  # loads decimal: only here
+
         frac = Fraction(value)
         if frac.denominator not in (1, 2):
             raise ValueError(f"{value!r} is not a half-integer")
@@ -41,19 +56,23 @@ class HalfInt:
     def __repr__(self) -> str:
         return f"HalfInt({self})"
 
+    __add__ = __mul__ = __rmul__ = _not_a_sequence
 
-@dataclass(frozen=True, order=True)
-class SectorIndex:
+
+class SectorIndex(NamedTuple):
     """Index (j1, j, jp, q) of one Gram variable of the covariant channel.
 
     j1 is the total spin of the first register, (j, jp) the ket/bra total
     spins (j <= jp by convention) and q the coupled output-input label.
+    Ordered as the tuple of the four labels.
     """
 
     j1: HalfInt
     j: HalfInt
     jp: HalfInt
     q: HalfInt
+
+    __add__ = __mul__ = __rmul__ = _not_a_sequence
 
 
 def _cg_selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> bool:
@@ -69,15 +88,24 @@ def _cg_selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -
     return True
 
 
-# 0!, 1!, ..., 127!: enough for every cg_twice label with 2j <= 84
+# 0!, 1!, ..., 127! to start: enough for every cg_twice label with 2j <= 84
 _FACTORIALS = tuple(accumulate(range(1, 128), operator.mul, initial=1))
 
 
 def _factorials(top: int) -> tuple[int, ...]:
-    """A table of 0!, 1!, ... reaching at least top!; the shared one when it suffices."""
-    if top < len(_FACTORIALS):
-        return _FACTORIALS
-    return tuple(accumulate(range(1, top + 1), operator.mul, initial=1))
+    """The shared table 0!, 1!, ..., grown to reach at least top!.
+
+    The table is replaced, never changed in place: a concurrent reader keeps
+    the complete table it holds, and two callers growing it at once each
+    bind a correct one.  It at least doubles, so growing is rare."""
+    global _FACTORIALS
+    table = _FACTORIALS
+    if top < len(table):
+        return table
+    stop = max(top + 1, 2 * len(table))
+    table += tuple(accumulate(range(len(table), stop), operator.mul, initial=table[-1]))[1:]
+    _FACTORIALS = table
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -149,10 +149,17 @@ class KrausSet:
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "uqsub.kraus.v1":
             raise ValueError(f"unsupported Kraus schema: {schema!r}")
-        ops = [
-            np.array([[complex(re, im) for re, im in row] for row in m])
-            for m in doc["operators"]
-        ]
+        ops = []
+        for m in doc["operators"]:
+            pairs = np.asarray(m)
+            # numbers only: strings, nulls and ints past int64 give a non-numeric dtype
+            if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+                raise ValueError(
+                    f"an operator must be rows of [re, im] number pairs, not {pairs.dtype} "
+                    f"of shape {pairs.shape}"
+                )
+            # each [re, im] pair, as float64, is one complex128: the entries bit for bit
+            ops.append(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
         # json reads NaN, Infinity and 1e999; they would poison every check
         if not all(np.isfinite(m).all() for m in ops):
             raise ValueError("non-finite entry in the Kraus operators")

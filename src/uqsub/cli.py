@@ -5,13 +5,13 @@ simulate optimal channels.
 `optimize`, `sweep` and `curves` run on the standard library alone.  The
 oracle, channel and Monte-Carlo names below import numpy; each is bound in
 this module by the first command that needs it, or when it is read as
-`uqsub.cli.<name>`, and a name bound already is never rebound.
+`uqsub.cli.<name>`, and a name bound already is never rebound.  `json`
+loads in the commands that print it, and `logging` only under
+QSUB_LOG=info or debug.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
 
@@ -39,14 +39,19 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 EXIT_SCHEMA = 6
 
-log = logging.getLogger("uqsub")
+log = None  # the "uqsub" logger, set up by main under QSUB_LOG=info or debug
 
 
 def _setup_logging():
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("QSUB_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    global log
+    level = os.environ.get("QSUB_LOG", "error").lower()
+    if level not in ("info", "debug"):
+        log = None
+        return
+    import logging
+
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+    log = logging.getLogger("uqsub")
 
 
 def _fmt(x: float) -> str:
@@ -106,6 +111,8 @@ def cmd_optimize(args) -> int:
                 for s, value in w.items()
             ],
         }
+        import json
+
         print(json.dumps(doc, indent=2))
     else:
         print(f"F_max({args.n1},{args.n2}; p={_fmt(args.p)}) = {_fmt(sol.objective_value)}")
@@ -150,7 +157,8 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs is not None else _usable_cores()
     # the pool starts all its workers up front; more than one per chunk would idle
     jobs = min(jobs, -(-len(tasks) // chunk))
-    log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
+    if log is not None:
+        log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
@@ -332,6 +340,8 @@ def cmd_simulate(args) -> int:
         "sdp_objective": sol.objective_value,
         "pass": bool(passed),
     }
+    import json
+
     print(json.dumps(doc, indent=2))
     return EXIT_OK if passed else 1
 

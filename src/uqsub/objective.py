@@ -9,20 +9,23 @@ U_k(j1, j) U_k(j1, j') G_k(q, j, j') / (n1+n2-k+1), where U_k is the closed
 form of a stretched 6j symbol and G_k does not depend on j1.  This module
 builds those polynomials once per (n1, n2) and assembles block-structured SDP
 instances for any p from a placement computed once per (n1, n2).
+
+Its records are named tuples, as in `uqsub.angular` and `uqsub.sdp`, and
+`json` loads only when a table is written.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .angular import (
     HalfInt,
     SectorIndex,
     _factorials,
+    _not_a_sequence,
     cg_twice,
     enumerate_sectors,
     j1_values,
@@ -40,8 +43,7 @@ def split_weights(n: int, p: float) -> list[float]:
     return [comb(n, k) * (1.0 - p) ** k * p ** (n - k) for k in range(n + 1)]
 
 
-@dataclass(frozen=True)
-class PolyInP:
+class PolyInP(NamedTuple):
     """Polynomial in p of degree n, stored per noise split k = 0..n.
 
     The value is sum_k split[k] binom(n,k) (1-p)^k p^(n-k) (the Bernstein
@@ -68,6 +70,8 @@ class PolyInP:
             for i in range(k + 1):
                 coeffs[n - k + i] += c * (comb(n, k) * comb(k, i) * (-1) ** i)
         return tuple(coeffs)
+
+    __add__ = __mul__ = __rmul__ = _not_a_sequence
 
 
 @lru_cache(maxsize=None)
@@ -117,8 +121,7 @@ def _split_overlap(k: int, tsym: int, tq: int, tj: int, tjp: int) -> float:
     return total
 
 
-@dataclass
-class ObjectiveTable:
+class ObjectiveTable(NamedTuple):
     """Folded fidelity coefficients for every Gram sector of (n1, n2).
 
     entries holds the noise-split k >= 1 part, each split coefficient a
@@ -136,6 +139,8 @@ class ObjectiveTable:
     constant: PolyInP
 
     def to_json(self) -> str:
+        import json
+
         sectors = [
             {
                 "tj1": s.j1.twice,
@@ -183,8 +188,7 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
     return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=constant)
 
 
-@dataclass(frozen=True)
-class EqualityRow:
+class EqualityRow(NamedTuple):
     """One trace-preservation row: fixed (j, j1), coefficients on the two q-blocks."""
 
     j: HalfInt

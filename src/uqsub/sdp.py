@@ -12,19 +12,20 @@ Every other problem -- the dense Choi block of the oracle, and anything
 malformed -- goes to `solve_ipm`, a primal-dual path-following method with
 Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
 
-This module and the chain solver need only the standard library.  The IPM
-and the independent checkers `check_certificate` and `check_dual` use numpy
-and live in `uqsub.ipm`; they are importable from here and load on first
-use.
+This module and the chain solver need only the standard library, and at
+import time only its light modules: the blocks and the solution are named
+tuples and the problem and config small plain classes, not dataclasses
+(which load `inspect`), and `json` loads when a solution is written.  The
+IPM and the independent checkers `check_certificate` and `check_dual` use
+numpy and live in `uqsub.ipm`; they are importable from here and load on
+first use.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._lazy import lazy_getattr
 
@@ -44,16 +45,34 @@ __getattr__ = lazy_getattr(
 )
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(NamedTuple):
     """One PSD block of an SDP: a name and its dimension."""
 
     name: str
     dim: int
 
 
-@dataclass
-class SdpProblem:
+class _Record:
+    """`repr` and `==` over the attributes `_fields`, as a dataclass writes
+    them: equal to an object of the same class with equal fields, unhashable."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+
+class SdpProblem(_Record):
     """maximize sum_b <objective[b], X_b> + offset over PSD blocks X_b
     subject to equality rows (terms, rhs), sum_b <A_b, X_b> = rhs.
 
@@ -66,16 +85,22 @@ class SdpProblem:
     not dim x dim for its block.
     """
 
-    blocks: list[BlockSpec]
-    objective: list[Sequence[Sequence[float]]]
-    equalities: Sequence[tuple[tuple[tuple[int, int, int, float], ...], float]]
-    offset: float = 0.0
+    _fields = ("blocks", "objective", "equalities", "offset")
 
-    def __post_init__(self):
-        dims = [spec.dim for spec in self.blocks]
-        if len(self.objective) != len(dims) or not all(map(_is_square, self.objective, dims)):
+    def __init__(
+        self,
+        blocks: list[BlockSpec],
+        objective: list[Sequence[Sequence[float]]],
+        equalities: Sequence[tuple[tuple[tuple[int, int, int, float], ...], float]],
+        offset: float = 0.0,
+    ):
+        self.blocks, self.objective, self.equalities, self.offset = (
+            blocks, objective, equalities, offset
+        )
+        dims = [spec.dim for spec in blocks]
+        if len(objective) != len(dims) or not all(map(_is_square, objective, dims)):
             raise ValueError("the objective needs one dim x dim matrix per block")
-        for terms, _ in self.equalities:
+        for terms, _ in equalities:
             for pos, i, k, _ in terms:
                 if not (0 <= pos < len(dims) and 0 <= i < dims[pos] and 0 <= k < dims[pos]):
                     raise ValueError(f"term ({pos}, {i}, {k}) lies outside the problem's blocks")
@@ -93,20 +118,26 @@ def _is_square(matrix, dim: int) -> bool:
         return False
 
 
-@dataclass
-class SolverConfig:
-    feas_tol: float = 1e-9
-    psd_tol: float = 1e-9
-    gap_tol: float = 1e-7
-    max_iterations: int = 200
+class SolverConfig(_Record):
+    """Tolerances and the iteration limit; ValueError for a tolerance that is
+    not a positive number."""
 
-    def __post_init__(self):
-        if min(self.feas_tol, self.psd_tol, self.gap_tol) <= 0:
+    _fields = ("feas_tol", "psd_tol", "gap_tol", "max_iterations")
+
+    def __init__(
+        self,
+        feas_tol: float = 1e-9,
+        psd_tol: float = 1e-9,
+        gap_tol: float = 1e-7,
+        max_iterations: int = 200,
+    ):
+        self.feas_tol, self.psd_tol, self.gap_tol = feas_tol, psd_tol, gap_tol
+        self.max_iterations = max_iterations
+        if not all(tol > 0 for tol in (feas_tol, psd_tol, gap_tol)):  # NaN fails too
             raise ValueError("tolerances must be positive")
 
 
-@dataclass
-class SdpSolution:
+class SdpSolution(NamedTuple):
     """Solver output: each block as nested float lists read as X[i][k], in
     problem order, and the row multipliers y as a float list."""
 
@@ -118,13 +149,19 @@ class SdpSolution:
     gap_estimate: float
     iterations: int
     status: str
-    dual_multipliers: list[float] = field(repr=False, default=None)
+    dual_multipliers: list[float] | None = None
+
+    def __repr__(self) -> str:  # the multipliers are left out, one per row
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"SdpSolution({shown})"
 
     @property
     def success(self) -> bool:
         return self.status == STATUS_OPTIMAL
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "schema": "uqsub.sdp_solution.v1",

@@ -1,10 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uqsub.angular import (
     HalfInt,
+    SectorIndex,
+    _factorials,
     cg_twice,
     enumerate_sectors,
     j1_values,
@@ -30,6 +35,57 @@ class TestHalfInt:
     def test_str(self):
         assert str(H(3 / 2)) == "3/2"
         assert str(H(2)) == "2"
+
+
+TWICE = st.integers(-1000, 1000)
+LABELS = st.tuples(TWICE, TWICE, TWICE, TWICE)
+
+
+class TestLabelSemantics:
+    """Labels are named tuples: they must still behave as the values they
+    name, immutable and without tuple arithmetic."""
+
+    @given(TWICE, TWICE)
+    def test_half_int_compares_and_hashes_as_its_twice_value(self, a, b):
+        x, y = HalfInt(a), HalfInt(b)
+        assert (x == y, x != y, x < y, x <= y, x > y, x >= y) == (
+            a == b, a != b, a < b, a <= b, a > b, a >= b
+        )
+        if a == b:
+            assert hash(x) == hash(y)
+        assert sorted([x, y]) == [HalfInt(t) for t in sorted([a, b])]
+
+    @given(LABELS, LABELS)
+    def test_sector_index_compares_and_hashes_as_its_twice_values(self, a, b):
+        x, y = (SectorIndex(*map(HalfInt, t)) for t in (a, b))
+        assert (x == y, x < y, x <= y, x > y) == (a == b, a < b, a <= b, a > b)
+        assert {x: "x"}.get(SectorIndex(*map(HalfInt, a))) == "x"
+        if a == b:
+            assert hash(x) == hash(y)
+
+    @given(LABELS)
+    def test_fields_are_read_only(self, labels):
+        sector = SectorIndex(*map(HalfInt, labels))
+        with pytest.raises(AttributeError):
+            sector.j1.twice = 0
+        with pytest.raises(AttributeError):
+            sector.q = HalfInt(0)
+
+    @given(TWICE, st.integers(-3, 3), LABELS)
+    def test_no_tuple_arithmetic(self, a, n, labels):
+        label, sector = HalfInt(a), SectorIndex(*map(HalfInt, labels))
+        for op in (lambda: label + label, lambda: label * n, lambda: n * label,
+                   lambda: sector + sector, lambda: sector * n):
+            with pytest.raises(TypeError):
+                op()
+
+    @given(LABELS)
+    def test_pickle_round_trip(self, labels):
+        for obj in (HalfInt(labels[0]), SectorIndex(*map(HalfInt, labels))):
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj)
+            assert back == obj and hash(back) == hash(obj)
+            assert (repr(back), str(back)) == (repr(obj), str(obj))
 
 
 class TestCg:
@@ -94,6 +150,11 @@ class TestCg:
             labels = (tj1, tm1, tj2, tm2, tJ, tm1 + tm2)
             checked += 1
             assert cg_twice(*labels) == cg_fraction(*labels), labels
+
+    def test_factorial_table_is_shared_and_grown_once(self):
+        table = _factorials(300)
+        assert table is _factorials(250) is _factorials(len(table) - 1)
+        assert table == tuple(math.factorial(k) for k in range(len(table)))
 
     def test_orthogonality(self):
         # sum over (m1, m2) at fixed M of C(J) C(J') = delta_JJ'

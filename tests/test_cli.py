@@ -9,7 +9,9 @@ import pytest
 
 import uqsub.cli as cli
 from uqsub.cli import main
+from uqsub.objective import assemble, build_objective, w_values_from_solution
 from uqsub.oracle import twirl_objective
+from uqsub.sdp import solve
 
 
 def run(capsys, argv):
@@ -35,6 +37,28 @@ class TestOptimize:
         assert doc["f_max"] == pytest.approx(0.787037037, abs=1e-6)
         assert doc["status"] == "optimal"
         assert len(doc["w"]) == 7
+
+    def test_json_layout(self, capsys):
+        code, out, _ = run(capsys, ["optimize", "--n1", "3", "--n2", "2", "--p", "0.3", "--json"])
+        sol = solve(assemble(build_objective(3, 2), 0.3))
+        doc = {
+            "n1": 3,
+            "n2": 2,
+            "p": 0.3,
+            "f_max": sol.objective_value,
+            "f_dn": 0.85,
+            "status": "optimal",
+            "iterations": sol.iterations,
+            "primal_residual": sol.primal_residual,
+            "gap_estimate": sol.gap_estimate,
+            "min_eigenvalue": sol.min_eigenvalue,
+            "w": [
+                {"tj1": s.j1.twice, "tj": s.j.twice, "tjp": s.jp.twice, "tq": s.q.twice, "value": v}
+                for s, v in w_values_from_solution(sol, 3, 2).items()
+            ],
+        }
+        assert code == 0
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_2_1_noiseless(self, capsys):
         code, out, _ = run(capsys, ["optimize", "--n1", "2", "--n2", "1", "--p", "0"])
@@ -398,9 +422,16 @@ class TestSimulateInputs:
             ({"schema": "uqsub.kraus.v1", "operators": [[1, 2]]}, "schema"),
             ({"schema": "uqsub.kraus.v1", "operators": [[[[1, 0]] * 4] * 2, [[[1, 0]] * 8] * 2]},
              "shape"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[[1, 0]] * 4, [[1, 0]] * 3]]}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[[1, 0, 0]] * 4] * 2]}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[[1]] * 4] * 2]}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[["1", "0"]] * 4] * 2]}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[[None, 0]] * 4] * 2]}, "schema"),
+            ({"schema": "uqsub.kraus.v1", "operators": [[[[10**400, 0]] * 4] * 2]}, "schema"),
         ],
         ids=["no-operators", "not-an-object", "operators-not-a-list", "entries-not-pairs",
-             "mixed-shapes"],
+             "mixed-shapes", "ragged-rows", "three-components", "one-component", "string-entry",
+             "null-entry", "int-past-float-range"],
     )
     def test_malformed_kraus_file_exit_6(self, capsys, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
@@ -518,6 +549,35 @@ def test_sweep_default_jobs_follow_the_affinity_mask(tmp_path):
 
 
 NUMPY_BACKED = ("uqsub.ipm", "uqsub.oracle", "uqsub.channel", "uqsub.mcsim", "uqsub._ops")
+
+
+HEAVY = ("dataclasses", "inspect", "logging", "json", "fractions", "decimal", "numpy")
+
+
+@pytest.mark.parametrize("module", ["uqsub", "uqsub.cli"])
+def test_import_loads_no_heavy_module(module):
+    # the modules the import adds; what the interpreter loads at start-up costs it nothing
+    loaded = probe(
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {HEAVY!r}))"
+    )
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize(
+    "level,logged",
+    [("info", True), ("INFO", True), ("debug", True), ("error", False), ("", False)],
+)
+def test_qsub_log_loads_logging_only_to_log(tmp_path, monkeypatch, level, logged):
+    monkeypatch.setenv("QSUB_LOG", level)
+    printed = probe(
+        "import io, sys; sys.stderr = io.StringIO(); from uqsub.cli import main; "
+        "code = main(['sweep', '--n1-max', '3', '--n2-max', '3', '--p', '0.5', '--out', 'out', "
+        "'--jobs', '1']); print(code, 'logging' in sys.modules, repr(sys.stderr.getvalue()))",
+        cwd=tmp_path,
+    )
+    line = "INFO uqsub: sweep: 9 grid points at p=0.5 with 1 workers\n" if logged else ""
+    assert printed.splitlines()[-1] == f"0 {logged} {line!r}"
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,14 +1,20 @@
+import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import sixj_fraction
 from references import _contract_sectors, degree, recoupling_by_m_sum
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, j1_values
 from uqsub.errors import CapacityError
 from uqsub.objective import (
+    EqualityRow,
+    ObjectiveTable,
     PolyInP,
     _recoupling,
     assemble,
@@ -170,6 +176,53 @@ class TestBuildObjective:
         }
         value = np.polyval(by_key[(2, 3, 3, 4)][::-1], 0.5)
         assert value == pytest.approx(5 * 0.5 * (3 + 2.5) / 72, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "n1,n2,digest",
+        [
+            (2, 1, "44c7a7aa4fb8fae14a6428dea721e82539812392f9ca79c542ed07909ab26ac4"),
+            (3, 3, "8f10fd9783f424e9b73fb6229e16436c5290f614eafd7c88a2eea6023496b275"),
+            (5, 4, "0a0dc77801bb5ffae2b0dc40bd3e3ce4f26023fc16d8385877caf94afea8bf9b"),
+        ],
+        ids=["2-1", "3-3", "5-4"],
+    )
+    def test_json_bytes_are_pinned(self, n1, n2, digest):
+        # exact integer ratios, one sqrt each and sums in a fixed order: the
+        # table's bytes do not depend on the platform or the Python version
+        text = build_objective(n1, n2).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestRecords:
+    """The table and its polynomials are named tuples: immutable, picklable,
+    and without tuple arithmetic."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4))
+    def test_table_pickles_and_is_read_only(self, n1, n2):
+        table = build_objective(n1, n2)
+        back = pickle.loads(pickle.dumps(table))
+        assert type(back) is ObjectiveTable and back == table
+        assert list(back.entries) == list(table.entries) and repr(back) == repr(table)
+        assert back.to_json() == table.to_json()
+        poly = next(iter(table.entries.values()))
+        with pytest.raises(AttributeError):
+            table.n1 = n1 + 1
+        with pytest.raises(AttributeError):
+            poly.split = ()
+        with pytest.raises(AttributeError):
+            build_constraints(n1, n2)[0].rhs = 2.0
+
+    def test_no_tuple_arithmetic_on_polynomials(self):
+        poly = PolyInP((0.0, 1.0))
+        for op in (lambda: poly + poly, lambda: poly * 2, lambda: 2 * poly):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_equality_row_defaults_to_rhs_one(self):
+        row = EqualityRow(j=H(0), j1=H(1 / 2), terms=((H(1 / 2), 2.0),))
+        assert row.rhs == 1.0 and row == build_constraints(1, 1)[0]
 
 
 class TestRecoupling:

@@ -1,7 +1,7 @@
-import dataclasses
 import functools
 import json
 import math
+import pickle
 import time
 
 import numpy as np
@@ -256,8 +256,9 @@ class TestMatrixFormat:
     )
     def test_lists_and_arrays_give_identical_solutions(self, solver, prob):
         arrays = [np.asarray(c) for c in prob.objective]
-        as_lists = dataclasses.replace(prob, objective=[c.tolist() for c in arrays])
-        as_arrays = dataclasses.replace(prob, objective=arrays)
+        lists = [c.tolist() for c in arrays]
+        as_lists = SdpProblem(prob.blocks, lists, prob.equalities, prob.offset)
+        as_arrays = SdpProblem(prob.blocks, arrays, prob.equalities, prob.offset)
         from_lists, from_arrays = solver(as_lists), solver(as_arrays)
         assert from_lists == from_arrays
         assert from_lists.status == STATUS_OPTIMAL
@@ -269,6 +270,69 @@ class TestMatrixFormat:
             doc = json.loads(sol.to_json())
             assert doc["blocks"] == sol.blocks
             assert doc["objective_value"] == sol.objective_value
+
+
+class TestRecords:
+    """The solution is a named tuple and the problem and config small plain
+    classes: fields, equality, repr, immutability and pickling as before."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 3), st.floats(0.0, 1.0))
+    def test_solution_pickles_and_is_read_only(self, n1, n2, p):
+        sol = solve(covariant_problem(n1, n2, p))
+        back = pickle.loads(pickle.dumps(sol))
+        assert type(back) is SdpSolution and back == sol and repr(back) == repr(sol)
+        assert back.dual_multipliers == sol.dual_multipliers
+        with pytest.raises(AttributeError):
+            sol.status = STATUS_INFEASIBLE
+        with pytest.raises(AttributeError):
+            BlockSpec("b", 2).dim = 3
+
+    def test_solution_repr_leaves_the_multipliers_out(self):
+        sol = solve(covariant_problem(2, 1, 0.5))
+        assert repr(sol).startswith("SdpSolution(blocks=[[")
+        assert repr(sol).endswith(f"iterations={sol.iterations}, status='optimal')")
+        assert "dual_multipliers" not in repr(sol)
+        assert SdpSolution([], 0.0, 0.0, 0.0, 0.0, 0.0, 0, "optimal").dual_multipliers is None
+
+    def test_solution_json_layout(self):
+        sol = solve(covariant_problem(2, 1, 0.5))
+        assert sol.to_json() == json.dumps(
+            {
+                "schema": "uqsub.sdp_solution.v1",
+                "objective_value": sol.objective_value,
+                "primal_residual": sol.primal_residual,
+                "dual_residual": sol.dual_residual,
+                "min_eigenvalue": sol.min_eigenvalue,
+                "gap_estimate": sol.gap_estimate,
+                "iterations": sol.iterations,
+                "status": sol.status,
+                "blocks": sol.blocks,
+            }
+        )
+
+    def test_problem_and_config_compare_by_fields(self):
+        prob = covariant_problem(2, 1, 0.5)
+        again = SdpProblem(prob.blocks, prob.objective, prob.equalities, prob.offset)
+        assert again == prob and again != covariant_problem(2, 1, 0.25)
+        assert repr(again) == (
+            f"SdpProblem(blocks={prob.blocks!r}, objective={prob.objective!r}, "
+            f"equalities={prob.equalities!r}, offset={prob.offset!r})"
+        )
+        assert pickle.loads(pickle.dumps(prob)) == prob
+        assert SolverConfig() == SolverConfig(1e-9, 1e-9, 1e-7, 200) != SolverConfig(gap_tol=1e-8)
+        assert repr(SolverConfig(max_iterations=5)) == (
+            "SolverConfig(feas_tol=1e-09, psd_tol=1e-09, gap_tol=1e-07, max_iterations=5)"
+        )
+        for obj in (prob, SolverConfig()):
+            with pytest.raises(TypeError):
+                hash(obj)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("name", ["feas_tol", "psd_tol", "gap_tol"])
+    def test_config_rejects_a_tolerance_not_positive(self, name, value):
+        with pytest.raises(ValueError, match="positive"):
+            SolverConfig(**{name: value})
 
 
 class TestCertificate:
