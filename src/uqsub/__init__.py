@@ -10,16 +10,8 @@ reconstructs/simulates the optimal channel.
 
 from ._lazy import lazy_getattr
 from .angular import HalfInt, SectorIndex, enumerate_sectors
-from .closed_forms import (
-    CurveLabel,
-    cem_fidelity,
-    dn_fidelity,
-    f1n2,
-    f21_exact,
-    f2inf,
-    mp_upper,
-)
-from .objective import ObjectiveTable, PolyInP, assemble, build_constraints, build_objective
+from .closed_forms import cem_fidelity, dn_fidelity, f1n2, f21_exact, f2inf, mp_upper
+from .objective import ObjectiveTable, PolyInP, assemble, build_objective
 from .sdp import SdpProblem, SdpSolution, SolverConfig, solve
 
 # the numpy-backed exports load on first use
@@ -27,7 +19,7 @@ __getattr__ = lazy_getattr(
     globals(),
     {
         **dict.fromkeys(
-            ("ChoiMatrix", "CoupledBasis", "KrausSet", "build_coupled_basis", "kraus_from_choi",
+            ("CoupledBasis", "KrausSet", "build_coupled_basis", "kraus_from_choi",
              "reconstruct_choi"),
             ".channel",
         ),
@@ -42,9 +34,7 @@ __getattr__ = lazy_getattr(
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChoiMatrix",
     "CoupledBasis",
-    "CurveLabel",
     "HaarSampler",
     "HalfInt",
     "KrausSet",
@@ -56,7 +46,6 @@ __all__ = [
     "SectorIndex",
     "SolverConfig",
     "assemble",
-    "build_constraints",
     "build_coupled_basis",
     "build_objective",
     "build_omega",

@@ -8,8 +8,7 @@ Labels are named tuples: hashing and ordering them, which every sector dict
 of the covariant path does, runs in C.  A label has no tuple arithmetic, but
 it equals the plain tuple of its fields (HalfInt(3) == (3,)).  Like the rest
 of the covariant path, this module imports only light standard-library
-modules (`typing`, `functools`, ...) at import time: `fractions`, which
-loads `decimal`, is imported by `HalfInt.of` when it runs.
+modules (`typing`, `functools`, ...).
 """
 from __future__ import annotations
 
@@ -32,18 +31,6 @@ class HalfInt(NamedTuple):
     Equality, hashing and order are those of `twice`."""
 
     twice: int
-
-    @classmethod
-    def of(cls, value) -> "HalfInt":
-        """Build from an int, Fraction or exactly-representable float."""
-        if isinstance(value, HalfInt):
-            return value
-        from fractions import Fraction  # loads decimal: only here
-
-        frac = Fraction(value)
-        if frac.denominator not in (1, 2):
-            raise ValueError(f"{value!r} is not a half-integer")
-        return cls(int(frac * 2))
 
     def __float__(self) -> float:
         return self.twice / 2.0

@@ -3,6 +3,11 @@
 Builds the coupled angular-momentum basis of the two registers, turns an
 optimal set of Gram variables into a dense Choi matrix and Kraus operators,
 and serializes Kraus sets as JSON.
+
+Qubit 0 is the most significant bit of a computational-basis index and
+spin-up is basis state 0.  The Choi matrix J of an n-qubit to 1-qubit
+channel is indexed (input, output), row i*2 + s, so that
+Tr[J (rho^T x B)] = Tr[channel(rho) B]; the Kraus operators are 2 x 2^n.
 """
 from __future__ import annotations
 
@@ -11,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import choi_output_trace
 from .angular import HalfInt, SectorIndex, cg_twice
 from .errors import CapacityError, ReconstructionError
 from .objective import w_values_from_solution
@@ -115,16 +119,6 @@ def build_coupled_basis(n1: int, n2: int) -> CoupledBasis:
 
 
 @dataclass
-class ChoiMatrix:
-    """Dense Choi operator of an (n1+n2)-qubit to 1-qubit channel,
-    input x output index order as in the oracle module."""
-
-    matrix: np.ndarray
-    n1: int
-    n2: int
-
-
-@dataclass
 class KrausSet:
     operators: list[np.ndarray]
 
@@ -166,6 +160,13 @@ class KrausSet:
         return cls(operators=ops)
 
 
+def choi_output_trace(choi: np.ndarray, d_out: int = 2) -> np.ndarray:
+    """Partial trace over the output factor; equals I_in for a TP channel."""
+    d_in = choi.shape[0] // d_out
+    j4 = choi.reshape(d_in, d_out, d_in, d_out)
+    return np.einsum("isjs->ij", j4)
+
+
 def _sector_lookup(w: dict[SectorIndex, float], tj1: int, tj: int, tjp: int, tq: int) -> float:
     lo, hi = min(tj, tjp), max(tj, tjp)
     key = SectorIndex(j1=HalfInt(tj1), j=HalfInt(lo), jp=HalfInt(hi), q=HalfInt(tq))
@@ -174,8 +175,9 @@ def _sector_lookup(w: dict[SectorIndex, float], tj1: int, tj: int, tjp: int, tq:
 
 def reconstruct_choi(
     solution: SdpSolution | dict[SectorIndex, float], n1: int, n2: int
-) -> ChoiMatrix:
-    """Assemble the covariant channel fixed by the Gram values.
+) -> np.ndarray:
+    """Assemble the dense Choi matrix of the covariant channel fixed by the
+    Gram values.
 
     On the averaged-input support the matrix elements follow the covariant
     characterization, diagonal in the degeneracy label; outside the support
@@ -235,18 +237,19 @@ def reconstruct_choi(
         raise ReconstructionError(f"reconstructed Choi not PSD: min eig {min_eig:.3e}")
     if tp_residual > 1e-8:
         raise ReconstructionError(f"reconstructed Choi not TP: residual {tp_residual:.3e}")
-    return ChoiMatrix(matrix=choi, n1=n1, n2=n2)
+    return choi
 
 
-def kraus_from_choi(choi: ChoiMatrix, cutoff: float = 1e-10) -> KrausSet:
-    """Factor a PSD Choi matrix into Kraus operators by eigendecomposition."""
-    mat = np.asarray(choi.matrix)
+def kraus_from_choi(choi: np.ndarray) -> KrausSet:
+    """Factor a PSD Choi matrix into Kraus operators by eigendecomposition,
+    one per eigenvalue above 1e-10."""
+    mat = np.asarray(choi)
     evals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
     if evals.min() < -1e-7:
         raise ReconstructionError(f"Choi not PSD: min eig {evals.min():.3e}")
     d_in = mat.shape[0] // 2
     ops = []
     for lam, vec in zip(evals, vecs.T):
-        if lam > cutoff:
+        if lam > 1e-10:
             ops.append(np.sqrt(lam) * vec.reshape(d_in, 2).T)
     return KrausSet(operators=ops)

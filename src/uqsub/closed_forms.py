@@ -8,19 +8,7 @@ protocol, and the two-copy limit of infinitely many noise copies.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from math import comb
-from typing import Iterable, Sequence
-
-
-class CurveLabel(str, Enum):
-    DN = "DN"
-    F11 = "F11"
-    F1N2 = "F1n2"
-    F21 = "F21"
-    MP_UPPER_N1 = "MP_UPPER_N1"
-    CEM = "CEM"
-    F2INF = "F2INF"
 
 
 def _check_p(p: float):
@@ -110,34 +98,8 @@ def f2inf(p: float) -> float:
     return const + max(g(lo), g(hi))
 
 
-_CURVE_FUNCTIONS = {
-    CurveLabel.DN: dn_fidelity,
-    CurveLabel.F11: f1n2,
-    CurveLabel.F1N2: f1n2,
-    CurveLabel.F21: f21_exact,
-    CurveLabel.MP_UPPER_N1: lambda p: mp_upper(p, 2),
-    CurveLabel.CEM: cem_fidelity,
-    CurveLabel.F2INF: f2inf,
-}
-
-
 def default_p_grid(steps: int = 101) -> list[float]:
     if steps < 2:
         raise ValueError("need at least 2 grid points")
     return [i / (steps - 1) for i in range(steps)]
 
-
-def curves_csv(
-    labels: Iterable[CurveLabel] | None = None,
-    p_values: Sequence[float] | None = None,
-    full_precision: bool = False,
-) -> str:
-    """Long-format CSV p,label,value of the analytic curves (default: every
-    label on 101 uniform p), with 6 significant digits or full doubles."""
-    digits = 17 if full_precision else 6
-    ps = list(p_values) if p_values is not None else default_p_grid()
-    lines = ["p,label,value"]
-    for label in labels if labels is not None else CurveLabel:
-        fn = _CURVE_FUNCTIONS[label]
-        lines += (f"{p:.{digits}g},{label.value},{fn(p):.{digits}g}" for p in ps)
-    return "\n".join(lines) + "\n"

@@ -22,14 +22,11 @@ from math import comb
 from typing import NamedTuple
 
 from .angular import (
-    HalfInt,
     SectorIndex,
     _factorials,
     _not_a_sequence,
     cg_twice,
     enumerate_sectors,
-    j1_values,
-    j_values,
     sector_blocks,
 )
 from .errors import CapacityError
@@ -53,9 +50,6 @@ class PolyInP(NamedTuple):
     """
 
     split: tuple[float, ...]
-
-    def __call__(self, p: float) -> float:
-        return self.at(split_weights(len(self.split) - 1, p))
 
     def at(self, weights: list[float]) -> float:
         """Value at the p whose `split_weights` are given."""
@@ -188,58 +182,31 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
     return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=constant)
 
 
-class EqualityRow(NamedTuple):
-    """One trace-preservation row: fixed (j, j1), coefficients on the two q-blocks."""
-
-    j: HalfInt
-    j1: HalfInt
-    terms: tuple[tuple[HalfInt, float], ...]  # (q, coefficient) on diagonal entry (j, j)
-    rhs: float = 1.0
-
-
-def build_constraints(n1: int, n2: int) -> list[EqualityRow]:
-    """Trace-preservation equalities, one per valid (j, j1) pair.
-
-    The row is (2+2j)/(1+2j) W^{j,j}_{j+1/2} + 2j/(1+2j) W^{j,j}_{j-1/2} = 1;
-    for j = 0 the second term has coefficient zero and is dropped.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("need n1 >= 1 and n2 >= 1")
-    rows = []
-    for j1 in j1_values(n1):
-        for j in j_values(j1, n2):  # every such j has its sector (j, j, j+1/2)
-            tj = j.twice
-            terms = [(HalfInt(tj + 1), (tj + 2) / (tj + 1))]
-            if tj > 0:
-                terms.append((HalfInt(tj - 1), tj / (tj + 1)))
-            rows.append(EqualityRow(j=j, j1=j1, terms=tuple(terms)))
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _layout(n1: int, n2: int):
-    """The p-independent placement of (n1, n2), computed once.
+    """The p-independent placement of (n1, n2), computed once in one walk
+    over `sector_blocks`.
 
     Returns the block specs, each sector's (block, row, column) slot and the
-    trace-preservation rows as SdpProblem equalities: diagonal terms and rhs.
+    trace-preservation rows as SdpProblem equalities, one per valid (j, j1)
+    in block order:
+    (tj+2)/(tj+1) W^{j,j}_{j+1/2} + tj/(tj+1) W^{j,j}_{j-1/2} = 1 with
+    tj = 2j, the term on q = j+1/2 first; for j = 0 the second term has
+    coefficient zero and is dropped.  The block of q = j-1/2 comes before
+    that of q = j+1/2, so a row is written at the latter.
     """
-    specs = []
-    where = {}  # (tq, tj1) -> (block position, {tj: row})
+    specs, slots, equalities = [], {}, []
+    below = {}  # tj -> the row's term on q = j-1/2, until its q = j+1/2 block
     for pos, (q, j1, rows) in enumerate(sector_blocks(n1, n2)):
-        where[q.twice, j1.twice] = pos, {j.twice: r for r, j in enumerate(rows)}
         specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows)))
-    slots = {}
-    for s in enumerate_sectors(n1, n2):
-        pos, rowmap = where[s.q.twice, s.j1.twice]
-        slots[s] = pos, rowmap[s.j.twice], rowmap[s.jp.twice]
-    equalities = []
-    for row in build_constraints(n1, n2):
-        terms = []
-        for q, c in row.terms:
-            pos, rowmap = where[q.twice, row.j1.twice]
-            r = rowmap[row.j.twice]
-            terms.append((pos, r, r, c))
-        equalities.append((tuple(terms), row.rhs))
+        for a, j in enumerate(rows):
+            for b, jp in enumerate(rows[a:], a):
+                slots[SectorIndex(j1, j, jp, q)] = pos, a, b
+            tj = j.twice
+            if tj > q.twice:
+                below[tj] = ((pos, a, a, tj / (tj + 1)),)
+            else:
+                equalities.append((((pos, a, a, (tj + 2) / (tj + 1)),) + below.pop(tj, ()), 1.0))
     return tuple(specs), slots, tuple(equalities)
 
 

@@ -8,42 +8,49 @@ SDP, split into blocks by the charge popcount(input) - output bit.  Neither
 step uses Clebsch-Gordan or covariant code.  Its optimum equals the
 covariant optimum, which is precisely what makes it an independent check of
 the block parametrization.
+
+Qubit 0 is the most significant bit of a computational-basis index and
+spin-up is basis state 0.  A Choi matrix of a d_in -> d_out channel is
+indexed (input, output), row i*d_out + s, so that
+Tr[J (rho^T x B)] = Tr[channel(rho) B].
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from ._ops import PROJ_UP, SIGMA_Y, kron_all, qubit_index_map
 from .errors import CapacityError
-from .sdp import BlockSpec, SdpProblem, SdpSolution, SolverConfig, solve
+from .sdp import BlockSpec, SdpProblem, SdpSolution, solve
 
 DENSE_QUBIT_GUARD = 6
 TWIRL_FACTOR_GUARD = 6
 
-
-@dataclass
-class OmegaOperator:
-    """Haar-averaged input state of the subtracting task, dense Hermitian."""
-
-    matrix: np.ndarray
-    n1: int
-    n2: int
-    p: float
+PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
-@dataclass
-class TwirledObjective:
-    """Objective operator on Choi space: F(channel) = Tr[J * matrix]."""
+def kron_all(mats) -> np.ndarray:
+    out = np.array([[1.0]])
+    for m in mats:
+        out = np.kron(out, m)
+    return out
 
-    matrix: np.ndarray
-    n1: int
-    n2: int
-    p: float
+
+def qubit_index_map(positions: list[int], n: int) -> np.ndarray:
+    """Basis reindexing for factors built in canonical order then placed at
+    the given positions: entry b is the canonical index whose bit j equals
+    bit positions[j] of b."""
+    dim = 1 << n
+    cmap = np.zeros(dim, dtype=np.intp)
+    for j, pos in enumerate(positions):
+        shift_src = n - 1 - pos
+        shift_dst = len(positions) - 1 - j
+        bits = (np.arange(dim) >> shift_src) & 1
+        cmap |= bits << shift_dst
+    return cmap
 
 
 def _popcounts(m: int) -> np.ndarray:
@@ -61,8 +68,9 @@ def sym_projector(m: int) -> np.ndarray:
     return proj
 
 
-def build_omega(n1: int, n2: int, p: float) -> OmegaOperator:
-    """Average over noise states of the n1-copy mixture with n2 noise copies.
+def build_omega(n1: int, n2: int, p: float) -> np.ndarray:
+    """Average over noise states of the n1-copy mixture with n2 noise copies,
+    a dense Hermitian 2^(n1+n2) matrix.
 
     Every term fixes a subset S of register A in the target state (weight
     (1-p) per copy) and symmetrizes the remaining A copies together with the
@@ -88,7 +96,7 @@ def build_omega(n1: int, n2: int, p: float) -> OmegaOperator:
             mat = kron_all([PROJ_UP] * k + [block])
             cmap = qubit_index_map(canonical, n)
             omega += weight * mat[np.ix_(cmap, cmap)]
-    return OmegaOperator(matrix=omega, n1=n1, n2=n2, p=p)
+    return omega
 
 
 @lru_cache(maxsize=None)
@@ -125,22 +133,26 @@ def twirl(x: np.ndarray, m: int) -> np.ndarray:
     return np.where(mask, out, 0.0)
 
 
-def twirl_objective(omega: OmegaOperator) -> TwirledObjective:
-    """Move the target-state average onto the Choi-space objective.
+def twirl_objective(omega: np.ndarray) -> np.ndarray:
+    """Move the target-state average onto the Choi-space objective C of the
+    n = log2(dim) input qubits: F(channel) = Tr[J C].
 
     The input factors transform with the conjugate representation, so they
     are rotated by sigma_y on both sides, twirled jointly with the output
-    factor over the (n+1)-fold diagonal action, and rotated back.
+    factor over the (n+1)-fold diagonal action, and rotated back.  Raises
+    ValueError for a matrix that is not square with a power-of-two size.
     """
-    n = omega.n1 + omega.n2
+    shape = np.shape(omega)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0].bit_count() != 1:
+        raise ValueError(f"need a square matrix of a power-of-two size, not shape {shape}")
+    n = shape[0].bit_length() - 1
     if n + 1 > TWIRL_FACTOR_GUARD:
         raise CapacityError(f"objective twirl needs n1+n2 <= {TWIRL_FACTOR_GUARD - 1}")
     y_all = np.kron(kron_all([SIGMA_Y] * n), np.eye(2))
-    raw = np.kron(omega.matrix.T, PROJ_UP)
+    raw = np.kron(np.transpose(omega), PROJ_UP)
     conjugated = y_all @ raw @ y_all
     twirled = twirl(conjugated, n + 1)
-    matrix = y_all @ twirled @ y_all
-    return TwirledObjective(matrix=matrix, n1=omega.n1, n2=omega.n2, p=omega.p)
+    return y_all @ twirled @ y_all
 
 
 def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
@@ -187,11 +199,9 @@ def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
     )
 
 
-def solve_choi(
-    obj: TwirledObjective, config: SolverConfig | None = None
-) -> tuple[float, SdpSolution]:
+def solve_choi(objective: np.ndarray) -> tuple[float, SdpSolution]:
     """Maximum fidelity over all channels, via the charge-block Choi SDP."""
-    solution = solve(choi_problem(obj.matrix), config)
+    solution = solve(choi_problem(objective))
     if not solution.success:
         raise RuntimeError(f"Choi SDP did not converge: status {solution.status}")
     return solution.objective_value, solution

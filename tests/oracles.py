@@ -301,12 +301,12 @@ def monte_carlo_twirl(x: np.ndarray, m: int, samples: int, seed: int = 0) -> np.
     return total / samples
 
 
-def monte_carlo_objective(omega, samples: int, seed: int = 0) -> np.ndarray:
+def monte_carlo_objective(omega: np.ndarray, samples: int, seed: int = 0) -> np.ndarray:
     """Sample-mean fallback for the twirled objective of an averaged input
-    (anything with .matrix, .n1, .n2) over explicit SU(2) draws: input
-    factors in the conjugate representation, output plain."""
-    n = omega.n1 + omega.n2
-    raw = np.kron(omega.matrix.T, PROJ_UP).astype(complex)
+    (a 2^n x 2^n matrix) over explicit SU(2) draws: input factors in the
+    conjugate representation, output plain."""
+    n = len(omega).bit_length() - 1
+    raw = np.kron(omega.T, PROJ_UP).astype(complex)
     rng = np.random.default_rng(seed)
     total = np.zeros_like(raw)
     batch = 2000

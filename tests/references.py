@@ -6,23 +6,97 @@ basis, the Clebsch-Gordan table or the solver, so it cannot live there.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from fractions import Fraction
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from uqsub.angular import HalfInt, SectorIndex, cg_twice, enumerate_sectors
+from uqsub.angular import (
+    HalfInt,
+    SectorIndex,
+    cg_twice,
+    enumerate_sectors,
+    j1_values,
+    j_values,
+    sector_blocks,
+)
 from uqsub.channel import BasisColumn, KrausSet, build_coupled_basis
 from uqsub.errors import CapacityError
 from uqsub.mcsim import HaarSampler, McEstimate
 from uqsub.objective import ObjectiveTable, PolyInP, split_weights
 from uqsub.oracle import build_omega, solve_choi, twirl_objective
-from uqsub.sdp import SdpProblem, SdpSolution, SolverConfig
+from uqsub.sdp import SdpProblem, SdpSolution
 
 EXTRACT_QUBIT_GUARD = 6
 
 
 class ExtractionError(RuntimeError):
     """Gram-value extraction from an explicit channel left a large residual."""
+
+
+def half_int(value) -> HalfInt:
+    """The label of an int, Fraction or exactly-representable float."""
+    if isinstance(value, HalfInt):
+        return value
+    frac = Fraction(value)
+    if frac.denominator not in (1, 2):
+        raise ValueError(f"{value!r} is not a half-integer")
+    return HalfInt(int(frac * 2))
+
+
+def poly_value(poly: PolyInP, p: float) -> float:
+    """Value of the polynomial at the mixing probability p."""
+    return poly.at(split_weights(len(poly.split) - 1, p))
+
+
+class EqualityRow(NamedTuple):
+    """One trace-preservation row: fixed (j, j1), coefficients on the two q-blocks."""
+
+    j: HalfInt
+    j1: HalfInt
+    terms: tuple[tuple[HalfInt, float], ...]  # (q, coefficient) on diagonal entry (j, j)
+    rhs: float = 1.0
+
+
+def build_constraints(n1: int, n2: int) -> list[EqualityRow]:
+    """Trace-preservation equalities, one per valid (j, j1) pair.
+
+    The row is (2+2j)/(1+2j) W^{j,j}_{j+1/2} + 2j/(1+2j) W^{j,j}_{j-1/2} = 1;
+    for j = 0 the second term has coefficient zero and is dropped.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("need n1 >= 1 and n2 >= 1")
+    rows = []
+    for j1 in j1_values(n1):
+        for j in j_values(j1, n2):  # every such j has its sector (j, j, j+1/2)
+            tj = j.twice
+            terms = [(HalfInt(tj + 1), (tj + 2) / (tj + 1))]
+            if tj > 0:
+                terms.append((HalfInt(tj - 1), tj / (tj + 1)))
+            rows.append(EqualityRow(j=j, j1=j1, terms=tuple(terms)))
+    return rows
+
+
+def reference_layout(n1: int, n2: int):
+    """Sector slots and SdpProblem equality rows placed through lookups: the
+    slot of each sector of `enumerate_sectors`, then each `build_constraints`
+    row translated to (block, row, row, coef) terms."""
+    where = {}  # (tq, tj1) -> (block position, {tj: row})
+    for pos, (q, j1, rows) in enumerate(sector_blocks(n1, n2)):
+        where[q.twice, j1.twice] = pos, {j.twice: r for r, j in enumerate(rows)}
+    slots = {}
+    for s in enumerate_sectors(n1, n2):
+        pos, rowmap = where[s.q.twice, s.j1.twice]
+        slots[s] = pos, rowmap[s.j.twice], rowmap[s.jp.twice]
+    equalities = []
+    for row in build_constraints(n1, n2):
+        terms = []
+        for q, c in row.terms:
+            pos, rowmap = where[q.twice, row.j1.twice]
+            r = rowmap[row.j.twice]
+            terms.append((pos, r, r, c))
+        equalities.append((tuple(terms), row.rhs))
+    return slots, tuple(equalities)
 
 
 def degree(poly: PolyInP) -> int:
@@ -105,9 +179,9 @@ def estimate_fidelity_dense(
     return McEstimate(mean=mean, std_error=std_error, samples=samples)
 
 
-def oracle_fidelity(n1: int, n2: int, p: float, config: SolverConfig | None = None) -> float:
+def oracle_fidelity(n1: int, n2: int, p: float) -> float:
     """End-to-end brute-force value of the optimal average fidelity."""
-    value, _ = solve_choi(twirl_objective(build_omega(n1, n2, p)), config)
+    value, _ = solve_choi(twirl_objective(build_omega(n1, n2, p)))
     return value
 
 

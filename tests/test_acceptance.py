@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uqsub.angular import cg_twice, j1_values
-from references import dn_w_values, evaluate, multiplicity
+from references import build_constraints, dn_w_values, evaluate, multiplicity
 from uqsub.channel import kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import (
     dn_fidelity,
@@ -15,7 +15,7 @@ from uqsub.closed_forms import (
     mp_upper,
 )
 from uqsub.mcsim import HaarSampler, estimate_fidelity
-from uqsub.objective import assemble, build_constraints, build_objective
+from uqsub.objective import assemble, build_objective
 from uqsub.oracle import build_omega, solve_choi, twirl_objective
 from uqsub.sdp import solve
 
@@ -250,11 +250,11 @@ def test_criterion_8_end_to_end_channel():
         sol = solve(assemble(build_objective(n1, n2), p))
         choi = reconstruct_choi(sol, n1, n2)
         dim = 1 << (n1 + n2)
-        eig_min = float(np.linalg.eigvalsh(0.5 * (choi.matrix + choi.matrix.T)).min())
+        eig_min = float(np.linalg.eigvalsh(0.5 * (choi + choi.T)).min())
         worst_psd = min(worst_psd, eig_min) if eig_min < 0 else worst_psd
         tp = float(
             np.abs(
-                np.einsum("isjs->ij", choi.matrix.reshape(dim, 2, dim, 2)) - np.eye(dim)
+                np.einsum("isjs->ij", choi.reshape(dim, 2, dim, 2)) - np.eye(dim)
             ).max()
         )
         worst_tp = max(worst_tp, tp)

@@ -18,9 +18,9 @@ from uqsub.angular import (
 )
 
 from oracles import cg_fraction, cg_table_ladder, irrep_multiplicities
-from references import multiplicity, q_set
+from references import half_int, multiplicity, q_set
 
-H = HalfInt.of
+H = half_int
 
 
 class TestHalfInt:

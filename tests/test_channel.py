@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import apply_choi, choi_from_kraus, dn_choi, haar_su2
-from references import dn_w_values, evaluate
-from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
+from references import build_constraints, dn_w_values, evaluate, half_int
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
 from uqsub.channel import (
-    ChoiMatrix,
     KrausSet,
     build_coupled_basis,
+    choi_output_trace,
     kraus_from_choi,
     reconstruct_choi,
     w_values_from_solution,
 )
 from uqsub.errors import CapacityError, ReconstructionError
-from uqsub.objective import assemble, build_objective, build_constraints
-from uqsub.oracle import build_omega
+from uqsub.objective import assemble, build_objective
+from uqsub.oracle import PROJ_UP, build_omega, kron_all
 from uqsub.sdp import solve
 
 
@@ -89,7 +88,7 @@ class TestReconstruct:
     def test_1_1_dn_solution_reproduces_partial_trace(self):
         w = dn_w_values(1, 1)
         choi = reconstruct_choi(w, 1, 1)
-        assert np.abs(choi.matrix - dn_choi(1, 1)).max() < 1e-8
+        assert np.abs(choi - dn_choi(1, 1)).max() < 1e-8
 
     @pytest.mark.parametrize(
         "n1,n2,p",
@@ -99,8 +98,8 @@ class TestReconstruct:
         prob = assemble(build_objective(n1, n2), p)
         sol = solve(prob)
         choi = reconstruct_choi(sol, n1, n2)
-        omega = build_omega(n1, n2, p).matrix
-        fid = float(np.real(np.trace(choi.matrix @ np.kron(omega.T, PROJ_UP))))
+        omega = build_omega(n1, n2, p)
+        fid = float(np.real(np.trace(choi @ np.kron(omega.T, PROJ_UP))))
         assert fid == pytest.approx(sol.objective_value, abs=1e-7)
 
     @pytest.mark.parametrize("n1,n2,p", [(2, 1, 0.5), (2, 2, 0.4)])
@@ -108,7 +107,7 @@ class TestReconstruct:
         sol = solve(assemble(build_objective(n1, n2), p))
         choi = reconstruct_choi(sol, n1, n2)
         dim = 1 << (n1 + n2)
-        assert np.abs(choi_output_trace(choi.matrix) - np.eye(dim)).max() <= 1e-8
+        assert np.abs(choi_output_trace(choi) - np.eye(dim)).max() <= 1e-8
 
     def test_covariance_of_reconstruction(self):
         sol = solve(assemble(build_objective(2, 1), 0.6))
@@ -119,8 +118,8 @@ class TestReconstruct:
         x /= np.trace(x)
         for u in haar_su2(np.random.default_rng(32), 10):
             big = kron_all([u] * 3)
-            lhs = u.conj().T @ apply_choi(choi.matrix, x) @ u
-            rhs = apply_choi(choi.matrix, big.conj().T @ x @ big)
+            lhs = u.conj().T @ apply_choi(choi, x) @ u
+            rhs = apply_choi(choi, big.conj().T @ x @ big)
             assert np.abs(lhs - rhs).max() < 1e-7
 
     def test_fidelity_matches_objective_table_for_random_feasible_w(self):
@@ -145,8 +144,8 @@ class TestReconstruct:
                     w[s] = 0.0  # keep blocks PSD: diagonal Gram data
             choi = reconstruct_choi(w, n1, n2)
             for p in (0.3, 0.7):
-                omega = build_omega(n1, n2, p).matrix
-                fid = float(np.real(np.trace(choi.matrix @ np.kron(omega.T, PROJ_UP))))
+                omega = build_omega(n1, n2, p)
+                fid = float(np.real(np.trace(choi @ np.kron(omega.T, PROJ_UP))))
                 assert fid == pytest.approx(evaluate(table, w, p), abs=1e-9)
 
     def test_psd_violation_raises(self):
@@ -160,19 +159,18 @@ class TestReconstruct:
 
 class TestKraus:
     def test_identity_channel_choi(self):
-        eye_choi = ChoiMatrix(matrix=np.kron(np.eye(2), np.eye(2)).reshape(4, 4), n1=1, n2=0)
         # Choi of the identity on one qubit: J[(i,s),(j,t)] = delta_is delta_jt
         j = np.zeros((4, 4))
         for i in range(2):
             for k in range(2):
                 j[i * 2 + i, k * 2 + k] = 1.0
-        kraus = kraus_from_choi(ChoiMatrix(matrix=j, n1=1, n2=0))
+        kraus = kraus_from_choi(j)
         assert len(kraus.operators) == 1
         op = kraus.operators[0]
         assert np.abs(np.abs(op) - np.eye(2)).max() < 1e-12
 
     def test_dn_choi_kraus_action(self):
-        kraus = kraus_from_choi(ChoiMatrix(dn_choi(2, 1), 2, 1))
+        kraus = kraus_from_choi(dn_choi(2, 1))
         choi = choi_from_kraus(kraus.operators)
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -190,7 +188,7 @@ class TestKraus:
         assert len(kraus.operators) <= 2 * 8
 
     def test_json_round_trip(self):
-        kraus = kraus_from_choi(ChoiMatrix(dn_choi(1, 1), 1, 1))
+        kraus = kraus_from_choi(dn_choi(1, 1))
         doc = json.loads(kraus.to_json())
         assert doc["schema"] == "uqsub.kraus.v1"
         assert doc["n_in_qubits"] == 2
@@ -225,7 +223,7 @@ class TestDnWValues:
     def test_1_1_satisfies_published_constraints(self):
         w = dn_w_values(1, 1)
         get = lambda j1, j, jp, q: w[
-            SectorIndex(j1=HalfInt.of(j1), j=HalfInt.of(j), jp=HalfInt.of(jp), q=HalfInt.of(q))
+            SectorIndex(j1=half_int(j1), j=half_int(j), jp=half_int(jp), q=half_int(q))
         ]
         assert 2 * get(0.5, 0, 0, 0.5) == pytest.approx(1.0, abs=1e-9)
         assert 4 / 3 * get(0.5, 1, 1, 1.5) + 2 / 3 * get(0.5, 1, 1, 0.5) == pytest.approx(

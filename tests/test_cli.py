@@ -308,9 +308,8 @@ class TestVerify:
 
     def test_oracle_failure_exit_3(self, capsys, monkeypatch):
         def mixed_objective(omega):
-            obj = twirl_objective(omega)
-            obj.matrix = obj.matrix.real.copy()
-            obj.matrix[0, 1] = obj.matrix[1, 0] = 1e-3  # charge 0 against charge -1
+            obj = twirl_objective(omega).real.copy()
+            obj[0, 1] = obj[1, 0] = 1e-3  # charge 0 against charge -1
             return obj
 
         monkeypatch.setattr(cli, "twirl_objective", mixed_objective)
@@ -548,7 +547,7 @@ def test_sweep_default_jobs_follow_the_affinity_mask(tmp_path):
     assert loaded.splitlines()[-1] == "0 False"
 
 
-NUMPY_BACKED = ("uqsub.ipm", "uqsub.oracle", "uqsub.channel", "uqsub.mcsim", "uqsub._ops")
+NUMPY_BACKED = ("uqsub.ipm", "uqsub.oracle", "uqsub.channel", "uqsub.mcsim")
 
 
 HEAVY = ("dataclasses", "inspect", "logging", "json", "fractions", "decimal", "numpy")

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from uqsub.closed_forms import (
-    CurveLabel,
     cem_fidelity,
-    curves_csv,
     default_p_grid,
     dn_fidelity,
     f1n2,
@@ -54,12 +52,6 @@ F2INF_GRID_FROZEN = [
     0.531547997274505, 0.5237809557573542, 0.5159340896138467, 0.5080071764121058,
     0.5,
 ]
-
-
-def csv_rows(text):
-    """(p, label, value) triples of a curves_csv export."""
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    return [(float(p), label, float(value)) for p, label, value in rows]
 
 
 class TestDn:
@@ -166,9 +158,10 @@ class TestOrderings:
         assert f21_exact(p) <= f2inf(p) + 1e-9
 
     def test_all_curves_within_unit_interval(self):
-        rows = csv_rows(curves_csv(full_precision=True))
-        assert len(rows) == len(CurveLabel) * 101
-        for _, _, value in rows:
+        curves = (dn_fidelity, f1n2, f21_exact, lambda p: mp_upper(p, 2), cem_fidelity, f2inf)
+        values = [curve(p) for curve in curves for p in default_p_grid()]
+        assert len(values) == len(curves) * 101
+        for value in values:
             assert -1e-12 <= value <= 1 + 1e-12
 
 
@@ -177,22 +170,3 @@ class TestCurveGrid:
         grid = default_p_grid()
         assert len(grid) == 101
         assert grid[0] == 0.0 and grid[-1] == 1.0
-
-    def test_labels_and_count(self):
-        rows = csv_rows(curves_csv([CurveLabel.DN, CurveLabel.F21], [0.0, 0.5, 1.0],
-                                   full_precision=True))
-        assert len(rows) == 6
-        dn_vals = [value for _, label, value in rows if label == CurveLabel.DN.value]
-        assert dn_vals == [1.0, 0.75, 0.5]
-
-    def test_csv_export(self):
-        text = curves_csv([CurveLabel.F21], [0.5])
-        lines = text.splitlines()
-        assert lines[0] == "p,label,value"
-        p, label, value = lines[1].split(",")
-        assert label == "F21"
-        assert float(value) == pytest.approx(f21_exact(0.5), abs=1e-6)
-        # six significant digits by default, full doubles on request
-        assert len(value.replace(".", "").lstrip("0")) <= 6
-        full = curves_csv([CurveLabel.F21], [0.5], full_precision=True).splitlines()[1]
-        assert float(full.split(",")[2]) == f21_exact(0.5)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import apply_choi, choi_from_kraus, dn_choi, dn_kraus, random_channel
 from references import estimate_fidelity_dense, sample_state
-from uqsub.channel import ChoiMatrix, KrausSet, kraus_from_choi, reconstruct_choi
+from uqsub.channel import KrausSet, kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import f21_exact
 from uqsub.mcsim import HaarSampler, McEstimate, estimate_fidelity
 from uqsub.objective import assemble, build_objective
@@ -48,7 +48,7 @@ class TestSampler:
 
 class TestEstimateFidelity:
     def test_dn_2_1(self):
-        kraus = kraus_from_choi(ChoiMatrix(dn_choi(2, 1), 2, 1))
+        kraus = kraus_from_choi(dn_choi(2, 1))
         est = estimate_fidelity(kraus, 2, 1, 0.5, samples=100_000, sampler=HaarSampler(seed=1))
         assert est.within(0.75, n_sigma=4)
 
@@ -64,7 +64,7 @@ class TestEstimateFidelity:
         assert est.within(0.85, n_sigma=4)
 
     def test_unbiasedness_over_seeds(self):
-        kraus = kraus_from_choi(ChoiMatrix(dn_choi(1, 1), 1, 1))
+        kraus = kraus_from_choi(dn_choi(1, 1))
         hits = 0
         for seed in range(20):
             est = estimate_fidelity(
@@ -90,7 +90,7 @@ class TestEstimateFidelity:
             assert np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() >= -1e-10
 
     def test_dimension_mismatch(self):
-        kraus = kraus_from_choi(ChoiMatrix(dn_choi(1, 1), 1, 1))
+        kraus = kraus_from_choi(dn_choi(1, 1))
         with pytest.raises(ValueError):
             estimate_fidelity(kraus, 2, 1, 0.5, samples=10)
 

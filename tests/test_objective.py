@@ -9,20 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sixj_fraction
-from references import _contract_sectors, degree, recoupling_by_m_sum
-from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, j1_values
+from references import (
+    EqualityRow,
+    _contract_sectors,
+    build_constraints,
+    degree,
+    half_int,
+    poly_value,
+    recoupling_by_m_sum,
+    reference_layout,
+)
+from uqsub.angular import SectorIndex, enumerate_sectors, j1_values
 from uqsub.errors import CapacityError
 from uqsub.objective import (
-    EqualityRow,
+    MAX_TOTAL_QUBITS,
     ObjectiveTable,
     PolyInP,
+    _layout,
     _recoupling,
     assemble,
-    build_constraints,
     build_objective,
 )
 
-H = HalfInt.of
+H = half_int
 P_GRID = [0.0, 0.1, 0.25, 0.375, 0.5, 0.7, 0.9, 1.0]
 
 
@@ -77,7 +86,9 @@ class TestPoly:
         # the noise-split value against numpy on the derived monomials
         poly = PolyInP((1.0, -2.0, 0.5, 3.0))
         for p in P_GRID:
-            assert poly(p) == pytest.approx(np.polyval(poly.coefficients[::-1], p), abs=1e-14)
+            assert poly_value(poly, p) == pytest.approx(
+                np.polyval(poly.coefficients[::-1], p), abs=1e-14
+            )
 
     def test_degree_bound(self):
         table = build_objective(3, 2)
@@ -90,19 +101,19 @@ class TestBuildObjective:
         for p in P_GRID:
             expected = closed_form_21(p)
             for s, value in expected.items():
-                assert table.entries[s](p) == pytest.approx(value, abs=1e-12), (s, p)
+                assert poly_value(table.entries[s], p) == pytest.approx(value, abs=1e-12), (s, p)
 
     def test_1_1_matches_published_coefficients(self):
         table = build_objective(1, 1)
         for p in P_GRID:
             for s, value in closed_form_11(p).items():
-                assert table.entries[s](p) == pytest.approx(value, abs=1e-12), (s, p)
+                assert poly_value(table.entries[s], p) == pytest.approx(value, abs=1e-12), (s, p)
 
     def test_entries_vanish_exactly_at_p_1(self):
         # only the k = 0 split survives at p = 1, and it lives in the constant
         table = build_objective(10, 6)
-        assert all(poly(1.0) == 0.0 for poly in table.entries.values())
-        assert table.constant(1.0) == 0.5
+        assert all(poly_value(poly, 1.0) == 0.0 for poly in table.entries.values())
+        assert poly_value(table.constant, 1.0) == 0.5
 
     def test_every_sector_has_an_entry(self):
         for n1, n2 in [(1, 1), (2, 1), (2, 2), (3, 2)]:
@@ -129,7 +140,8 @@ class TestBuildObjective:
                     wmap[(s.jp.twice, s.j.twice, s.q.twice, s.j1.twice)] = val
                 for p in (0.0, 0.3, 0.8, 1.0):
                     total = sum(
-                        PolyInP(tuple(coeffs))(p) * wmap[key] for key, coeffs in raw0.items()
+                        poly_value(PolyInP(tuple(coeffs)), p) * wmap[key]
+                        for key, coeffs in raw0.items()
                     )
                     assert total == pytest.approx(p**n1 / 2, abs=1e-9)
 
@@ -291,6 +303,22 @@ class TestConstraints:
             assert sum(c for _, c in row.terms) == pytest.approx(2.0, abs=1e-14)
 
 
+class TestLayout:
+    def test_matches_reference_placement_over_the_size_guard(self):
+        # rows written in the block walk against build_constraints placed by
+        # lookup: same rows, term order and floats, so solver iterates match
+        pairs = 0
+        for n in range(2, MAX_TOTAL_QUBITS + 1):
+            for n1 in range(1, n):
+                _, slots, rows = _layout(n1, n - n1)
+                ref_slots, ref_rows = reference_layout(n1, n - n1)
+                assert rows == ref_rows, (n1, n - n1)
+                assert list(slots) == enumerate_sectors(n1, n - n1), (n1, n - n1)
+                assert list(slots.items()) == list(ref_slots.items()), (n1, n - n1)
+                pairs += 1
+        assert pairs == 276
+
+
 class TestAssemble:
     def test_2_1_block_structure(self):
         problem = assemble(build_objective(2, 1), 0.5)
@@ -334,9 +362,11 @@ class TestAssemble:
         problem = assemble(table, 0.25)
         pos = next(i for i, b in enumerate(problem.blocks) if b.dim == 2)
         mat = problem.objective[pos]
-        folded = table.entries[sector(1, 1 / 2, 3 / 2, 1)](0.25)
+        folded = poly_value(table.entries[sector(1, 1 / 2, 3 / 2, 1)], 0.25)
         assert mat[0][1] * 2 == pytest.approx(folded, abs=1e-14)
-        assert mat[0][0] == pytest.approx(table.entries[sector(1, 1 / 2, 1 / 2, 1)](0.25))
+        assert mat[0][0] == pytest.approx(
+            poly_value(table.entries[sector(1, 1 / 2, 1 / 2, 1)], 0.25)
+        )
 
     def test_p_domain_error(self):
         table = build_objective(1, 1)

@@ -21,13 +21,15 @@ from oracles import (
 )
 from references import oracle_fidelity
 from uqsub import oracle
-from uqsub._ops import PROJ_UP, choi_output_trace, kron_all
+from uqsub.channel import choi_output_trace
 from uqsub.closed_forms import f21_exact
 from uqsub.errors import CapacityError
 from uqsub.objective import assemble, build_objective
 from uqsub.oracle import (
+    PROJ_UP,
     build_omega,
     choi_problem,
+    kron_all,
     solve_choi,
     sym_projector,
     twirl,
@@ -55,19 +57,19 @@ class TestSymProjector:
 class TestBuildOmega:
     @pytest.mark.parametrize("p", [0.2, 0.7])
     def test_1_1_closed_form(self, p):
-        omega = build_omega(1, 1, p).matrix
+        omega = build_omega(1, 1, p)
         expected = (1 - p) * np.kron(PROJ_UP, np.eye(2) / 2) + p * sym_projector(2) / 3
         assert np.abs(omega - expected).max() < 1e-14
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (2, 2)])
     def test_p_one_is_fully_symmetric(self, n1, n2):
         n = n1 + n2
-        omega = build_omega(n1, n2, 1.0).matrix
+        omega = build_omega(n1, n2, 1.0)
         assert np.abs(omega - sym_projector(n) / (n + 1)).max() < 1e-14
 
     @pytest.mark.parametrize("n1,n2,p", [(2, 1, 0.37), (2, 2, 0.5), (3, 2, 0.8)])
     def test_density_operator_invariants(self, n1, n2, p):
-        omega = build_omega(n1, n2, p).matrix
+        omega = build_omega(n1, n2, p)
         n = n1 + n2
         assert np.trace(omega) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(omega).min() >= -1e-12
@@ -81,7 +83,7 @@ class TestBuildOmega:
             assert np.abs(full @ omega @ full.T - omega).max() < 1e-10
 
     def test_monte_carlo_agreement(self):
-        omega = build_omega(2, 1, 0.5).matrix
+        omega = build_omega(2, 1, 0.5)
         mean, stderr = monte_carlo_omega(2, 1, 0.5, samples=100_000, seed=11)
         deviation = np.abs(mean - omega)
         assert np.all(deviation <= 3 * stderr + 1e-12)
@@ -146,14 +148,14 @@ class TestTwirledObjective:
     @pytest.mark.parametrize("p", [0.2, 0.7])
     def test_dn_transfer_identity_1_1(self, p):
         obj = twirl_objective(build_omega(1, 1, p))
-        value = float(np.real(np.trace(dn_choi(1, 1) @ obj.matrix)))
+        value = float(np.real(np.trace(dn_choi(1, 1) @ obj)))
         assert value == pytest.approx(1 - p / 2, abs=1e-9)
 
     @pytest.mark.parametrize("n1,n2", [(2, 1), (1, 2), (2, 2)])
     def test_dn_transfer_identity_general(self, n1, n2):
         for p in (0.3, 0.8):
             obj = twirl_objective(build_omega(n1, n2, p))
-            value = float(np.real(np.trace(dn_choi(n1, n2) @ obj.matrix)))
+            value = float(np.real(np.trace(dn_choi(n1, n2) @ obj)))
             assert value == pytest.approx(1 - p / 2, abs=1e-9)
 
     def test_commutes_with_mixed_representation(self):
@@ -161,22 +163,27 @@ class TestTwirledObjective:
         n = 3
         for u in haar_su2(np.random.default_rng(21), 20):
             big = np.kron(kron_all([u] * n), u.conj())
-            assert np.abs(big @ obj.matrix - obj.matrix @ big).max() < 1e-8
+            assert np.abs(big @ obj - obj @ big).max() < 1e-8
 
     def test_matrix_is_real_symmetric(self):
         obj = twirl_objective(build_omega(2, 2, 0.6))
-        assert np.abs(obj.matrix.imag).max() < 1e-12
-        assert np.abs(obj.matrix - obj.matrix.T.conj()).max() < 1e-10
+        assert np.abs(obj.imag).max() < 1e-12
+        assert np.abs(obj - obj.T.conj()).max() < 1e-10
 
     def test_monte_carlo_fallback_agrees(self):
         omega = build_omega(1, 1, 0.35)
-        exact = twirl_objective(omega).matrix
+        exact = twirl_objective(omega)
         sampled = monte_carlo_objective(omega, samples=1_000_000, seed=13)
         assert np.abs(exact - sampled).max() < 1e-3
 
     def test_guard(self):
         with pytest.raises(CapacityError):
             twirl_objective(build_omega(4, 2, 0.5))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (0, 0), (4,), (2, 2, 2)])
+    def test_rejects_matrix_not_square_of_power_of_two_size(self, shape):
+        with pytest.raises(ValueError, match="power-of-two"):
+            twirl_objective(np.zeros(shape))
 
 
 class TestChoiConvention:
@@ -211,7 +218,7 @@ class TestChoiConvention:
         choi = choi_from_kraus(kraus)
         p = 0.45
         obj = twirl_objective(build_omega(2, 1, p))
-        exact = float(np.real(np.trace(choi @ obj.matrix)))
+        exact = float(np.real(np.trace(choi @ obj)))
         est = estimate_fidelity(
             KrausSet(operators=kraus), 2, 1, p, samples=200_000, sampler=HaarSampler(seed=6)
         )
@@ -240,14 +247,14 @@ class TestSolveChoi:
             choi_problem(1j * np.eye(4))
 
     def test_charge_blocks_at_five_qubits(self):
-        problem = choi_problem(twirl_objective(build_omega(3, 2, 0.5)).matrix)
+        problem = choi_problem(twirl_objective(build_omega(3, 2, 0.5)))
         assert [spec.dim for spec in problem.blocks] == [1, 6, 15, 20, 15, 6, 1]
         assert problem.num_constraints == 142
 
     def test_rejects_objective_mixing_charge_sectors(self):
         # Choi indices 0 = (input 0, output 0) and 1 = (input 0, output 1)
         # carry charges 0 and -1
-        matrix = twirl_objective(build_omega(1, 1, 0.5)).matrix.real.copy()
+        matrix = twirl_objective(build_omega(1, 1, 0.5)).real.copy()
         matrix[0, 1] = matrix[1, 0] = 1e-3
         with pytest.raises(ArithmeticError, match="charge"):
             choi_problem(matrix)
@@ -297,4 +304,4 @@ def test_oracle_module_imports_no_covariant_code():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             imported |= {name.split(".", 1)[-1] for name in names if name.startswith("uqsub")}
-    assert imported <= {"_ops", "errors", "sdp"}
+    assert imported <= {"errors", "sdp"}
