@@ -18,11 +18,7 @@ from .sdp import SdpProblem, SdpSolution, SolverConfig, solve
 __getattr__ = lazy_getattr(
     globals(),
     {
-        **dict.fromkeys(
-            ("CoupledBasis", "KrausSet", "build_coupled_basis", "kraus_from_choi",
-             "reconstruct_choi"),
-            ".channel",
-        ),
+        **dict.fromkeys(("KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"),
         **dict.fromkeys(("HaarSampler", "McEstimate", "estimate_fidelity"), ".mcsim"),
         **dict.fromkeys(
             ("build_omega", "solve_choi", "sym_projector", "twirl_objective"), ".oracle"
@@ -34,7 +30,6 @@ __getattr__ = lazy_getattr(
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoupledBasis",
     "HaarSampler",
     "HalfInt",
     "KrausSet",
@@ -46,7 +41,6 @@ __all__ = [
     "SectorIndex",
     "SolverConfig",
     "assemble",
-    "build_coupled_basis",
     "build_objective",
     "build_omega",
     "cem_fidelity",

@@ -1,8 +1,12 @@
 """Concrete channels from Gram data and back.
 
-Builds the coupled angular-momentum basis of the two registers, turns an
-optimal set of Gram variables into a dense Choi matrix and Kraus operators,
-and serializes Kraus sets as JSON.
+Turns an optimal set of Gram variables into a dense Choi matrix and Kraus
+operators, and serializes Kraus sets as JSON.  The Choi matrix is a flat part
+plus one term per j1.  Where register B is not symmetric the channel gets the
+flat Gram value 1/2, which gives 1/2 (I - I_A x P_sym^B) x I_2.  On the
+symmetric subspace of B each Gram variable W^{j,j'}_{q,j1} acts the same way
+on every coupling path g of register A, so one kernel per j1 is applied to the
+coupled vectors |(j1 g, n2/2) j m> of all paths at once.
 
 Qubit 0 is the most significant bit of a computational-basis index and
 spin-up is basis state 0.  The Choi matrix J of an n-qubit to 1-qubit
@@ -24,98 +28,54 @@ from .sdp import SdpSolution
 BASIS_QUBIT_GUARD = 8
 
 
-@dataclass(frozen=True)
-class BasisColumn:
-    """Metadata of one coupled-basis vector |j, m, g>.
+def _coupling(ta: int, tb: int, tjs) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Clebsch-Gordan matrix coupling spins a and b into each j of tjs.
 
-    The degeneracy label g is the pair of sequential-coupling paths (register
-    A then register B, each a tuple of twice-spins after every added qubit);
-    b_symmetric flags columns whose B part lives in its symmetric subspace,
-    i.e. the sectors supporting the averaged input.
+    Rows are the products (m_a, m_b), row-major with m descending; the
+    columns are labeled (tj, tm), j in the order of tjs, then m = j..-j.
     """
-
-    tj: int
-    tm: int
-    tj1: int
-    path_a: tuple[int, ...]
-    tjb: int
-    path_b: tuple[int, ...]
-    b_symmetric: bool
+    labels = [(tj, tm) for tj in tjs for tm in range(tj, -tj - 1, -2)]
+    rows = [(ma, mb) for ma in range(ta, -ta - 1, -2) for mb in range(tb, -tb - 1, -2)]
+    matrix = [[cg_twice(ta, ma, tb, mb, tj, tm) for tj, tm in labels] for ma, mb in rows]
+    return labels, np.array(matrix)
 
 
-@dataclass
-class CoupledBasis:
-    n1: int
-    n2: int
-    isometry: np.ndarray  # columns are the coupled vectors in the computational basis
-    columns: list[BasisColumn]
-
-
-def _couple_register(n: int) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
-    """Sequential left-to-right coupling of n qubits.
-
-    Returns branches (twice total spin, path, map) where map has shape
-    (2^n, 2j+1) with spin columns ordered m = j..-j.
-    """
-    branches = [(1, (1,), np.eye(2))]
+def _couple_register(n: int) -> list[tuple[int, np.ndarray]]:
+    """Sequential left-to-right coupling of n qubits: one (twice total spin,
+    map) per coupling path, map of shape (2^n, 2j+1) with m = j..-j."""
+    branches = [(1, np.eye(2))]
     for _ in range(n - 1):
-        new = []
-        for tj, path, vmat in branches:
-            for tjn in (tj + 1, tj - 1):
-                if tjn < 0:
-                    continue
-                rows = []  # product index (im, is) row-major over m desc, s desc
-                cgmat = np.zeros(((tj + 1) * 2, tjn + 1))
-                for im, tm in enumerate(range(tj, -tj - 1, -2)):
-                    for isp, ts in enumerate((1, -1)):
-                        for imn, tmn in enumerate(range(tjn, -tjn - 1, -2)):
-                            cgmat[im * 2 + isp, imn] = cg_twice(tj, tm, 1, ts, tjn, tmn)
-                new.append((tjn, path + (tjn,), np.kron(vmat, np.eye(2)) @ cgmat))
-        branches = new
+        branches = [
+            (tjn, np.kron(vmat, np.eye(2)) @ _coupling(tj, 1, (tjn,))[1])
+            for tj, vmat in branches
+            for tjn in (tj + 1, tj - 1)
+            if tjn >= 0
+        ]
     return branches
 
 
-def build_coupled_basis(n1: int, n2: int) -> CoupledBasis:
-    """Total angular momentum basis with the deterministic coupling order:
-    register A qubits left to right, register B qubits left to right, then
-    the two register spins into the total spin."""
-    n = n1 + n2
-    if n > BASIS_QUBIT_GUARD:
+def symmetric_columns(
+    n1: int, n2: int
+) -> tuple[np.ndarray, dict[int, tuple[list[tuple[int, int]], np.ndarray]]]:
+    """Coupled vectors |(j1 g, n2/2) j m> of the space where B is symmetric.
+
+    Register A's qubits couple left to right into j1 along a path g, B's into
+    its top spin n2/2, then the two into j.  Returns the Dicke isometry of B,
+    shape (2^n2, n2+1), and per twice-j1 the column labels (tj, tm), j
+    descending then m = j..-j, with the vectors of every path g of A stacked
+    as (paths, 2^(n1+n2), columns).
+    """
+    if n1 + n2 > BASIS_QUBIT_GUARD:
         raise CapacityError(f"coupled basis limited to {BASIS_QUBIT_GUARD} qubits")
-    a_branches = _couple_register(n1)
-    b_branches = _couple_register(n2)
-    dim = 1 << n
-    columns: list[BasisColumn] = []
-    mats = []
-    for tj1, path_a, va in a_branches:
-        for tjb, path_b, vb in b_branches:
-            vab = np.kron(va, vb)
-            for tj in range(tj1 + tjb, abs(tj1 - tjb) - 2, -2):
-                cgmat = np.zeros(((tj1 + 1) * (tjb + 1), tj + 1))
-                for ia, tma in enumerate(range(tj1, -tj1 - 1, -2)):
-                    for ib, tmb in enumerate(range(tjb, -tjb - 1, -2)):
-                        for im, tm in enumerate(range(tj, -tj - 1, -2)):
-                            cgmat[ia * (tjb + 1) + ib, im] = cg_twice(
-                                tj1, tma, tjb, tmb, tj, tm
-                            )
-                block = vab @ cgmat
-                mats.append(block)
-                for tm in range(tj, -tj - 1, -2):
-                    columns.append(
-                        BasisColumn(
-                            tj=tj,
-                            tm=tm,
-                            tj1=tj1,
-                            path_a=path_a,
-                            tjb=tjb,
-                            path_b=path_b,
-                            b_symmetric=(tjb == n2),
-                        )
-                    )
-    isometry = np.concatenate(mats, axis=1)
-    if isometry.shape != (dim, dim):
-        raise AssertionError("coupled basis does not span the register space")
-    return CoupledBasis(n1=n1, n2=n2, isometry=isometry, columns=columns)
+    dicke = next(vmat for tjb, vmat in _couple_register(n2) if tjb == n2)
+    paths: dict[int, list[np.ndarray]] = {}
+    for tj1, va in _couple_register(n1):
+        paths.setdefault(tj1, []).append(va)
+    sectors = {}
+    for tj1, maps in paths.items():
+        labels, cgmat = _coupling(tj1, n2, range(tj1 + n2, abs(tj1 - n2) - 2, -2))
+        sectors[tj1] = (labels, np.stack([np.kron(va, dicke) @ cgmat for va in maps]))
+    return dicke, sectors
 
 
 @dataclass
@@ -160,17 +120,37 @@ class KrausSet:
         return cls(operators=ops)
 
 
-def choi_output_trace(choi: np.ndarray, d_out: int = 2) -> np.ndarray:
-    """Partial trace over the output factor; equals I_in for a TP channel."""
-    d_in = choi.shape[0] // d_out
-    j4 = choi.reshape(d_in, d_out, d_in, d_out)
-    return np.einsum("isjs->ij", j4)
+def choi_output_trace(choi: np.ndarray) -> np.ndarray:
+    """Partial trace over the output qubit; equals I_in for a TP channel."""
+    d_in = choi.shape[0] // 2
+    return np.einsum("isjs->ij", choi.reshape(d_in, 2, d_in, 2))
 
 
-def _sector_lookup(w: dict[SectorIndex, float], tj1: int, tj: int, tjp: int, tq: int) -> float:
-    lo, hi = min(tj, tjp), max(tj, tjp)
-    key = SectorIndex(j1=HalfInt(tj1), j=HalfInt(lo), jp=HalfInt(hi), q=HalfInt(tq))
-    return w.get(key, 0.0)
+def _gram_kernel(
+    w: dict[SectorIndex, float], tj1: int, labels: list[tuple[int, int]]
+) -> np.ndarray:
+    """K[s, (j,m), s', (j',m')] of one j1: the matrix elements of the
+    covariant characterization between the coupled vectors of one path."""
+    size = len(labels)
+    kernel = np.zeros((2, size, 2, size))
+    for ci, (tj, tm) in enumerate(labels):
+        for cj, (tjp, tmp) in enumerate(labels):
+            if abs(tj - tjp) > 2:
+                continue
+            lo, hi = HalfInt(min(tj, tjp)), HalfInt(max(tj, tjp))
+            phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
+            for si, ts in enumerate((1, -1)):
+                tsp = tmp + ts - tm  # selection rule s - m = s' - m'
+                if tsp not in (1, -1):
+                    continue
+                kernel[si, ci, (1 - tsp) // 2, cj] = phase * sum(
+                    cg_twice(1, ts, tj, -tm, tq, ts - tm)
+                    * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
+                    * w.get(SectorIndex(j1=HalfInt(tj1), j=lo, jp=hi, q=HalfInt(tq)), 0.0)
+                    for tq in {tj - 1, tj + 1} & {tjp - 1, tjp + 1}
+                    if tq >= 0
+                )
+    return kernel
 
 
 def reconstruct_choi(
@@ -179,58 +159,21 @@ def reconstruct_choi(
     """Assemble the dense Choi matrix of the covariant channel fixed by the
     Gram values.
 
-    On the averaged-input support the matrix elements follow the covariant
-    characterization, diagonal in the degeneracy label; outside the support
-    the channel is extended with flat diagonal Gram values 1/2, which keeps
-    it trace preserving and completely positive without touching the
-    fidelity.
+    Where register B is symmetric, the averaged input's support, the matrix
+    elements follow the covariant characterization, one Gram kernel per j1
+    that is diagonal in A's coupling path; elsewhere the channel is extended
+    with flat diagonal Gram values 1/2, which keeps it trace preserving and
+    completely positive without touching the fidelity.
     """
-    if not isinstance(solution, dict):
-        w = w_values_from_solution(solution, n1, n2)
-    else:
-        w = solution
-    basis = build_coupled_basis(n1, n2)
-    n = n1 + n2
-    dim = 1 << n
-    cols = basis.columns
-    kten = np.zeros((2, dim, 2, dim))
-    for ci, col in enumerate(cols):
-        for cj, col2 in enumerate(cols):
-            if col.path_a != col2.path_a or col.path_b != col2.path_b:
-                continue
-            tj, tjp = col.tj, col2.tj
-            if abs(tj - tjp) > 2:
-                continue
-            tm, tmp = col.tm, col2.tm
-            for si, ts in enumerate((1, -1)):
-                tsp = tmp + ts - tm  # selection rule s - m = s' - m'
-                if tsp not in (1, -1):
-                    continue
-                sj = 0 if tsp == 1 else 1
-                total = 0.0
-                for tq in {tj - 1, tj + 1} & {tjp - 1, tjp + 1}:
-                    if tq < 0:
-                        continue
-                    if col.b_symmetric:
-                        wq = _sector_lookup(w, col.tj1, tj, tjp, tq)
-                    else:
-                        wq = 0.5 if tj == tjp else 0.0
-                    if wq == 0.0:
-                        continue
-                    total += (
-                        cg_twice(1, ts, tj, -tm, tq, ts - tm)
-                        * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
-                        * wq
-                    )
-                if total:
-                    phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
-                    kten[si, ci, sj, cj] = phase * total
-    u = basis.isometry
-    choi = np.zeros((2 * dim, 2 * dim))
-    for si in range(2):
-        for sj in range(2):
-            block = u.conj() @ kten[si, :, sj, :] @ u.T
-            choi[si::2, sj::2] = np.real(block)
+    w = solution if isinstance(solution, dict) else w_values_from_solution(solution, n1, n2)
+    dicke, sectors = symmetric_columns(n1, n2)
+    dim = 1 << (n1 + n2)
+    flat = np.eye(dim) - np.kron(np.eye(1 << n1), dicke @ dicke.T)
+    choi = 0.5 * np.kron(flat, np.eye(2))
+    blocks = choi.reshape(dim, 2, dim, 2)  # a view: blocks[i, s, i', s']
+    for tj1, (labels, vectors) in sectors.items():
+        kernel = _gram_kernel(w, tj1, labels)  # the same on every path g
+        blocks += np.einsum("gic,scSd,gjd->isjS", vectors, kernel, vectors, optimize=True)
     tp_residual = float(np.abs(choi_output_trace(choi) - np.eye(dim)).max())
     min_eig = float(np.linalg.eigvalsh(0.5 * (choi + choi.T)).min())
     if min_eig < -1e-7:

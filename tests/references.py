@@ -20,7 +20,7 @@ from uqsub.angular import (
     j_values,
     sector_blocks,
 )
-from uqsub.channel import BasisColumn, KrausSet, build_coupled_basis
+from uqsub.channel import KrausSet, symmetric_columns
 from uqsub.errors import CapacityError
 from uqsub.mcsim import HaarSampler, McEstimate
 from uqsub.objective import ObjectiveTable, PolyInP, split_weights
@@ -263,71 +263,65 @@ def recoupling_by_m_sum(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
 def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
     """Gram values of the doing-nothing channel, extracted through the
     covariant characterization by per-sector least squares and averaged over
-    the degeneracy label."""
+    the coupling paths of register A."""
     n = n1 + n2
     if n > EXTRACT_QUBIT_GUARD:
         raise CapacityError(f"extraction limited to {EXTRACT_QUBIT_GUARD} qubits")
-    basis = build_coupled_basis(n1, n2)
     dim = 1 << n
-    u3 = basis.isometry.reshape(2, dim // 2, dim)
-    # kdn[s, c, s', c'] = <s| Tr_rest |c><c'| |s'>
-    kdn = np.einsum("sra,trb->satb", u3, u3.conj())
-    cols = basis.columns
-    by_g: dict[tuple, list[tuple[int, BasisColumn]]] = {}
-    for ci, col in enumerate(cols):
-        if col.b_symmetric:
-            by_g.setdefault((col.tj1, col.path_a), []).append((ci, col))
     sums: dict[SectorIndex, float] = {}
     counts: dict[SectorIndex, int] = {}
-    for (tj1, _path), members in by_g.items():
-        tjs = sorted({col.tj for _, col in members})
-        for tj in tjs:
-            for tjp in tjs:
-                if tj > tjp or tjp - tj > 2:
-                    continue
-                qs = sorted(t for t in {tj - 1, tj + 1} & {tjp - 1, tjp + 1} if t >= 0)
-                if not qs:
-                    continue
-                rows = []
-                rhs = []
-                for ci, col in members:
-                    if col.tj != tj:
+    for tj1, (labels, vectors) in symmetric_columns(n1, n2)[1].items():
+        tjs = sorted({tj for tj, _ in labels})
+        for path in vectors:
+            u3 = path.reshape(2, dim // 2, len(labels))
+            # kdn[s, c, s', c'] = <s| Tr_rest |c><c'| |s'>
+            kdn = np.einsum("sra,trb->satb", u3, u3.conj())
+            for tj in tjs:
+                for tjp in tjs:
+                    if tj > tjp or tjp - tj > 2:
                         continue
-                    for cj, col2 in members:
-                        if col2.tj != tjp:
+                    qs = sorted(t for t in {tj - 1, tj + 1} & {tjp - 1, tjp + 1} if t >= 0)
+                    if not qs:
+                        continue
+                    rows = []
+                    rhs = []
+                    for ci, (tjc, tm) in enumerate(labels):
+                        if tjc != tj:
                             continue
-                        tm, tmp = col.tm, col2.tm
-                        for si, ts in enumerate((1, -1)):
-                            for sj, tsp in enumerate((1, -1)):
-                                value = kdn[si, ci, sj, cj].real
-                                if ts - tm != tsp - tmp:
-                                    rows.append([0.0] * len(qs))
+                        for cj, (tjd, tmp) in enumerate(labels):
+                            if tjd != tjp:
+                                continue
+                            for si, ts in enumerate((1, -1)):
+                                for sj, tsp in enumerate((1, -1)):
+                                    value = kdn[si, ci, sj, cj].real
+                                    if ts - tm != tsp - tmp:
+                                        rows.append([0.0] * len(qs))
+                                        rhs.append(value)
+                                        continue
+                                    phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
+                                    coeff = [
+                                        phase
+                                        * cg_twice(1, ts, tj, -tm, tq, ts - tm)
+                                        * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
+                                        for tq in qs
+                                    ]
+                                    rows.append(coeff)
                                     rhs.append(value)
-                                    continue
-                                phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
-                                coeff = [
-                                    phase
-                                    * cg_twice(1, ts, tj, -tm, tq, ts - tm)
-                                    * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
-                                    for tq in qs
-                                ]
-                                rows.append(coeff)
-                                rhs.append(value)
-                amat = np.array(rows)
-                bvec = np.array(rhs)
-                wq, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
-                residual = float(np.abs(amat @ wq - bvec).max())
-                if residual > 1e-9:
-                    raise ExtractionError(
-                        f"characterization residual {residual:.3e} for "
-                        f"(j1={tj1/2}, j={tj/2}, j'={tjp/2})"
-                    )
-                for tq, val in zip(qs, wq):
-                    key = SectorIndex(
-                        j1=HalfInt(tj1), j=HalfInt(tj), jp=HalfInt(tjp), q=HalfInt(tq)
-                    )
-                    sums[key] = sums.get(key, 0.0) + float(val)
-                    counts[key] = counts.get(key, 0) + 1
+                    amat = np.array(rows)
+                    bvec = np.array(rhs)
+                    wq, *_ = np.linalg.lstsq(amat, bvec, rcond=None)
+                    residual = float(np.abs(amat @ wq - bvec).max())
+                    if residual > 1e-9:
+                        raise ExtractionError(
+                            f"characterization residual {residual:.3e} for "
+                            f"(j1={tj1/2}, j={tj/2}, j'={tjp/2})"
+                        )
+                    for tq, val in zip(qs, wq):
+                        key = SectorIndex(
+                            j1=HalfInt(tj1), j=HalfInt(tj), jp=HalfInt(tjp), q=HalfInt(tq)
+                        )
+                        sums[key] = sums.get(key, 0.0) + float(val)
+                        counts[key] = counts.get(key, 0) + 1
     averaged = {key: sums[key] / counts[key] for key in sums}
     result = {}
     for sector in enumerate_sectors(n1, n2):

@@ -11,17 +11,16 @@ from references import build_constraints, dn_w_values, evaluate, half_int
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
 from uqsub.channel import (
     KrausSet,
-    build_coupled_basis,
     choi_output_trace,
     kraus_from_choi,
     reconstruct_choi,
+    symmetric_columns,
     w_values_from_solution,
 )
 from uqsub.errors import CapacityError, ReconstructionError
 from uqsub.objective import assemble, build_objective
 from uqsub.oracle import PROJ_UP, build_omega, kron_all
 from uqsub.sdp import solve
-
 
 
 def total_angular_ops(n):
@@ -41,47 +40,72 @@ def total_angular_ops(n):
     return jz, j2
 
 
+def stacked_columns(n1, n2):
+    """Every coupled vector of symmetric_columns as one matrix, with its
+    (tj1, tj, tm) labels: all j1, all paths of register A."""
+    mats, labels = [], []
+    for tj1, (cols, vectors) in symmetric_columns(n1, n2)[1].items():
+        for path in vectors:
+            mats.append(path)
+            labels += [(tj1, tj, tm) for tj, tm in cols]
+    return np.concatenate(mats, axis=1), labels
+
+
 class TestCoupledBasis:
+    """The coupled vectors |(j1 g, n2/2) j m> that symmetric_columns builds."""
+
     def test_1_1_structure(self):
-        basis = build_coupled_basis(1, 1)
-        assert basis.isometry.shape == (4, 4)
-        singlet_col = next(i for i, c in enumerate(basis.columns) if c.tj == 0)
-        vec = basis.isometry[:, singlet_col]
+        u, labels = stacked_columns(1, 1)
+        assert u.shape == (4, 4)
+        vec = u[:, labels.index((1, 0, 0))]
         expected = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
         assert np.abs(vec - expected).max() < 1e-14
-        assert {c.tj for c in basis.columns} == {0, 2}
+        assert {tj for _, tj, _ in labels} == {0, 2}
 
     def test_2_1_multiplicities(self):
-        basis = build_coupled_basis(2, 1)
-        j32 = [c for c in basis.columns if c.tj == 3]
-        j12 = [c for c in basis.columns if c.tj == 1]
+        _, labels = stacked_columns(2, 1)
+        j32 = [tj1 for tj1, tj, _ in labels if tj == 3]
+        j12 = [tj1 for tj1, tj, _ in labels if tj == 1]
         assert len(j32) == 4  # one quadruplet, necessarily from j1 = 1
-        assert all(c.tj1 == 2 for c in j32)
+        assert set(j32) == {2}
         assert len(j12) == 4  # two doublets: j1 = 1 and j1 = 0
-        assert {c.tj1 for c in j12} == {0, 2}
+        assert set(j12) == {0, 2}
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_columns_are_orthonormal_eigenvectors(self, n1, n2):
-        basis = build_coupled_basis(n1, n2)
-        u = basis.isometry
-        dim = u.shape[0]
-        assert np.abs(u.T @ u - np.eye(dim)).max() < 1e-12
+        u, labels = stacked_columns(n1, n2)
+        assert u.shape == (1 << (n1 + n2), (1 << n1) * (n2 + 1))
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-12
         jz, j2 = total_angular_ops(n1 + n2)
-        for c, col in enumerate(basis.columns):
-            vec = u[:, c]
-            j, m = col.tj / 2, col.tm / 2
+        for vec, (_, tj, tm) in zip(u.T, labels):
+            j, m = tj / 2, tm / 2
             assert np.abs(j2 @ vec - j * (j + 1) * vec).max() < 1e-10
             assert np.abs(jz @ vec - m * vec).max() < 1e-10
 
-    def test_b_symmetric_flag(self):
-        basis = build_coupled_basis(2, 2)
-        flagged = [c for c in basis.columns if c.b_symmetric]
-        assert all(c.tjb == 2 for c in flagged)
-        assert any(not c.b_symmetric for c in basis.columns)
+    def test_dicke_isometry_has_spin_n2_half(self):
+        for n1, n2 in [(1, 1), (2, 2), (1, 4)]:
+            dicke = symmetric_columns(n1, n2)[0]
+            assert dicke.shape == (1 << n2, n2 + 1)
+            assert np.abs(dicke.T @ dicke - np.eye(n2 + 1)).max() < 1e-12
+            jz, j2 = total_angular_ops(n2)
+            j = n2 / 2
+            for k, vec in enumerate(dicke.T):
+                assert np.abs(j2 @ vec - j * (j + 1) * vec).max() < 1e-10
+                assert np.abs(jz @ vec - (j - k) * vec).max() < 1e-10
+            # the coupled vectors span exactly the space where register B is symmetric
+            u, _ = stacked_columns(n1, n2)
+            sym = np.kron(np.eye(1 << n1), dicke @ dicke.T)
+            assert np.abs(u @ u.T - sym).max() < 1e-12
 
     def test_guard(self):
         with pytest.raises(CapacityError):
-            build_coupled_basis(6, 3)
+            symmetric_columns(6, 3)
+
+
+# every size pair with n1+n2 <= 6, at p = 0, at the (2,1) branch point 3/8, and at 1
+UP_TO_SIX_QUBITS = [
+    (n1, n - n1, p) for n in range(2, 7) for n1 in range(1, n) for p in (0.0, 0.375, 1.0)
+]
 
 
 class TestReconstruct:
@@ -92,7 +116,8 @@ class TestReconstruct:
 
     @pytest.mark.parametrize(
         "n1,n2,p",
-        [(1, 1, 0.3), (1, 1, 0.8), (2, 1, 0.25), (2, 1, 0.5), (2, 2, 0.5), (2, 2, 0.9)],
+        [(1, 1, 0.3), (1, 1, 0.8), (2, 1, 0.25), (2, 1, 0.5), (2, 2, 0.5), (2, 2, 0.9)]
+        + UP_TO_SIX_QUBITS,
     )
     def test_round_trip_fidelity(self, n1, n2, p):
         prob = assemble(build_objective(n1, n2), p)
@@ -100,14 +125,18 @@ class TestReconstruct:
         choi = reconstruct_choi(sol, n1, n2)
         omega = build_omega(n1, n2, p)
         fid = float(np.real(np.trace(choi @ np.kron(omega.T, PROJ_UP))))
-        assert fid == pytest.approx(sol.objective_value, abs=1e-7)
+        assert fid == pytest.approx(sol.objective_value, abs=1e-9)
 
-    @pytest.mark.parametrize("n1,n2,p", [(2, 1, 0.5), (2, 2, 0.4)])
+    # (7,1) and (4,4): the largest inputs the 8-qubit guard admits
+    @pytest.mark.parametrize(
+        "n1,n2,p", [(2, 1, 0.5), (2, 2, 0.4)] + UP_TO_SIX_QUBITS + [(7, 1, 0.5), (4, 4, 0.5)]
+    )
     def test_trace_preservation(self, n1, n2, p):
         sol = solve(assemble(build_objective(n1, n2), p))
         choi = reconstruct_choi(sol, n1, n2)
         dim = 1 << (n1 + n2)
         assert np.abs(choi_output_trace(choi) - np.eye(dim)).max() <= 1e-8
+        assert np.linalg.eigvalsh(choi).min() >= -1e-9
 
     def test_covariance_of_reconstruction(self):
         sol = solve(assemble(build_objective(2, 1), 0.6))
