@@ -17,7 +17,7 @@ import sys
 
 from . import closed_forms
 from ._lazy import lazy_getattr
-from .errors import CapacityError
+from .errors import CapacityError, ReconstructionError
 from .objective import MAX_TOTAL_QUBITS, assemble, build_objective, w_values_from_solution
 from .sdp import solve
 
@@ -244,8 +244,8 @@ def cmd_verify(args) -> int:
     except ValueError:
         print("expected --case n1,n2", file=sys.stderr)
         return EXIT_USAGE
-    if min(n1, n2) < 1 or n1 + n2 > 5:
-        print("verify needs n1, n2 >= 1 with n1+n2 <= 5", file=sys.stderr)
+    if min(n1, n2) < 1 or n1 + n2 > 6:
+        print("verify needs n1, n2 >= 1 with n1+n2 <= 6", file=sys.stderr)
         return EXIT_USAGE
     _, sol = _solve_instance(n1, n2, args.p)
     if not sol.success:
@@ -254,9 +254,11 @@ def cmd_verify(args) -> int:
     build_omega, twirl_objective, solve_choi = map(
         __getattr__, ("build_omega", "twirl_objective", "solve_choi")
     )
+    from numpy.linalg import LinAlgError  # loaded with the oracle already
+
     try:
         oracle_value, _ = solve_choi(twirl_objective(build_omega(n1, n2, args.p)))
-    except (RuntimeError, ArithmeticError, CapacityError) as exc:
+    except (RuntimeError, ArithmeticError, CapacityError, LinAlgError) as exc:
         print(f"oracle solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     diff = abs(sol.objective_value - oracle_value)
@@ -281,8 +283,13 @@ def cmd_reconstruct(args) -> int:
     if not sol.success:
         print(f"solver failure: {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
-    choi = reconstruct_choi(sol, args.n1, args.n2)
-    kraus = kraus_from_choi(choi)
+    from numpy.linalg import LinAlgError  # loaded with the channel already
+
+    try:
+        kraus = kraus_from_choi(reconstruct_choi(sol, args.n1, args.n2))
+    except (ReconstructionError, LinAlgError) as exc:
+        print(f"channel reconstruction failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     if not _write(args.out, kraus.to_json() + "\n"):
         return EXIT_IO
     print(
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_curves)
 
     sp = sub.add_parser("verify", help="cross-check covariant SDP against the dense oracle")
-    sp.add_argument("--case", required=True, help="n1,n2 with n1+n2 <= 5")
+    sp.add_argument("--case", required=True, help="n1,n2 with n1+n2 <= 6")
     sp.add_argument("--p", type=float, required=True)
     sp.set_defaults(func=cmd_verify)
 

@@ -26,7 +26,7 @@ from .errors import CapacityError
 from .sdp import BlockSpec, SdpProblem, SdpSolution, solve
 
 DENSE_QUBIT_GUARD = 6
-TWIRL_FACTOR_GUARD = 6
+TWIRL_FACTOR_GUARD = 7
 
 PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

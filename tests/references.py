@@ -327,3 +327,46 @@ def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
     for sector in enumerate_sectors(n1, n2):
         result[sector] = averaged.get(sector, 0.0)
     return result
+
+
+class DenseInstance:
+    """The rows of an SdpProblem as dense per-block stacks: row r of the
+    (m, d*d) stack of block b is A_rb, flattened.  The IPM once worked on
+    these; `uqsub.ipm._Instance` acts from the sparse terms instead, and its
+    `apply`, `adjoint` and `schur` must agree with the ones here, which take
+    and return per-block matrices."""
+
+    def __init__(self, problem: SdpProblem):
+        self.dims = [spec.dim for spec in problem.blocks]
+        self.m = len(problem.equalities)
+        stacks = {}
+        for r, (terms, _) in enumerate(problem.equalities):
+            for pos, i, k, coef in terms:
+                d = self.dims[pos]
+                stack = stacks.setdefault(pos, np.zeros((self.m, d * d)))
+                stack[r, i * d + k] += coef
+                if i != k:
+                    stack[r, k * d + i] += coef
+        self.stacks: list[tuple[int, np.ndarray]] = sorted(stacks.items())
+
+    def apply(self, xs) -> np.ndarray:
+        out = np.zeros(self.m)
+        for pos, stack in self.stacks:
+            out += stack @ np.asarray(xs[pos]).ravel()
+        return out
+
+    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
+        out = [np.zeros((d, d)) for d in self.dims]
+        for pos, stack in self.stacks:
+            d = self.dims[pos]
+            out[pos] += (y @ stack).reshape(d, d)
+        return out
+
+    def schur(self, ws) -> np.ndarray:
+        m_mat = np.zeros((self.m, self.m))
+        for pos, stack in self.stacks:
+            d = self.dims[pos]
+            a = stack.reshape(self.m, d, d)
+            waw = np.einsum("ab,ibc,cd->iad", ws[pos], a, ws[pos], optimize=True)
+            m_mat += stack @ waw.reshape(self.m, d * d).T
+        return 0.5 * (m_mat + m_mat.T)

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uqsub.cli as cli
 from uqsub.cli import main
+from uqsub.errors import ReconstructionError
 from uqsub.objective import assemble, build_objective, w_values_from_solution
 from uqsub.oracle import twirl_objective
 from uqsub.sdp import solve
@@ -284,7 +286,7 @@ class TestVerify:
         assert values == pytest.approx([0.85, 0.85], abs=1e-7)
 
     def test_case_guard(self, capsys):
-        code, _, err = run(capsys, ["verify", "--case", "4,2", "--p", "0.5"])
+        code, _, err = run(capsys, ["verify", "--case", "4,3", "--p", "0.5"])
         assert code == 2
         assert "n1+n2" in err
 
@@ -306,6 +308,24 @@ class TestVerify:
         covariant, oracle = (float(line.split(":")[1]) for line in out.splitlines()[:2])
         assert abs(covariant - oracle) <= 1e-8
 
+    @pytest.mark.parametrize("case", ["3,3", "4,2"])
+    def test_six_qubits(self, capsys, case):
+        code, out, _ = run(capsys, ["verify", "--case", case, "--p", "0.375"])
+        assert code == 0
+        assert "pass" in out
+        covariant, oracle = (float(line.split(":")[1]) for line in out.splitlines()[:2])
+        assert abs(covariant - oracle) <= 1e-8
+
+    def test_oracle_linalg_error_exit_3(self, capsys, monkeypatch):
+        def failing_solve(objective):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "solve_choi", failing_solve)
+        code, out, err = run(capsys, ["verify", "--case", "2,1", "--p", "0.5"])
+        assert code == 3
+        assert err == "oracle solver failure: Eigenvalues did not converge\n"
+        assert "pass" not in out
+
     def test_oracle_failure_exit_3(self, capsys, monkeypatch):
         def mixed_objective(omega):
             obj = twirl_objective(omega).real.copy()
@@ -320,6 +340,29 @@ class TestVerify:
 
 
 class TestReconstructSimulate:
+    @pytest.mark.parametrize(
+        "stage,exc",
+        [
+            ("reconstruct_choi", ReconstructionError("reconstructed Choi not TP: residual 1.0e-03")),
+            ("kraus_from_choi", ReconstructionError("Choi not PSD: min eig -1.0e-03")),
+            ("kraus_from_choi", np.linalg.LinAlgError("Eigenvalues did not converge")),
+        ],
+        ids=["reconstruct-choi", "kraus-not-psd", "kraus-linalg"],
+    )
+    def test_channel_failure_exit_3(self, capsys, monkeypatch, tmp_path, stage, exc):
+        def failing(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, stage, failing)
+        kraus_file = tmp_path / "kraus.json"
+        code, out, err = run(
+            capsys,
+            ["reconstruct", "--n1", "2", "--n2", "1", "--p", "0.5", "--out", str(kraus_file)],
+        )
+        assert code == 3
+        assert err == f"channel reconstruction failure: {exc}\n"
+        assert out == "" and not kraus_file.exists()
+
     def test_round_trip(self, capsys, tmp_path):
         kraus_file = tmp_path / "kraus.json"
         code, out, _ = run(
@@ -623,3 +666,11 @@ def test_numpy_backed_names_load_on_first_use():
         "all(hasattr(uqsub, name) for name in uqsub.__all__))"
     )
     assert names == "False uqsub.oracle uqsub.channel uqsub.ipm uqsub.oracle True"
+
+
+def test_verify_loads_numpy_but_no_other_heavy_module():
+    loaded = probe(
+        "import sys; from uqsub.cli import main; code = main(['verify', '--case', '2,1', "
+        f"'--p', '0.4']); print(code, sorted({{m.split('.')[0] for m in sys.modules}} & {set(HEAVY)!r}))"
+    )
+    assert loaded.splitlines()[-1] == "0 ['inspect', 'numpy']"

@@ -177,8 +177,11 @@ class TestTwirledObjective:
         assert np.abs(exact - sampled).max() < 1e-3
 
     def test_guard(self):
+        # six input qubits (seven twirled factors) pass; seven are refused,
+        # an input build_omega itself refuses, so give the matrix directly
+        assert twirl_objective(build_omega(4, 2, 0.5)).shape == (128, 128)
         with pytest.raises(CapacityError):
-            twirl_objective(build_omega(4, 2, 0.5))
+            twirl_objective(np.eye(128))
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (0, 0), (4,), (2, 2, 2)])
     def test_rejects_matrix_not_square_of_power_of_two_size(self, shape):
