@@ -12,6 +12,7 @@ QSUB_LOG=info or debug.
 from __future__ import annotations
 
 import argparse
+import marshal
 import os
 import sys
 
@@ -142,6 +143,94 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _shares(tasks, jobs: int) -> list[list]:
+    """At most `jobs` shares of whole anti-diagonals, by n1+n2 mod the share
+    count; on a rectangular grid the n1+n2 are consecutive, so none is empty.
+
+    The factor G_k depends on the size only through n1+n2, so each share
+    builds the G_k of its own anti-diagonals and no other process repeats
+    them.  Neighbouring anti-diagonals cost about the same, so on square
+    grids the shares are balanced to a few percent (measured in README, CLI).
+    """
+    jobs = min(jobs, len({n1 + n2 for n1, n2, _ in tasks}))
+    return [[t for t in tasks if (t[0] + t[1]) % jobs == r] for r in range(jobs)]
+
+
+def _fork_share(share):
+    """Start a child that computes `share`; returns (pid, read end of its
+    pipe), or None where os.fork is missing or fails.
+
+    The child marshals its rows to the pipe, or the error that stopped it as
+    one string, and leaves by os._exit on every path: no traceback, no
+    atexit handler and no flush of buffers it inherited.  The CLI starts no
+    thread, so the child inherits no lock held by another thread.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = [_sweep_point(t) for t in share]
+        except Exception as exc:
+            payload = f"{type(exc).__name__}: {exc}"
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(marshal.dumps(payload))
+        code = 0 if isinstance(payload, list) else 1
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_end: int):
+    """(rows, None) of a forked share, or (None, why its child failed)."""
+    try:
+        with os.fdopen(read_end, "rb") as fh:
+            data = fh.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        payload = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        payload = None
+    if code == 0 and isinstance(payload, list):
+        return payload, None
+    if isinstance(payload, str):
+        return None, payload
+    return None, f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+
+
+def _sweep_rows(shares):
+    """Rows of every share, and the first failed child's reason or None.
+
+    Each share after the first runs in a forked child, or here where that
+    child cannot start; the first runs here.  Every child is reaped, also
+    when this process's own share raises.
+    """
+    children, local = [], list(shares[0])
+    try:
+        for share in shares[1:]:
+            child = _fork_share(share)
+            if child is None:
+                local += share
+            else:
+                children.append(child)
+        rows = [_sweep_point(t) for t in local]
+    finally:
+        reaped = [_reap(*child) for child in children]
+    failure = next((why for got, why in reaped if got is None), None)
+    return rows + [row for got, _ in reaped if got for row in got], failure
+
+
 def cmd_sweep(args) -> int:
     if min(args.n1_max, args.n2_max) < 1 or args.n1_max + args.n2_max > MAX_TOTAL_QUBITS:
         print(
@@ -153,19 +242,13 @@ def cmd_sweep(args) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
-    chunk = 4  # grid points per task handed to a worker
-    jobs = args.jobs if args.jobs is not None else _usable_cores()
-    # the pool starts all its workers up front; more than one per chunk would idle
-    jobs = min(jobs, -(-len(tasks) // chunk))
+    shares = _shares(tasks, args.jobs if args.jobs is not None else _usable_cores())
     if log is not None:
-        log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, jobs)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks, chunksize=chunk))
-    else:
-        results = [_sweep_point(t) for t in tasks]
+        log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, len(shares))
+    results, failure = _sweep_rows(shares)
+    if failure is not None:
+        print(f"sweep worker failure: {failure}", file=sys.stderr)
+        return EXIT_SOLVER
     fmax = {(n1, n2): value for n1, n2, value, _ in results}
     status = {(n1, n2): st for n1, n2, _, st in results}
     f_dn = closed_forms.dn_fidelity(args.p)
@@ -377,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument(
         "--jobs", type=int, default=None,
-        help="workers (default: the cores this process may run on)",
+        help="processes, at most one per anti-diagonal n1+n2 "
+        "(default: the cores this process may run on)",
     )
     sp.set_defaults(func=cmd_sweep)
 
@@ -411,8 +495,10 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "p") and not 0.0 <= args.p <= 1.0:
-        parser.error(f"--p must lie in [0, 1], got {args.p}")
+    if hasattr(args, "p"):
+        if not 0.0 <= args.p <= 1.0:
+            parser.error(f"--p must lie in [0, 1], got {args.p}")
+        args.p += 0.0  # -0.0 passes the range check; print it as 0
     if hasattr(args, "n1") and (args.n1 < 1 or args.n2 < 1):
         parser.error("--n1 and --n2 must be >= 1")
     try:

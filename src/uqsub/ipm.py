@@ -109,7 +109,7 @@ class _Instance:
 
     def __init__(self, problem: SdpProblem):
         self.dims = [spec.dim for spec in problem.blocks]
-        self.m = m = len(problem.equalities)
+        self.m = len(problem.equalities)
         self.b = np.array([rhs for _, rhs in problem.equalities], dtype=float)
         group_dims = sorted(set(self.dims))
         counts = [0] * len(group_dims)
@@ -148,11 +148,16 @@ class _Instance:
         self._flat = np.array(flat, dtype=np.intp)
         self._coef = np.array(coef, dtype=float)
 
-        # per stack, the terms of every block, padded to one count by terms
-        # of coefficient 0 on row 0
+        self._on_block = on_block
+        self._pairs = None  # the Schur gather tables, built by the first `schur`
+
+    def _build_pairs(self) -> None:
+        """Per stack, the terms of every block, padded to one count by terms of
+        coefficient 0 on row 0, and the flat positions `schur` gathers."""
+        m = self.m
         self._pairs = []
         pair_index = []
-        for g, ((n, d, _), blocks) in enumerate(zip(self.shapes, on_block)):
+        for g, ((n, d, _), blocks) in enumerate(zip(self.shapes, self._on_block)):
             u = max(map(len, blocks))
             if not u:
                 continue
@@ -218,6 +223,8 @@ class _Instance:
         pairs of terms at once, and one `bincount` adds them up by row pair
         (two terms of one row on one block add there too).
         """
+        if self._pairs is None:
+            self._build_pairs()
         parts = []
         for g, ii, kk, ik, cc in self._pairs:
             w = ws[g].ravel()

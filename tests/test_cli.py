@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import uqsub.cli as cli
 from uqsub.cli import main
@@ -87,6 +88,15 @@ class TestOptimize:
         assert isinstance(raw[(2, 1, 1, 0)], float)
         assert abs(raw[(2, 1, 1, 0)]) < 1e-12
 
+    def test_negative_zero_p_prints_zero(self, capsys):
+        argv = ["optimize", "--n1", "2", "--n2", "1", "--p", "-0"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.startswith("F_max(2,1; p=0) = ")
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == 0
+        assert '\n  "p": 0.0,\n' in out
+
     def test_invalid_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["optimize", "--n1", "1", "--n2", "1", "--p", "1.5"])
@@ -120,48 +130,57 @@ class TestSweep:
     def test_byte_stable_and_jobs_invariant(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         c = tmp_path / "c.csv"
-        # 9 points make chunks of 4, 4 and 1, so a third worker can get a share
+        # 5 anti-diagonals, so each of 3 processes gets a share
         for out_file, jobs in ((a, "1"), (b, "2"), (c, "3")):
             run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.9",
                          "--out", str(out_file), "--jobs", jobs])
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Record each process pool's max_workers; its map runs serially, so
-        no process is started."""
-        sizes = []
+    def fork_calls(self, monkeypatch):
+        """Count the sweep's os.fork calls; each fails, so the share it was
+        for runs in this process and no process is started."""
+        calls = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def failing_fork():
+            calls.append(1)
+            raise OSError("fork refused by the test")
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(os, "fork", failing_fork)
+        return calls
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    def test_pool_no_larger_than_its_chunks(self, capsys, tmp_path, pool_sizes):
-        # 9 points make 3 chunks of at most 4
-        out_file = tmp_path / "s.csv"
+    def test_one_process_per_anti_diagonal_at_most(self, capsys, tmp_path, fork_calls):
+        # 3x3 has the 5 anti-diagonals n1+n2 = 2..6: one share here, 4 forked
+        out_file, serial = tmp_path / "s.csv", tmp_path / "serial.csv"
         code, _, _ = run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.5",
                                   "--out", str(out_file), "--jobs", "64"])
         assert code == 0
-        assert pool_sizes == [3]
+        assert len(fork_calls) == 4
+        # a share whose fork fails runs in this process, with the same rows
+        run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.5",
+                     "--out", str(serial), "--jobs", "1"])
+        assert out_file.read_bytes() == serial.read_bytes()
 
-    def test_single_chunk_runs_without_pool(self, capsys, tmp_path, pool_sizes):
+    def test_single_anti_diagonal_runs_without_fork(self, capsys, tmp_path, fork_calls):
         out_file = tmp_path / "s.csv"
-        code, _, _ = run(capsys, ["sweep", "--n1-max", "2", "--n2-max", "2", "--p", "0.5",
+        code, _, _ = run(capsys, ["sweep", "--n1-max", "1", "--n2-max", "1", "--p", "0.5",
                                   "--out", str(out_file), "--jobs", "64"])
         assert code == 0
-        assert pool_sizes == []
+        assert fork_calls == []
+
+    def test_runs_serially_without_os_fork(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out_file, jobs in ((a, "1"), (b, "3")):
+            assert run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "2", "--p", "0.3",
+                                "--out", str(out_file), "--jobs", jobs])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_zero_p_prints_zero(self, capsys, tmp_path):
+        out_file = tmp_path / "s.csv"
+        assert run(capsys, ["sweep", "--n1-max", "2", "--n2-max", "1", "--p", "-0",
+                            "--out", str(out_file), "--jobs", "1"])[0] == 0
+        assert {line.split(",")[2] for line in out_file.read_text().splitlines()[1:]} == {"0"}
 
     def test_gaps_nonnegative(self, capsys, tmp_path):
         out_file = tmp_path / "g.csv"
@@ -212,6 +231,23 @@ class TestSweep:
         assert code == 2
         assert "--jobs" in err
         assert not out_file.exists()
+
+
+GRID_SIDE = st.integers(1, 12)
+
+
+@given(GRID_SIDE, GRID_SIDE, st.integers(1, 30))
+def test_shares_hold_whole_anti_diagonals(n1_max, n2_max, jobs):
+    tasks = [(n1, n2, 0.5) for n1 in range(1, n1_max + 1) for n2 in range(1, n2_max + 1)]
+    shares = cli._shares(tasks, jobs)
+    assert 1 <= len(shares) <= jobs
+    assert all(shares)
+    assert sorted(t for share in shares for t in share) == sorted(tasks)
+    owner = {}
+    for i, share in enumerate(shares):
+        for n1, n2, _ in share:
+            assert owner.setdefault(n1 + n2, i) == i
+    assert len(owner) == n1_max + n2_max - 1
 
 
 @pytest.fixture(scope="module")
@@ -555,10 +591,10 @@ class TestClosedStdout:
         assert err == "error: standard output is closed\n"
 
 
-def probe(code: str, cwd=None) -> str:
-    """Standard output of `code` run in a fresh interpreter on this checkout."""
+def probe_run(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """`code` run in a fresh interpreter on this checkout, its output captured."""
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -566,7 +602,11 @@ def probe(code: str, cwd=None) -> str:
         text=True,
         check=True,
     )
-    return out.stdout.strip()
+
+
+def probe(code: str, cwd=None) -> str:
+    """Standard output of `code` run in a fresh interpreter on this checkout."""
+    return probe_run(code, cwd).stdout.strip()
 
 
 def test_cli_import_skips_process_pool():
@@ -578,16 +618,79 @@ def test_cli_import_skips_process_pool():
     assert loaded == "[]"
 
 
-def test_sweep_default_jobs_follow_the_affinity_mask(tmp_path):
-    # a process allowed on one core runs the default sweep without a pool,
+def test_sweep_on_one_core_never_forks(capsys, tmp_path, monkeypatch):
+    # a process allowed on one core runs the default sweep in itself,
     # whatever the machine's core count
-    loaded = probe(
-        "import os, sys; os.sched_getaffinity = lambda pid: {0}; from uqsub.cli import main; "
-        "code = main(['sweep', '--n1-max', '3', '--n2-max', '3', '--p', '0.5', "
-        "'--out', 'sweep.csv']); print(code, 'concurrent.futures.process' in sys.modules)",
+    def no_fork():
+        raise AssertionError("the sweep forked on one core")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    out_file = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.5",
+                 "--out", str(out_file)]) == 0
+
+
+LEFT_CHILD = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print('child left')
+except ChildProcessError:
+    print('no child')
+"""
+
+
+def test_forked_sweep_loads_no_pool_module_and_reaps_its_children(tmp_path):
+    printed = probe(
+        "import os, sys; from uqsub.cli import main; code = main(['sweep', '--n1-max', '3', "
+        "'--n2-max', '3', '--p', '0.5', '--out', 'sweep.csv', '--jobs', '3']); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m.startswith(('concurrent', 'multiprocessing'))))" + LEFT_CHILD,
         cwd=tmp_path,
     )
-    assert loaded.splitlines()[-1] == "0 False"
+    assert printed.splitlines()[-2:] == ["0 []", "no child"]
+
+
+# Runs a 3x3 sweep on 2 processes whose `_sweep_point` fails as FAIL says on
+# one parity of n1+n2: the odd anti-diagonals are the child's share, the even
+# ones this process's.  Prints the exit code (or the exception that escaped)
+# and then whether any child is left to reap.
+SWEEP_FAILURE_PROBE = """
+import os, sys
+import uqsub.cli as cli
+solve_point = cli._sweep_point
+def failing(task):
+    if (task[0] + task[1]) % 2 == PARITY:
+        FAIL
+    return solve_point(task)
+cli._sweep_point = failing
+try:
+    code = cli.main(['sweep', '--n1-max', '3', '--n2-max', '3', '--p', '0.5',
+                     '--out', 'sweep.csv', '--jobs', '2'])
+except Exception as exc:
+    code = type(exc).__name__
+print(code)
+""" + LEFT_CHILD
+
+
+@pytest.mark.parametrize(
+    "parity,fail,printed,message",
+    [
+        (1, "raise ValueError('bad point')", ["3", "no child"],
+         "sweep worker failure: ValueError: bad point\n"),
+        (1, "os.kill(os.getpid(), 9)", ["3", "no child"], "sweep worker failure: killed by signal 9\n"),
+        (1, "os._exit(7)", ["3", "no child"], "sweep worker failure: exit status 7\n"),
+        # this process's own share raises: the error escapes, the child is reaped
+        (0, "raise ValueError('bad point')", ["ValueError", "no child"], ""),
+    ],
+    ids=["child-raises", "child-killed", "child-exits", "parent-raises"],
+)
+def test_sweep_worker_failure(tmp_path, parity, fail, printed, message):
+    code = SWEEP_FAILURE_PROBE.replace("PARITY", str(parity)).replace("FAIL", fail)
+    proc = probe_run(code, cwd=tmp_path)
+    assert proc.stdout.splitlines() == printed
+    assert proc.stderr == message
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 NUMPY_BACKED = ("uqsub.ipm", "uqsub.oracle", "uqsub.channel", "uqsub.mcsim")
