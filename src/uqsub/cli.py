@@ -147,23 +147,32 @@ def _shares(tasks, jobs: int) -> list[list]:
     """At most `jobs` shares of whole anti-diagonals, by n1+n2 mod the share
     count; on a rectangular grid the n1+n2 are consecutive, so none is empty.
 
-    The factor G_k depends on the size only through n1+n2, so each share
-    builds the G_k of its own anti-diagonals and no other process repeats
-    them.  Neighbouring anti-diagonals cost about the same, so on square
-    grids the shares are balanced to a few percent (measured in README, CLI).
+    The factor G_k depends on the size only through n1+n2: the objective
+    caches it per (k, n1+n2, q), so each share builds the G_k of its own
+    anti-diagonals and no other process repeats them.  Neighbouring
+    anti-diagonals cost about the same, so on square grids the shares are
+    balanced to a few percent (measured in README, CLI).
     """
     jobs = min(jobs, len({n1 + n2 for n1, n2, _ in tasks}))
     return [[t for t in tasks if (t[0] + t[1]) % jobs == r] for r in range(jobs)]
+
+
+def _run_share(share):
+    """The rows of `share`, or the error that stopped it as one string."""
+    try:
+        return [_sweep_point(t) for t in share]
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _fork_share(share):
     """Start a child that computes `share`; returns (pid, read end of its
     pipe), or None where os.fork is missing or fails.
 
-    The child marshals its rows to the pipe, or the error that stopped it as
-    one string, and leaves by os._exit on every path: no traceback, no
-    atexit handler and no flush of buffers it inherited.  The CLI starts no
-    thread, so the child inherits no lock held by another thread.
+    The child marshals what `_run_share` returns to the pipe and leaves by
+    os._exit on every path: no traceback, no atexit handler and no flush of
+    buffers it inherited.  The CLI starts no thread, so the child inherits
+    no lock held by another thread.
     """
     if not hasattr(os, "fork"):
         return None
@@ -180,10 +189,7 @@ def _fork_share(share):
     code = 1
     try:
         os.close(read_end)
-        try:
-            payload = [_sweep_point(t) for t in share]
-        except Exception as exc:
-            payload = f"{type(exc).__name__}: {exc}"
+        payload = _run_share(share)
         with os.fdopen(write_end, "wb") as fh:
             fh.write(marshal.dumps(payload))
         code = 0 if isinstance(payload, list) else 1
@@ -210,11 +216,12 @@ def _reap(pid: int, read_end: int):
 
 
 def _sweep_rows(shares):
-    """Rows of every share, and the first failed child's reason or None.
+    """Rows of every share, and the first failure's reason or None.
 
     Each share after the first runs in a forked child, or here where that
-    child cannot start; the first runs here.  Every child is reaped, also
-    when this process's own share raises.
+    child cannot start; the first runs here, and its error is reported as a
+    child's is.  Every child is reaped, also when an interrupt stops this
+    process.
     """
     children, local = [], list(shares[0])
     try:
@@ -224,11 +231,12 @@ def _sweep_rows(shares):
                 local += share
             else:
                 children.append(child)
-        rows = [_sweep_point(t) for t in local]
+        own = _run_share(local)
     finally:
         reaped = [_reap(*child) for child in children]
-    failure = next((why for got, why in reaped if got is None), None)
-    return rows + [row for got, _ in reaped if got for row in got], failure
+    outcomes = [(None, own) if isinstance(own, str) else (own, None)] + reaped
+    failure = next((why for got, why in outcomes if got is None), None)
+    return [row for got, _ in outcomes if got for row in got], failure
 
 
 def cmd_sweep(args) -> int:

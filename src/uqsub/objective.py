@@ -6,9 +6,17 @@ polynomial in the mixing probability p.  At noise split k (k qubits of the
 first register in the target state) Racah recoupling makes each coefficient
 a product of recoupling coefficients,
 U_k(j1, j) U_k(j1, j') G_k(q, j, j') / (n1+n2-k+1), where U_k is the closed
-form of a stretched 6j symbol and G_k does not depend on j1.  This module
-builds those polynomials once per (n1, n2) and assembles block-structured SDP
-instances for any p from a placement computed once per (n1, n2).
+form of a stretched 6j symbol and G_k does not depend on j1.  G_k sums
+products of two Clebsch-Gordan coefficients that are both stretched in
+their first spin, so each is a one-term closed form.
+
+This module builds those polynomials once per (n1, n2) in one walk over the
+Gram blocks (q, j1): the U_k of a j1 come as columns, one per j, and the
+three G_k of a block q (its two rows and the pair) from one cached pass per
+(k, n1+n2, q), which every size on that anti-diagonal shares.  Each factor
+is an exact integer ratio rounded once before its square root, so the
+floats do not depend on the path.  Block-structured SDP instances for any
+p are assembled from a placement computed once per (n1, n2).
 
 Its records are named tuples, as in `uqsub.angular` and `uqsub.sdp`, and
 `json` loads only when a table is written.
@@ -26,7 +34,6 @@ from .angular import (
     _factorials,
     _not_a_sequence,
     cg_twice,
-    enumerate_sectors,
     sector_blocks,
 )
 from .errors import CapacityError
@@ -68,9 +75,9 @@ class PolyInP(NamedTuple):
     __add__ = __mul__ = __rmul__ = _not_a_sequence
 
 
-@lru_cache(maxsize=None)
-def _recoupling(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
-    """U_k(j1, j) of noise split k, spins as twice-values.
+def _recouplings(n1: int, n2: int, tj1: int) -> dict[int, list[float]]:
+    """U_k(j1, j) for k = 1..n1 of every j that j1 couples to with n2/2,
+    keyed by tj, spins as twice-values.
 
     With a = (n1-k)/2, b = n2/2 and the stretched S = a+b, U is the overlap
     of the coupling ((k/2, a) j1, b) j with (k/2, (a, b) S) j, a column of an
@@ -79,40 +86,91 @@ def _recoupling(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
     The stretched triad (a, b, S) leaves a single term t = k/2+j+S in
     Racah's sum for the 6j symbol, and its sign (-1)^t cancels the phase, so
     U >= 0.  U^2 is one exact ratio of factorial products, divided once
-    before the one square root; U = 0 when a triangle (k/2, a, j1),
+    before the one square root; the products that depend only on (k, j1),
+    or only on j, are formed once.  U = 0 when a triangle (k/2, a, j1),
     (k/2, j, S) or (b, j, j1) fails.
     """
-    ta, ts = n1 - k, n1 + n2 - k
-    # the three legs of each triad: (x+y-z)/2, (x-y+z)/2, (-x+y+z)/2
-    a0, a1, a2 = (k + ta - tj1) // 2, (k - ta + tj1) // 2, (ta + tj1 - k) // 2
-    b0, b1, b2 = (k + tj - ts) // 2, (k + ts - tj) // 2, (tj + ts - k) // 2
-    c0, c1, c2 = (n2 + tj - tj1) // 2, (n2 + tj1 - tj) // 2, (tj + tj1 - n2) // 2
-    if min(a0, a1, a2, b0, b1, b2, c0, c1, c2) < 0:
-        return 0.0
-    f = _factorials((k + tj + ts) // 2 + 1)
-    num = (tj1 + 1) * (ts + 1) * f[ta] * f[n2] * f[(k + tj + ts) // 2 + 1]
-    num *= f[a1] * f[b1] * f[b2] * f[c2]
-    den = f[(k + ta + tj1) // 2 + 1] * f[ts + 1] * f[(n2 + tj + tj1) // 2 + 1]
-    den *= f[a0] * f[a2] * f[b0] * f[c0] * f[c1]
-    return math.sqrt(num / den)
+    n = n1 + n2
+    f = _factorials(n + 2)
+    per_k = []  # (k, 2S, numerator, denominator) of the (k, j1) factors, or None
+    for k in range(1, n1 + 1):
+        ta, ts = n1 - k, n - k
+        # the three legs of each triad: (x+y-z)/2, (x-y+z)/2, (-x+y+z)/2
+        a0, a1, a2 = (k + ta - tj1) // 2, (k - ta + tj1) // 2, (ta + tj1 - k) // 2
+        if min(a0, a1, a2) < 0:
+            per_k.append(None)
+            continue
+        num = (tj1 + 1) * (ts + 1) * f[ta] * f[n2] * f[a1]
+        den = f[(k + ta + tj1) // 2 + 1] * f[ts + 1] * f[a0] * f[a2]
+        per_k.append((k, ts, num, den))
+    columns = {}
+    for tj in range(abs(tj1 - n2), tj1 + n2 + 1, 2):  # (b, j, j1) holds
+        c0, c1, c2 = (n2 + tj - tj1) // 2, (n2 + tj1 - tj) // 2, (tj + tj1 - n2) // 2
+        num_j = f[(n + tj) // 2 + 1] * f[c2]  # (k/2+j+S+1)! does not depend on k
+        den_j = f[(n2 + tj + tj1) // 2 + 1] * f[c0] * f[c1]
+        column = []
+        for factors in per_k:
+            if factors is None:
+                column.append(0.0)
+                continue
+            k, ts, num, den = factors
+            b0, b1, b2 = (k + tj - ts) // 2, (k + ts - tj) // 2, (tj + ts - k) // 2
+            if min(b0, b1, b2) < 0:
+                column.append(0.0)
+                continue
+            column.append(math.sqrt(num * num_j * f[b1] * f[b2] / (den * den_j * f[b0])))
+        columns[tj] = column
+    return columns
+
+
+def _amplitudes(k: int, n: int, tq: int, tj: int) -> tuple[int, list[float]]:
+    """(lo, [f(j, q, mu) for 2mu = lo, lo+2, ...]), the amplitude column of j
+    in the block q at n1+n2 = n, with
+    f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu>, S = (n-k)/2,
+    over the mu where neither factor vanishes by its m ranges; empty when
+    j < 0 or the triangle (k/2, S, j) fails.
+
+    The first factor is stretched in its first spin (m = k/2), so its Racah
+    sum has one term: with m2 = mu-k/2 its square is
+    (2j+1) k! (S-k/2+j)! (j+mu)! (S-m2)! over
+    (k/2+S+j+1)! (k/2+S-j)! (k/2-S+j)! (j-mu)! (S+m2)!, one exact integer
+    ratio divided once before the one square root, the float `cg_twice`
+    returns.  The spin-1/2 factor is a `cg_twice` call.
+    """
+    tsym = n - k
+    if tj < 0 or not abs(tsym - k) <= tj <= tsym + k:
+        return 0, []
+    f = _factorials(n + 2)
+    lo, hi = max(-tj, k - tsym, 1 - tq), min(tj, k + tsym, 1 + tq)
+    num = (tj + 1) * f[k] * f[(tsym - k + tj) // 2]
+    den = f[(k + tsym + tj) // 2 + 1] * f[(k + tsym - tj) // 2] * f[(k - tsym + tj) // 2]
+    column = []
+    for tmu in range(lo, hi + 1, 2):
+        square = (num * f[(tj + tmu) // 2] * f[(tsym + k - tmu) // 2]) / (
+            den * f[(tsym + tmu - k) // 2] * f[(tj - tmu) // 2]
+        )
+        column.append(math.sqrt(square) * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu))
+    return lo, column
+
+
+def _dot(lo_x: int, x: list[float], lo_y: int, y: list[float]) -> float:
+    """sum_mu x(mu) y(mu) over the mu both columns hold, mu ascending."""
+    lo = max(lo_x, lo_y)
+    total = 0.0
+    for u, v in zip(x[(lo - lo_x) // 2 :], y[(lo - lo_y) // 2 :]):
+        total += u * v
+    return total
 
 
 @lru_cache(maxsize=None)
-def _split_overlap(k: int, tsym: int, tq: int, tj: int, tjp: int) -> float:
-    """G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu), the j1-free factor, with
-    f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu> and S = tsym/2."""
-    # outside |mu - k/2| <= S and |1/2 - mu| <= q every term is zero
-    lo = max(-min(tj, tjp), k - tsym, 1 - tq)
-    hi = min(tj, tjp, k + tsym, 1 + tq)
-    total = 0.0
-    for tmu in range(lo, hi + 1, 2):
-        f = cg_twice(k, k, tsym, tmu - k, tj, tmu) * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu)
-        if tj == tjp:
-            total += f * f
-            continue
-        fp = cg_twice(k, k, tsym, tmu - k, tjp, tmu) * cg_twice(1, 1, tjp, -tmu, tq, 1 - tmu)
-        total += f * fp
-    return total
+def _overlaps(k: int, n: int, tq: int) -> tuple[float, float, float]:
+    """G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu), the j1-free factor at
+    n1+n2 = n, for (j, j') = (q-1/2, q-1/2), (q-1/2, q+1/2), (q+1/2, q+1/2).
+
+    One pass builds the two amplitude columns of the block q, so every
+    (n1, n2) with the same n1+n2 shares it."""
+    below, above = _amplitudes(k, n, tq, tq - 1), _amplitudes(k, n, tq, tq + 1)
+    return _dot(*below, *below), _dot(*below, *above), _dot(*above, *above)
 
 
 class ObjectiveTable(NamedTuple):
@@ -120,7 +178,8 @@ class ObjectiveTable(NamedTuple):
 
     entries holds the noise-split k >= 1 part, each split coefficient a
     product U_k(j1,j) U_k(j1,jp) G_k(q,j,jp) / (n1+n2-k+1) of recoupling
-    coefficients, with symmetric partners summed (the stored polynomial for
+    coefficients (G_k from closed forms, cached per (k, n1+n2, q) and
+    shared by every size with the same n1+n2), with symmetric partners summed (the stored polynomial for
     j < jp is C[j,jp] + C[jp,j] = 2 C[j,jp]).  The k = 0 part
     touches only the fully symmetric j = (n1+n2)/2 diagonal and is pinned to
     p^n1 / 2 by the trace-preservation row of that spin; it is kept as the
@@ -164,20 +223,27 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
         raise ValueError("need n1 >= 1 and n2 >= 1")
     if n1 + n2 > MAX_TOTAL_QUBITS:
         raise CapacityError(f"n1+n2 = {n1+n2} exceeds enumeration guard {MAX_TOTAL_QUBITS}")
-    N = n1 + n2
+    n = n1 + n2
+    ks = range(1, n1 + 1)
     entries: dict[SectorIndex, PolyInP] = {}
-    for sector in enumerate_sectors(n1, n2):
-        tj, tjp, tq, tj1 = sector.j.twice, sector.jp.twice, sector.q.twice, sector.j1.twice
-        fold = 1.0 if tj == tjp else 2.0  # the product is symmetric in j and j'
-        split = [0.0] + [
-            fold
-            * _recoupling(k, n1, n2, tj1, tj)
-            * _recoupling(k, n1, n2, tj1, tjp)
-            * _split_overlap(k, N - k, tq, tj, tjp)
-            / (N - k + 1)
-            for k in range(1, n1 + 1)
-        ]
-        entries[sector] = PolyInP(tuple(split))
+    tj1, recouplings = None, {}
+    for q, j1, rows in sector_blocks(n1, n2):
+        if j1.twice != tj1:
+            tj1 = j1.twice
+            recouplings = _recouplings(n1, n2, tj1)
+        tq = q.twice
+        overlaps = [_overlaps(k, n, tq) for k in ks]
+        for a, j in enumerate(rows):
+            u = recouplings[j.twice]
+            for jp in rows[a:]:
+                up = recouplings[jp.twice]
+                fold = 1.0 if j == jp else 2.0  # the product is symmetric in j and j'
+                g = (j.twice + jp.twice + 2 - 2 * tq) // 2  # which pair of the block q
+                split = [0.0] + [
+                    fold * x * y * gk[g] / (n - k + 1)
+                    for k, x, y, gk in zip(ks, u, up, overlaps)
+                ]
+                entries[SectorIndex(j1, j, jp, q)] = PolyInP(tuple(split))
     constant = PolyInP((0.5,) + (0.0,) * n1)
     return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=constant)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from uqsub.angular import (
     HalfInt,
     SectorIndex,
+    _factorials,
     cg_twice,
     enumerate_sectors,
     j1_values,
@@ -258,6 +260,65 @@ def recoupling_by_m_sum(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
             * cg_twice(tj1, k + tm, n2, ts, tj, tj)
         )
     return total / top
+
+
+@lru_cache(maxsize=None)
+def recoupling_reference(k: int, n1: int, n2: int, tj1: int, tj: int) -> float:
+    """U_k(j1, j) of one label, spins as twice-values: the stretched 6j closed
+    form with all its factorial products formed per label (see
+    `uqsub.objective._recouplings`); 0.0 when a triangle fails."""
+    ta, ts = n1 - k, n1 + n2 - k
+    a0, a1, a2 = (k + ta - tj1) // 2, (k - ta + tj1) // 2, (ta + tj1 - k) // 2
+    b0, b1, b2 = (k + tj - ts) // 2, (k + ts - tj) // 2, (tj + ts - k) // 2
+    c0, c1, c2 = (n2 + tj - tj1) // 2, (n2 + tj1 - tj) // 2, (tj + tj1 - n2) // 2
+    if min(a0, a1, a2, b0, b1, b2, c0, c1, c2) < 0:
+        return 0.0
+    f = _factorials((k + tj + ts) // 2 + 1)
+    num = (tj1 + 1) * (ts + 1) * f[ta] * f[n2] * f[(k + tj + ts) // 2 + 1]
+    num *= f[a1] * f[b1] * f[b2] * f[c2]
+    den = f[(k + ta + tj1) // 2 + 1] * f[ts + 1] * f[(n2 + tj + tj1) // 2 + 1]
+    den *= f[a0] * f[a2] * f[b0] * f[c0] * f[c1]
+    return math.sqrt(num / den)
+
+
+@lru_cache(maxsize=None)
+def split_overlap_reference(k: int, tsym: int, tq: int, tj: int, tjp: int) -> float:
+    """G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu) with both Clebsch-Gordan
+    factors of f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu>
+    from the general Racah sum of `cg_twice`, S = tsym/2, one (j, j') at a time."""
+    # outside |mu - k/2| <= S and |1/2 - mu| <= q every term is zero
+    lo = max(-min(tj, tjp), k - tsym, 1 - tq)
+    hi = min(tj, tjp, k + tsym, 1 + tq)
+    total = 0.0
+    for tmu in range(lo, hi + 1, 2):
+        f = cg_twice(k, k, tsym, tmu - k, tj, tmu) * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu)
+        if tj == tjp:
+            total += f * f
+            continue
+        fp = cg_twice(k, k, tsym, tmu - k, tjp, tmu) * cg_twice(1, 1, tjp, -tmu, tq, 1 - tmu)
+        total += f * fp
+    return total
+
+
+def reference_objective(n1: int, n2: int) -> ObjectiveTable:
+    """The objective table built sector by sector from `recoupling_reference`
+    and `split_overlap_reference`, in the package's sector order and with its
+    operation order per coefficient, so the two tables can be compared with ==."""
+    n = n1 + n2
+    entries = {}
+    for s in enumerate_sectors(n1, n2):
+        tj, tjp, tq, tj1 = s.j.twice, s.jp.twice, s.q.twice, s.j1.twice
+        fold = 1.0 if tj == tjp else 2.0
+        split = [0.0] + [
+            fold
+            * recoupling_reference(k, n1, n2, tj1, tj)
+            * recoupling_reference(k, n1, n2, tj1, tjp)
+            * split_overlap_reference(k, n - k, tq, tj, tjp)
+            / (n - k + 1)
+            for k in range(1, n1 + 1)
+        ]
+        entries[s] = PolyInP(tuple(split))
+    return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=PolyInP((0.5,) + (0.0,) * n1))
 
 
 def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:

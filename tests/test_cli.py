@@ -651,10 +651,11 @@ def test_forked_sweep_loads_no_pool_module_and_reaps_its_children(tmp_path):
     assert printed.splitlines()[-2:] == ["0 []", "no child"]
 
 
-# Runs a 3x3 sweep on 2 processes whose `_sweep_point` fails as FAIL says on
-# one parity of n1+n2: the odd anti-diagonals are the child's share, the even
-# ones this process's.  Prints the exit code (or the exception that escaped)
-# and then whether any child is left to reap.
+# Runs a 3x3 sweep on JOBS processes whose `_sweep_point` fails as FAIL says
+# on one parity of n1+n2: with 2 jobs the odd anti-diagonals are the child's
+# share, the even ones this process's; with 1 job all are this process's.
+# Prints the exit code (or the exception that escaped) and then whether any
+# child is left to reap.
 SWEEP_FAILURE_PROBE = """
 import os, sys
 import uqsub.cli as cli
@@ -666,7 +667,7 @@ def failing(task):
 cli._sweep_point = failing
 try:
     code = cli.main(['sweep', '--n1-max', '3', '--n2-max', '3', '--p', '0.5',
-                     '--out', 'sweep.csv', '--jobs', '2'])
+                     '--out', 'sweep.csv', '--jobs', 'JOBS'])
 except Exception as exc:
     code = type(exc).__name__
 print(code)
@@ -674,19 +675,24 @@ print(code)
 
 
 @pytest.mark.parametrize(
-    "parity,fail,printed,message",
+    "jobs,parity,fail,printed,message",
     [
-        (1, "raise ValueError('bad point')", ["3", "no child"],
+        (2, 1, "raise ValueError('bad point')", ["3", "no child"],
          "sweep worker failure: ValueError: bad point\n"),
-        (1, "os.kill(os.getpid(), 9)", ["3", "no child"], "sweep worker failure: killed by signal 9\n"),
-        (1, "os._exit(7)", ["3", "no child"], "sweep worker failure: exit status 7\n"),
-        # this process's own share raises: the error escapes, the child is reaped
-        (0, "raise ValueError('bad point')", ["ValueError", "no child"], ""),
+        (2, 1, "os.kill(os.getpid(), 9)", ["3", "no child"],
+         "sweep worker failure: killed by signal 9\n"),
+        (2, 1, "os._exit(7)", ["3", "no child"], "sweep worker failure: exit status 7\n"),
+        # this process's own share raises: the same exit and line, the child is reaped
+        (2, 0, "raise ValueError('bad point')", ["3", "no child"],
+         "sweep worker failure: ValueError: bad point\n"),
+        (1, 1, "raise ValueError('bad point')", ["3", "no child"],
+         "sweep worker failure: ValueError: bad point\n"),
     ],
-    ids=["child-raises", "child-killed", "child-exits", "parent-raises"],
+    ids=["child-raises", "child-killed", "child-exits", "parent-raises", "serial-raises"],
 )
-def test_sweep_worker_failure(tmp_path, parity, fail, printed, message):
+def test_sweep_worker_failure(tmp_path, jobs, parity, fail, printed, message):
     code = SWEEP_FAILURE_PROBE.replace("PARITY", str(parity)).replace("FAIL", fail)
+    code = code.replace("JOBS", str(jobs))
     proc = probe_run(code, cwd=tmp_path)
     assert proc.stdout.splitlines() == printed
     assert proc.stderr == message

@@ -17,16 +17,21 @@ from references import (
     half_int,
     poly_value,
     recoupling_by_m_sum,
+    recoupling_reference,
     reference_layout,
+    reference_objective,
+    split_overlap_reference,
 )
-from uqsub.angular import SectorIndex, enumerate_sectors, j1_values
+from uqsub import objective
+from uqsub.angular import SectorIndex, enumerate_sectors, j1_values, sector_blocks
 from uqsub.errors import CapacityError
 from uqsub.objective import (
     MAX_TOTAL_QUBITS,
     ObjectiveTable,
     PolyInP,
     _layout,
-    _recoupling,
+    _overlaps,
+    _recouplings,
     assemble,
     build_objective,
 )
@@ -59,6 +64,12 @@ def closed_form_11(p):
         sector(1 / 2, 0, 0, 1 / 2): (1 - p) / 4,
         sector(1 / 2, 0, 1, 1 / 2): (1 - p) / (2 * math.sqrt(3)),
     }
+
+
+def recoupling(k, n1, n2, tj1, tj):
+    """U_k(j1, j) from the package's per-j1 columns; 0.0 where j1 and n2/2
+    do not couple to j."""
+    return _recouplings(n1, n2, tj1).get(tj, [0.0] * n1)[k - 1]
 
 
 def random_feasible_w(n1, n2, rng):
@@ -248,7 +259,7 @@ class TestRecoupling:
                     tsym = n - k
                     for tj in range(abs(tsym - k), tsym + k + 1, 2):
                         norm = sum(
-                            _recoupling(k, n1, n2, j1.twice, tj) ** 2 for j1 in j1_values(n1)
+                            recoupling(k, n1, n2, j1.twice, tj) ** 2 for j1 in j1_values(n1)
                         )
                         assert norm == pytest.approx(1.0, abs=1e-14), (n1, n2, k, tj)
                         cases += 1
@@ -273,13 +284,67 @@ class TestRecoupling:
             sign, square = sixj_fraction(k, n1 - k, tj1, n2, tj, ts)
             sign *= -1 if ((n1 + n2 + tj) // 2) % 2 else 1
             expected = math.copysign(math.sqrt((tj1 + 1) * (ts + 1) * square), sign)
-            assert _recoupling(k, n1, n2, tj1, tj) == expected, (k, n1, n2, tj1, tj)
+            assert recoupling(k, n1, n2, tj1, tj) == expected, (k, n1, n2, tj1, tj)
             vanishing += sign == 0
         assert vanishing > 0
 
     def test_matches_m_sum_reference(self):
         for label in self.labels():
-            assert _recoupling(*label) == pytest.approx(recoupling_by_m_sum(*label), abs=1e-14)
+            assert recoupling(*label) == pytest.approx(recoupling_by_m_sum(*label), abs=1e-14)
+
+
+class TestClosedFormTable:
+    """The table from per-j1 recoupling columns and the per-(k, n1+n2, q)
+    closed-form G_k against the per-sector references, bit for bit."""
+
+    def test_equals_per_sector_reference_over_the_size_guard(self):
+        pairs = sectors = overlaps = 0
+        for n in range(2, MAX_TOTAL_QUBITS + 1):
+            labels = set()
+            for n1 in range(1, n):
+                n2 = n - n1
+                table, ref = build_objective(n1, n2), reference_objective(n1, n2)
+                assert list(table.entries.items()) == list(ref.entries.items()), (n1, n2)
+                pairs += 1
+                sectors += len(table.entries)
+                for j1 in j1_values(n1):
+                    columns = _recouplings(n1, n2, j1.twice)
+                    for tj in range(abs(j1.twice - n2), j1.twice + n2 + 1, 2):
+                        for k in range(1, n1 + 1):
+                            assert columns[tj][k - 1] == recoupling_reference(
+                                k, n1, n2, j1.twice, tj
+                            ), (k, n1, n2, j1, tj)
+                blocks = sector_blocks(n1, n2)
+                labels |= {(k, q.twice) for q, _, _ in blocks for k in range(1, n1 + 1)}
+            for k, tq in sorted(labels):
+                below, above = tq - 1, tq + 1
+                expected = tuple(
+                    split_overlap_reference(k, n - k, tq, tj, tjp)
+                    for tj, tjp in ((below, below), (below, above), (above, above))
+                )
+                assert _overlaps(k, n, tq) == expected, (k, n, tq)
+                overlaps += 1
+        assert (pairs, sectors) == (276, 15734)
+        assert overlaps > 0
+
+    def test_cg_twice_counter_counts_the_spin_half_factor(self, monkeypatch):
+        # the benchmark counts calls through objective.cg_twice: after the
+        # closed form, only the spin-1/2 factor of G_k goes through it, once
+        # per (k, n1+n2, q) pass
+        calls = []
+        inner = objective.cg_twice
+
+        def counting(*labels):
+            calls.append(labels)
+            return inner(*labels)
+
+        monkeypatch.setattr(objective, "cg_twice", counting)
+        _overlaps.cache_clear()
+        build_objective(2, 1)
+        assert len(calls) > 0 and all(labels[:2] == (1, 1) for labels in calls)
+        made = len(calls)
+        build_objective(1, 2)  # the same n1+n2: every G_k is cached already
+        assert len(calls) == made
 
 
 class TestConstraints:
