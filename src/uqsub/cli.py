@@ -25,7 +25,9 @@ from .sdp import solve
 __getattr__ = lazy_getattr(
     globals(),
     {
-        **dict.fromkeys(("build_omega", "solve_choi", "twirl_objective"), ".oracle"),
+        **dict.fromkeys(
+            ("DENSE_QUBIT_GUARD", "build_omega", "solve_choi", "twirl_objective"), ".oracle"
+        ),
         **dict.fromkeys(
             ("BASIS_QUBIT_GUARD", "KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"
         ),
@@ -335,16 +337,16 @@ def cmd_verify(args) -> int:
     except ValueError:
         print("expected --case n1,n2", file=sys.stderr)
         return EXIT_USAGE
-    if min(n1, n2) < 1 or n1 + n2 > 6:
-        print("verify needs n1, n2 >= 1 with n1+n2 <= 6", file=sys.stderr)
+    guard, build_omega, twirl_objective, solve_choi = map(
+        __getattr__, ("DENSE_QUBIT_GUARD", "build_omega", "twirl_objective", "solve_choi")
+    )
+    if min(n1, n2) < 1 or n1 + n2 > guard:
+        print(f"verify needs n1, n2 >= 1 with n1+n2 <= {guard}", file=sys.stderr)
         return EXIT_USAGE
     _, sol = _solve_instance(n1, n2, args.p)
     if not sol.success:
         print(f"covariant solver failure: {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
-    build_omega, twirl_objective, solve_choi = map(
-        __getattr__, ("build_omega", "twirl_objective", "solve_choi")
-    )
     from numpy.linalg import LinAlgError  # loaded with the oracle already
 
     try:
@@ -426,9 +428,13 @@ def cmd_simulate(args) -> int:
         )
         return EXIT_SCHEMA
     _, sol = _solve_instance(args.n1, args.n2, args.p)
-    estimate = estimate_fidelity(
-        kraus, args.n1, args.n2, args.p, samples=args.samples, sampler=HaarSampler(args.seed)
-    )
+    try:
+        estimate = estimate_fidelity(
+            kraus, args.n1, args.n2, args.p, samples=args.samples, sampler=HaarSampler(args.seed)
+        )
+    except MemoryError:
+        print(f"error: --samples {args.samples} does not fit in memory", file=sys.stderr)
+        return EXIT_USAGE
     passed = estimate.within(sol.objective_value, n_sigma=4)
     doc = {
         "mean": estimate.mean,

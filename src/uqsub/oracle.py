@@ -1,13 +1,14 @@
 """Symmetry-free verification path for the covariant SDP.
 
-Builds the averaged input operator densely in the computational basis,
+Builds the averaged input operator densely from one popcount formula,
 transfers the state-average onto the objective by an exact Haar quadrature
 over u = Rz(a) Ry(b) Rz(c) (a popcount mask for each Rz, Gauss-Legendre in
-cos b for Ry), and maximizes over all channels through the unrestricted Choi
-SDP, split into blocks by the charge popcount(input) - output bit.  Neither
-step uses Clebsch-Gordan or covariant code.  Its optimum equals the
-covariant optimum, which is precisely what makes it an independent check of
-the block parametrization.
+cos b for Ry), and maximizes over all channels through the unrestricted
+Choi SDP, split into blocks by the charge popcount(input) - output bit.
+Every matrix is real, and every size limit derives from DENSE_QUBIT_GUARD,
+the largest n1+n2.  Neither step uses Clebsch-Gordan or covariant code.
+Its optimum equals the covariant optimum, which is precisely what makes it
+an independent check of the block parametrization.
 
 Qubit 0 is the most significant bit of a computational-basis index and
 spin-up is basis state 0.  A Choi matrix of a d_in -> d_out channel is
@@ -16,7 +17,6 @@ Tr[J (rho^T x B)] = Tr[channel(rho) B].
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb
 
@@ -26,10 +26,9 @@ from .errors import CapacityError
 from .sdp import BlockSpec, SdpProblem, SdpSolution, solve
 
 DENSE_QUBIT_GUARD = 6
-TWIRL_FACTOR_GUARD = 7
 
 PROJ_UP = np.array([[1.0, 0.0], [0.0, 0.0]])
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+FLIP = np.array([[0.0, -1.0], [1.0, 0.0]])  # sigma_y = i FLIP
 
 
 def kron_all(mats) -> np.ndarray:
@@ -39,20 +38,6 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def qubit_index_map(positions: list[int], n: int) -> np.ndarray:
-    """Basis reindexing for factors built in canonical order then placed at
-    the given positions: entry b is the canonical index whose bit j equals
-    bit positions[j] of b."""
-    dim = 1 << n
-    cmap = np.zeros(dim, dtype=np.intp)
-    for j, pos in enumerate(positions):
-        shift_src = n - 1 - pos
-        shift_dst = len(positions) - 1 - j
-        bits = (np.arange(dim) >> shift_src) & 1
-        cmap |= bits << shift_dst
-    return cmap
-
-
 def _popcounts(m: int) -> np.ndarray:
     """Number of spin-down qubits in each m-qubit basis state."""
     return np.array([bin(i).count("1") for i in range(1 << m)])
@@ -60,42 +45,38 @@ def _popcounts(m: int) -> np.ndarray:
 
 def sym_projector(m: int) -> np.ndarray:
     """Projector onto the symmetric subspace of m qubits (trace m+1)."""
-    if not 1 <= m <= 7:
-        raise CapacityError(f"symmetric projector limited to 1..7 qubits, got {m}")
+    if not 1 <= m <= DENSE_QUBIT_GUARD + 1:
+        raise CapacityError(f"symmetric projector on 1..{DENSE_QUBIT_GUARD + 1} qubits, not {m}")
     pop = _popcounts(m)
     weights = np.array([1.0 / comb(m, w) for w in range(m + 1)])
-    proj = np.where(pop[:, None] == pop[None, :], weights[pop][:, None], 0.0)
-    return proj
+    return np.where(pop[:, None] == pop, weights[pop][:, None], 0.0)
 
 
 def build_omega(n1: int, n2: int, p: float) -> np.ndarray:
     """Average over noise states of the n1-copy mixture with n2 noise copies,
-    a dense Hermitian 2^(n1+n2) matrix.
+    a dense real symmetric 2^(n1+n2) matrix.
 
-    Every term fixes a subset S of register A in the target state (weight
-    (1-p) per copy) and symmetrizes the remaining A copies together with the
-    whole B register (weight p per copy), normalized by the symmetric
-    dimension of that block.
+    Every subset S of register A holds the target |0> (weight (1-p) per
+    copy); the other m = n1+n2-|S| qubits, the rest of A and all of B, are
+    in the maximally mixed symmetric state (weight p per copy of A).  So S
+    adds w_S / ((m+1) C(m, w)), w_S = (1-p)^|S| p^(n1-|S|), at every entry
+    (x, y) whose x and y are 0 on S and have the same popcount w.
     """
     n = n1 + n2
     if n > DENSE_QUBIT_GUARD:
         raise CapacityError(f"dense path limited to {DENSE_QUBIT_GUARD} qubits, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    dim = 1 << n
-    omega = np.zeros((dim, dim))
-    b_positions = list(range(n1, n))
-    for k in range(n1 + 1):
-        weight = (1 - p) ** k * p ** (n1 - k)
-        if weight == 0.0:
-            continue
-        block = sym_projector(n - k) / (n - k + 1) if n - k else np.array([[1.0]])
-        for fixed in itertools.combinations(range(n1), k):
-            rest = [i for i in range(n1) if i not in fixed]
-            canonical = list(fixed) + rest + b_positions
-            mat = kron_all([PROJ_UP] * k + [block])
-            cmap = qubit_index_map(canonical, n)
-            omega += weight * mat[np.ix_(cmap, cmap)]
+    pop = _popcounts(n)
+    same = pop[:, None] == pop
+    omega = np.zeros(same.shape)
+    for subset in range(1 << n1):
+        k = subset.bit_count()
+        m, weight = n - k, (1 - p) ** k * p ** (n1 - k)
+        # C(m, w) = 0 only for w > m, which no row that is 0 on S reaches
+        scale = np.array([weight / ((m + 1) * comb(m, w)) for w in range(m + 1)] + [0.0] * k)
+        free = (np.arange(1 << n) & (subset << n2)) == 0
+        omega += np.where(same & free[:, None] & free, scale[pop][:, None], 0.0)
     return omega
 
 
@@ -104,8 +85,6 @@ def _twirl_data(m: int):
     """Same-popcount mask and (weight, Ry(b)^(x)m) pairs: Gauss-Legendre in
     cos(b) on m//2 + 1 nodes from the Jacobi matrix, each weight halved for
     the Haar density sin(b)/2 of b."""
-    if m > TWIRL_FACTOR_GUARD:
-        raise CapacityError(f"twirl limited to {TWIRL_FACTOR_GUARD} factors, got {m}")
     pop = _popcounts(m)
     mask = pop[:, None] == pop
     k = np.arange(1, m // 2 + 1)
@@ -138,21 +117,21 @@ def twirl_objective(omega: np.ndarray) -> np.ndarray:
     n = log2(dim) input qubits: F(channel) = Tr[J C].
 
     The input factors transform with the conjugate representation, so they
-    are rotated by sigma_y on both sides, twirled jointly with the output
-    factor over the (n+1)-fold diagonal action, and rotated back.  Raises
-    ValueError for a matrix that is not square with a power-of-two size.
+    are rotated by sigma_y = i FLIP on both sides, that is by FLIP^(x)n and
+    its transpose, twirled jointly with the output factor over the (n+1)-fold
+    diagonal action, and rotated back.  Raises ValueError for a matrix that
+    is not square with a power-of-two size.
     """
     shape = np.shape(omega)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0].bit_count() != 1:
         raise ValueError(f"need a square matrix of a power-of-two size, not shape {shape}")
     n = shape[0].bit_length() - 1
-    if n + 1 > TWIRL_FACTOR_GUARD:
-        raise CapacityError(f"objective twirl needs n1+n2 <= {TWIRL_FACTOR_GUARD - 1}")
-    y_all = np.kron(kron_all([SIGMA_Y] * n), np.eye(2))
+    if n > DENSE_QUBIT_GUARD:
+        raise CapacityError(f"objective twirl needs n1+n2 <= {DENSE_QUBIT_GUARD}")
+    flip = np.kron(kron_all([FLIP] * n), np.eye(2))
     raw = np.kron(np.transpose(omega), PROJ_UP)
-    conjugated = y_all @ raw @ y_all
-    twirled = twirl(conjugated, n + 1)
-    return y_all @ twirled @ y_all
+    twirled = twirl(flip @ raw @ flip.T, n + 1)
+    return flip @ twirled @ flip.T
 
 
 def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
@@ -171,8 +150,8 @@ def choi_problem(objective_matrix: np.ndarray) -> SdpProblem:
         raise ArithmeticError("twirled objective has a non-real part")
     c = 0.5 * (matrix.real + matrix.real.T)
     dim = c.shape[0]
-    if dim > 128:
-        raise CapacityError(f"Choi dimension {dim} exceeds 128")
+    if dim > 2 << DENSE_QUBIT_GUARD:
+        raise CapacityError(f"Choi dimension {dim} exceeds {2 << DENSE_QUBIT_GUARD}")
     n = dim.bit_length() - 2
     pop = _popcounts(n)
     charge = (pop[:, None] - np.arange(2)).ravel()

@@ -5,6 +5,7 @@ basis, the Clebsch-Gordan table or the solver, so it cannot live there.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,15 @@ from uqsub.channel import KrausSet, symmetric_columns
 from uqsub.errors import CapacityError
 from uqsub.mcsim import HaarSampler, McEstimate
 from uqsub.objective import ObjectiveTable, PolyInP, split_weights
-from uqsub.oracle import build_omega, solve_choi, twirl_objective
+from uqsub.oracle import (
+    PROJ_UP,
+    build_omega,
+    kron_all,
+    solve_choi,
+    sym_projector,
+    twirl,
+    twirl_objective,
+)
 from uqsub.sdp import SdpProblem, SdpSolution
 
 EXTRACT_QUBIT_GUARD = 6
@@ -185,6 +194,56 @@ def oracle_fidelity(n1: int, n2: int, p: float) -> float:
     """End-to-end brute-force value of the optimal average fidelity."""
     value, _ = solve_choi(twirl_objective(build_omega(n1, n2, p)))
     return value
+
+
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def qubit_index_map(positions: list[int], n: int) -> np.ndarray:
+    """Basis reindexing for factors built in canonical order then placed at
+    the given positions: entry b is the canonical index whose bit j equals
+    bit positions[j] of b."""
+    dim = 1 << n
+    cmap = np.zeros(dim, dtype=np.intp)
+    for j, pos in enumerate(positions):
+        shift_src = n - 1 - pos
+        shift_dst = len(positions) - 1 - j
+        bits = (np.arange(dim) >> shift_src) & 1
+        cmap |= bits << shift_dst
+    return cmap
+
+
+def build_omega_by_subsets(n1: int, n2: int, p: float) -> np.ndarray:
+    """`oracle.build_omega` as a sum of Kronecker products: every subset of
+    register A fixed in the target state, the remaining A copies and the
+    whole B register in the normalized symmetric projector, each product
+    built in canonical qubit order and then reordered into place."""
+    n = n1 + n2
+    dim = 1 << n
+    omega = np.zeros((dim, dim))
+    b_positions = list(range(n1, n))
+    for k in range(n1 + 1):
+        weight = (1 - p) ** k * p ** (n1 - k)
+        if weight == 0.0:
+            continue
+        block = sym_projector(n - k) / (n - k + 1) if n - k else np.array([[1.0]])
+        for fixed in itertools.combinations(range(n1), k):
+            rest = [i for i in range(n1) if i not in fixed]
+            canonical = list(fixed) + rest + b_positions
+            mat = kron_all([PROJ_UP] * k + [block])
+            cmap = qubit_index_map(canonical, n)
+            omega += weight * mat[np.ix_(cmap, cmap)]
+    return omega
+
+
+def twirl_objective_complex(omega: np.ndarray) -> np.ndarray:
+    """`oracle.twirl_objective` in complex arithmetic: the input factors are
+    rotated by sigma_y itself rather than by the real flip."""
+    n = np.shape(omega)[0].bit_length() - 1
+    y_all = np.kron(kron_all([SIGMA_Y] * n), np.eye(2))
+    raw = np.kron(np.transpose(omega), PROJ_UP)
+    twirled = twirl(y_all @ raw @ y_all, n + 1)
+    return y_all @ twirled @ y_all
 
 
 def _contract_sectors(n1: int, n2: int, ks) -> dict[tuple[int, int, int, int], np.ndarray]:

@@ -344,7 +344,8 @@ class TestVerify:
         covariant, oracle = (float(line.split(":")[1]) for line in out.splitlines()[:2])
         assert abs(covariant - oracle) <= 1e-8
 
-    @pytest.mark.parametrize("case", ["3,3", "4,2"])
+    # (5,1) and (1,5): the 32 and 2 subsets of register A in build_omega
+    @pytest.mark.parametrize("case", ["3,3", "4,2", "5,1", "1,5"])
     def test_six_qubits(self, capsys, case):
         code, out, _ = run(capsys, ["verify", "--case", case, "--p", "0.375"])
         assert code == 0
@@ -538,6 +539,19 @@ class TestSimulateInputs:
         code, out, err = self.simulate(capsys, tmp_path / "missing.json", "--seed", seed)
         assert code == 2
         assert "--seed" in err
+        assert out == ""
+
+    def test_samples_beyond_memory_exit_2(self, capsys, tmp_path, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        kraus_file = tmp_path / "kraus.json"
+        run(capsys, ["reconstruct", "--n1", "1", "--n2", "1", "--p", "0.5",
+                     "--out", str(kraus_file)])
+        monkeypatch.setattr(cli, "estimate_fidelity", out_of_memory)
+        code, out, err = self.simulate(capsys, kraus_file, "--samples", "1000000000000")
+        assert code == 2
+        assert err == "error: --samples 1000000000000 does not fit in memory\n"
         assert out == ""
 
     def test_not_trace_preserving_exit_6(self, capsys, tmp_path):

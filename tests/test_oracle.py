@@ -19,7 +19,7 @@ from oracles import (
     permutation_operator,
     random_channel,
 )
-from references import oracle_fidelity
+from references import build_omega_by_subsets, oracle_fidelity, twirl_objective_complex
 from uqsub import oracle
 from uqsub.channel import choi_output_trace
 from uqsub.closed_forms import f21_exact
@@ -91,6 +91,21 @@ class TestBuildOmega:
     def test_dense_guard(self):
         with pytest.raises(CapacityError):
             build_omega(5, 2, 0.5)
+
+
+SIZE_PAIRS = [(n1, n - n1) for n in range(2, oracle.DENSE_QUBIT_GUARD + 1) for n1 in range(1, n)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.375, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n1,n2", SIZE_PAIRS)
+def test_popcount_formula_and_real_flip_match_references(n1, n2, p):
+    # the Kronecker-product construction and the complex sigma_y twirl that
+    # the popcount formula and the real flip replaced
+    omega = build_omega(n1, n2, p)
+    assert np.abs(omega - build_omega_by_subsets(n1, n2, p)).max() <= 1e-15
+    objective = twirl_objective(omega)
+    assert objective.dtype == np.float64
+    assert np.abs(objective - twirl_objective_complex(omega)).max() <= 1e-15
 
 
 class TestTwirl:
@@ -244,6 +259,11 @@ class TestSolveChoi:
 
     def test_oracle_fidelity_end_to_end(self):
         assert oracle_fidelity(2, 2, 0.5) == pytest.approx(0.7905092592, abs=1e-6)
+
+    def test_guard(self):
+        # the Choi matrix of DENSE_QUBIT_GUARD input qubits and one output
+        with pytest.raises(CapacityError, match="exceeds 128"):
+            choi_problem(np.eye(256))
 
     def test_rejects_complex_objective(self):
         with pytest.raises(ArithmeticError):
