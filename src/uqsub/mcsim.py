@@ -11,6 +11,13 @@ weight ``p``, so the input is ``sum_S w_S |Psi_S><Psi_S|`` over the ``2^n1``
 product states ``Psi_S`` (``psi`` on the copies in ``S``, ``phi`` on the
 rest and on the noise copies), ``w_S = (1-p)^|S| p^(n1-|S|)``, and the
 sample's fidelity is ``sum_S w_S sum_k |<psi|M_k|Psi_S>|^2``.
+
+States are drawn in blocks of ``_BLOCK`` samples, all of a block's targets
+before its noise states, and each block is evaluated in slices of ``_SLICE``
+samples.  A sample's value is the same arithmetic on the same numbers
+whatever the slice, so only the temporaries shrink: their memory grows with
+the slice times ``max(2^n, 2K)`` for ``K`` Kraus operators, not with the
+block.
 """
 from __future__ import annotations
 
@@ -23,6 +30,9 @@ from .channel import KrausSet
 
 # samples drawn per step: psi for the whole block, then phi
 _BLOCK = 2000
+# samples evaluated per step: bounds the (slice, 2^n) product states and the
+# (slice, 2K) amplitudes; below about 128 the per-slice overhead shows
+_SLICE = 256
 
 
 @dataclass
@@ -86,14 +96,17 @@ def estimate_fidelity(
         size = min(_BLOCK, samples - start)
         psi = sampler.sample_states(size)
         phi = sampler.sample_states(size)
-        out = np.zeros(size)
-        for w, mask in splits:
-            state = np.ones((size, 1), dtype=complex)  # first factor: qubit 0, top bit
-            for f in [psi if m else phi for m in mask] + [phi] * n2:
-                state = (state[:, :, None] * f[:, None, :]).reshape(size, -1)
-            amps = (state @ rows).reshape(size, -1, 2) @ psi.conj()[:, :, None]
-            out += w * np.sum(np.abs(amps) ** 2, axis=(1, 2))
-        values[start : start + size] = out
+        for lo in range(0, size, _SLICE):
+            target, noise = psi[lo : lo + _SLICE], phi[lo : lo + _SLICE]
+            m = len(target)
+            out = np.zeros(m)
+            for w, mask in splits:
+                state = np.ones((m, 1), dtype=complex)  # first factor: qubit 0, top bit
+                for f in [target if t else noise for t in mask] + [noise] * n2:
+                    state = (state[:, :, None] * f[:, None, :]).reshape(m, -1)
+                amps = (state @ rows).reshape(m, -1, 2) @ target.conj()[:, :, None]
+                out += w * np.sum(np.abs(amps) ** 2, axis=(1, 2))
+            values[start + lo : start + lo + m] = out
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(samples))
     return McEstimate(mean=mean, std_error=std_error, samples=samples)

@@ -8,6 +8,12 @@ the rows into components joined by 2x2 blocks (one path per j1 in the
 covariant problem) and maximizes each in s = sin^2 theta per row, where the
 objective is concave: projected Newton steps with an explicit active set,
 each one tridiagonal solve, until a primal/dual bracket closes at round-off.
+The line search compares primal values only.  An iterate gets its
+certificate (multipliers repaired to dual feasibility, and the gap) only when
+the step from it gains at most the target gap plus round-off, when the ascent
+cannot move, or at the step limit: the dual value bounds every primal value
+from above (weak duality), so a larger gain shows that the bracket there is
+still open, and the ascent stops where certifying every iterate would.
 Every other problem -- the dense Choi block of the oracle, and anything
 malformed -- goes to `solve_ipm`, a primal-dual path-following method with
 Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
@@ -232,6 +238,9 @@ class _Chain:
         self.lin = [c * q for c, q in zip(self.cd, self.q)] + [0.0]
         self.pairs = [(k, p, 2 * self.coff[k] * math.sqrt(self.q[k] * self.q[p]))
                       for k, p in enumerate(self.part) if p > k]
+        # the gradient of the linear part of h, the same at every s
+        self.lin_grad = [self.lin[f] - self.lin[k] if k >= 0 else 0.0
+                         for f, k in zip(self.first, self.second)]
         # s = 1/2, but a row without a cross term, linear in s, starts at the
         # bound where h is larger
         self.s = [0.5 if k < 0 or self.part[f] != f or self.part[k] != k
@@ -251,14 +260,20 @@ class _Chain:
         return [0.5 * (x + z[p]) - math.hypot(0.5 * (x - z[p]), o)
                 for x, p, o in zip(z, self.part, self.coff)]
 
+    def primal_terms(self, t):
+        """w and the terms (C w)_e w_e at t, whose sum is h, with a 0 appended
+        for a pinned row's second entry."""
+        w = [math.sqrt(q * x) for q, x in zip(self.q, t)]
+        uw = [(c * x + o * w[p]) * x for c, x, o, p in zip(self.cd, w, self.coff, self.part)]
+        uw.append(0.0)
+        return w, uw
+
     def certificate(self, t):
         """w, primal value h, multipliers and gap at t.  lam_r = sum_{e in r}
         (C w)_e w_e / rhs_r, which complementary slackness Z_b w_b = 0 gives and
         whose dual value equals the primal one, is raised by just enough to make
         every Z_b PSD; the gap is the cost of that repair, sum_r rhs_r raise_r."""
-        w = [math.sqrt(q * x) for q, x in zip(self.q, t)]
-        uw = [(c * x + o * w[p]) * x for c, x, o, p in zip(self.cd, w, self.coff, self.part)]
-        uw.append(0.0)
+        w, uw = self.primal_terms(t)
         lam = [(uw[f] + uw[k]) / b for f, k, b in zip(self.first, self.second, self.rhs)]
         need = [(-m if m < 0.0 else 0.0) / a for m, a in zip(self.min_eig(lam), self.a)] + [0.0]
         up = [max(need[f], need[k]) for f, k in zip(self.first, self.second)]
@@ -268,8 +283,7 @@ class _Chain:
         """Gradient of h in s and -Hessian: its diagonal and links (i, i+1), the
         last slot the corner (0, R-1) of a cycle.  A corner, a block with two
         zero entries, adds nothing: on that face its term is zero."""
-        grad = [self.lin[f] - self.lin[k] if k >= 0 else 0.0
-                for f, k in zip(self.first, self.second)]
+        grad = self.lin_grad[:]
         diag, link = [0.0] * len(grad), [0.0] * len(grad)
         for e, f, k in self.pairs:
             if t[e] * t[f] > 0.0:
@@ -288,55 +302,72 @@ class _Chain:
         w and lam, returns (steps, status, primal, gap).  A row at a bound stays
         there while h falls toward the inside; a corner, both entries of a
         block zero (see `search`), while it is a maximum over its two rows.
-        The free rows take a Newton step damped by |gradient| row by row."""
+        The free rows take a Newton step damped by |gradient| row by row.
+
+        The step from s is taken before s is certified.  By weak duality
+        gap(s) >= h(s') - h(s) for the accepted s', so a gain above
+        target + slack shows that the bracket at s is still open; s is
+        certified only when the gain is smaller, when the ascent cannot move
+        or when the step limit is reached, and the ascent stops at s, as it
+        would certifying every iterate, once its gap is below the target."""
         s, steps = self.s, 0
         t = self.terms(s)
-        cert = self.certificate(t)
+        primal = sum(self.primal_terms(t)[1])
         while True:
-            self.w, primal, self.lam, gap = cert
-            if gap <= self.target or steps >= max_iterations:
-                done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
-                return steps, done, primal, gap
+            found = None
+            if steps < max_iterations:
+                found = self.search(s, primal, *self.direction(s, t))
+                if found is not None and found[0] == s:
+                    found = None
+            if found is None or found[2] - primal <= self.target + self.slack:
+                self.w, _, self.lam, gap = self.certificate(t)
+                if gap <= self.target or steps >= max_iterations:
+                    done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
+                    return steps, done, primal, gap
+                if found is None:
+                    return steps + 1, STATUS_STALLED, primal, gap
             steps += 1
-            grad, diag, link = self.derivatives(t)
-            free = [0.0 < x < 1.0 and k >= 0 for x, k in zip(s, self.second)]
-            step, rate = [0.0] * len(s), 0.0
-            for i in [i for i, x in enumerate(s) if x == 0.0 or x == 1.0]:
-                # the entry the bound zeroes, and the row of its partner
-                zero = self.first[i] if s[i] == 0.0 else self.second[i]
-                j = self.row[self.part[zero]]
-                inward = grad[i] if s[i] == 0.0 else -grad[i]
-                if j == i:
-                    free[i] = inward > 0
-                elif j > i:  # release a corner along t ~ u**2, u the top eigenvector
-                    other = grad[j] if s[j] == 0.0 else -grad[j]
-                    half = self.coff[zero] * math.sqrt(self.q[zero] * self.q[self.part[zero]])
-                    top = 0.5 * (inward + other) + math.hypot(0.5 * (inward - other), half)
-                    u = (half, top - inward)
-                    if top > self.slack:
-                        norm = math.hypot(*u)
-                        for r, x in zip((i, j), u):
-                            step[r] = (1 - 2 * s[r]) * (x / norm) ** 2
-                        rate += top
-            if not rate and any(free):
-                # damped by |gradient| and, so that every pivot stays positive,
-                # by a few round-offs of the row's own curvature
-                damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
-                          for x, g in zip(diag, grad)]
-                step = _cyclic_solve(damped, link, grad, free)
-                longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
-                step = [x / longest for x in step]
-                rate = sum(map(operator.mul, grad, step))
-            found = self.search(s, primal, step, rate)
-            if found is None or found[0] == s:
-                return steps, STATUS_STALLED, primal, gap
-            s[:], t, cert = found
+            s[:], t, primal = found
+
+    def direction(self, s, t):
+        """The step from s and the rate of ascent along it, 0 when h cannot
+        rise."""
+        grad, diag, link = self.derivatives(t)
+        free = [0.0 < x < 1.0 and k >= 0 for x, k in zip(s, self.second)]
+        step, rate = [0.0] * len(s), 0.0
+        for i in [i for i, x in enumerate(s) if x == 0.0 or x == 1.0]:
+            # the entry the bound zeroes, and the row of its partner
+            zero = self.first[i] if s[i] == 0.0 else self.second[i]
+            j = self.row[self.part[zero]]
+            inward = grad[i] if s[i] == 0.0 else -grad[i]
+            if j == i:
+                free[i] = inward > 0
+            elif j > i:  # release a corner along t ~ u**2, u the top eigenvector
+                other = grad[j] if s[j] == 0.0 else -grad[j]
+                half = self.coff[zero] * math.sqrt(self.q[zero] * self.q[self.part[zero]])
+                top = 0.5 * (inward + other) + math.hypot(0.5 * (inward - other), half)
+                u = (half, top - inward)
+                if top > self.slack:
+                    norm = math.hypot(*u)
+                    for r, x in zip((i, j), u):
+                        step[r] = (1 - 2 * s[r]) * (x / norm) ** 2
+                    rate += top
+        if not rate and any(free):
+            # damped by |gradient| and, so that every pivot stays positive,
+            # by a few round-offs of the row's own curvature
+            damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
+                      for x, g in zip(diag, grad)]
+            step = _cyclic_solve(damped, link, grad, free)
+            longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
+            step = [x / longest for x in step]
+            rate = sum(map(operator.mul, grad, step))
+        return step, rate
 
     def search(self, s, base, step, rate):
         """Armijo search along the projected path s + alpha step; returns the
-        accepted s, its t and certificate.  A trial that zeroes an entry with a
-        positive partner moves the partner's row to the bound that zeroes it
-        too; one that leaves a block one zero entry fails."""
+        accepted s, its t and its primal value.  A trial that zeroes an entry
+        with a positive partner moves the partner's row to the bound that
+        zeroes it too; one that leaves a block one zero entry fails."""
         alpha = 1.0
         while rate > 0 and alpha >= 1e-12:
             trial = [min(1.0, max(0.0, x + alpha * d)) for x, d in zip(s, step)]
@@ -348,9 +379,9 @@ class _Chain:
                         trial[self.row[k]] = 0.0 if self.side[k] > 0 else 1.0
                 t = self.terms(trial)
             if 0.0 not in t or all((t[e] == 0.0) == (t[f] == 0.0) for e, f, _ in self.pairs):
-                cert = self.certificate(t)
-                if cert[1] >= base + 1e-4 * alpha * rate - self.slack:
-                    return trial, t, cert
+                value = sum(self.primal_terms(t)[1])
+                if value >= base + 1e-4 * alpha * rate - self.slack:
+                    return trial, t, value
             alpha *= 0.5
         return None
 

@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from uqsub import sdp
 from uqsub.angular import (
     HalfInt,
     SectorIndex,
@@ -25,7 +27,7 @@ from uqsub.angular import (
 )
 from uqsub.channel import KrausSet, symmetric_columns
 from uqsub.errors import CapacityError
-from uqsub.mcsim import HaarSampler, McEstimate
+from uqsub.mcsim import _BLOCK, HaarSampler, McEstimate
 from uqsub.objective import ObjectiveTable, PolyInP, split_weights
 from uqsub.oracle import (
     PROJ_UP,
@@ -36,7 +38,16 @@ from uqsub.oracle import (
     twirl,
     twirl_objective,
 )
-from uqsub.sdp import SdpProblem, SdpSolution
+from uqsub.sdp import (
+    STATUS_MAX_ITERATIONS,
+    STATUS_OPTIMAL,
+    STATUS_STALLED,
+    SdpProblem,
+    SdpSolution,
+    SolverConfig,
+    _cyclic_solve,
+    _EPS,
+)
 
 EXTRACT_QUBIT_GUARD = 6
 
@@ -185,6 +196,36 @@ def estimate_fidelity_dense(
         out = np.einsum("bki,bij,bkj->b", vecs.conj(), rho, vecs)
         values[done : done + size] = out.real
         done += size
+    mean = float(np.mean(values))
+    std_error = float(np.std(values, ddof=1) / np.sqrt(samples))
+    return McEstimate(mean=mean, std_error=std_error, samples=samples)
+
+
+def estimate_fidelity_by_block(
+    kraus: KrausSet, n1: int, n2: int, p: float, samples: int, sampler: HaarSampler
+) -> McEstimate:
+    """mcsim.estimate_fidelity as it was before its evaluation ran in slices:
+    every temporary holds a whole draw block of 2,000 samples."""
+    ops = np.stack(kraus.operators)
+    rows = ops.reshape(-1, ops.shape[2]).T
+    splits = []
+    for mask in itertools.product((True, False), repeat=n1):
+        w = (1 - p) ** sum(mask) * p ** (n1 - sum(mask))
+        if w:
+            splits.append((w, mask))
+    values = np.empty(samples)
+    for start in range(0, samples, _BLOCK):
+        size = min(_BLOCK, samples - start)
+        psi = sampler.sample_states(size)
+        phi = sampler.sample_states(size)
+        out = np.zeros(size)
+        for w, mask in splits:
+            state = np.ones((size, 1), dtype=complex)
+            for f in [psi if m else phi for m in mask] + [phi] * n2:
+                state = (state[:, :, None] * f[:, None, :]).reshape(size, -1)
+            amps = (state @ rows).reshape(size, -1, 2) @ psi.conj()[:, :, None]
+            out += w * np.sum(np.abs(amps) ** 2, axis=(1, 2))
+        values[start : start + size] = out
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(samples))
     return McEstimate(mean=mean, std_error=std_error, samples=samples)
@@ -490,3 +531,91 @@ class DenseInstance:
             waw = np.einsum("ab,ibc,cd->iad", ws[pos], a, ws[pos], optimize=True)
             m_mat += stack @ waw.reshape(self.m, d * d).T
         return 0.5 * (m_mat + m_mat.T)
+
+
+class CertifyingChain(sdp._Chain):
+    """The chain ascent as it was before certificates were deferred: a full
+    certificate at every trial point of the line search, tested at every
+    iterate."""
+
+    def ascend(self, max_iterations: int):
+        """Projected Newton ascent from self.s with an explicit active set; sets
+        w and lam, returns (steps, status, primal, gap).  A row at a bound stays
+        there while h falls toward the inside; a corner, both entries of a
+        block zero (see `search`), while it is a maximum over its two rows.
+        The free rows take a Newton step damped by |gradient| row by row."""
+        s, steps = self.s, 0
+        t = self.terms(s)
+        cert = self.certificate(t)
+        while True:
+            self.w, primal, self.lam, gap = cert
+            if gap <= self.target or steps >= max_iterations:
+                done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
+                return steps, done, primal, gap
+            steps += 1
+            grad, diag, link = self.derivatives(t)
+            free = [0.0 < x < 1.0 and k >= 0 for x, k in zip(s, self.second)]
+            step, rate = [0.0] * len(s), 0.0
+            for i in [i for i, x in enumerate(s) if x == 0.0 or x == 1.0]:
+                # the entry the bound zeroes, and the row of its partner
+                zero = self.first[i] if s[i] == 0.0 else self.second[i]
+                j = self.row[self.part[zero]]
+                inward = grad[i] if s[i] == 0.0 else -grad[i]
+                if j == i:
+                    free[i] = inward > 0
+                elif j > i:  # release a corner along t ~ u**2, u the top eigenvector
+                    other = grad[j] if s[j] == 0.0 else -grad[j]
+                    half = self.coff[zero] * math.sqrt(self.q[zero] * self.q[self.part[zero]])
+                    top = 0.5 * (inward + other) + math.hypot(0.5 * (inward - other), half)
+                    u = (half, top - inward)
+                    if top > self.slack:
+                        norm = math.hypot(*u)
+                        for r, x in zip((i, j), u):
+                            step[r] = (1 - 2 * s[r]) * (x / norm) ** 2
+                        rate += top
+            if not rate and any(free):
+                # damped by |gradient| and, so that every pivot stays positive,
+                # by a few round-offs of the row's own curvature
+                damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
+                          for x, g in zip(diag, grad)]
+                step = _cyclic_solve(damped, link, grad, free)
+                longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
+                step = [x / longest for x in step]
+                rate = sum(map(operator.mul, grad, step))
+            found = self.search(s, primal, step, rate)
+            if found is None or found[0] == s:
+                return steps, STATUS_STALLED, primal, gap
+            s[:], t, cert = found
+
+    def search(self, s, base, step, rate):
+        """Armijo search along the projected path s + alpha step; returns the
+        accepted s, its t and certificate.  A trial that zeroes an entry with a
+        positive partner moves the partner's row to the bound that zeroes it
+        too; one that leaves a block one zero entry fails."""
+        alpha = 1.0
+        while rate > 0 and alpha >= 1e-12:
+            trial = [min(1.0, max(0.0, x + alpha * d)) for x, d in zip(s, step)]
+            t = self.terms(trial)
+            if 0.0 in t:
+                for e, f, _ in self.pairs:
+                    k = f if t[e] == 0.0 else e
+                    if (t[e] == 0.0) != (t[f] == 0.0) and self.side[k]:
+                        trial[self.row[k]] = 0.0 if self.side[k] > 0 else 1.0
+                t = self.terms(trial)
+            if 0.0 not in t or all((t[e] == 0.0) == (t[f] == 0.0) for e, f, _ in self.pairs):
+                cert = self.certificate(t)
+                if cert[1] >= base + 1e-4 * alpha * rate - self.slack:
+                    return trial, t, cert
+            alpha *= 0.5
+        return None
+
+
+def solve_certifying_every_iterate(
+    problem: SdpProblem, config: SolverConfig | None = None
+) -> SdpSolution:
+    """sdp.solve with the chain components ascended by `CertifyingChain`."""
+    saved, sdp._Chain = sdp._Chain, CertifyingChain
+    try:
+        return sdp.solve(problem, config)
+    finally:
+        sdp._Chain = saved

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import apply_choi, choi_from_kraus, dn_choi, dn_kraus, random_channel
-from references import estimate_fidelity_dense, sample_state
+from references import estimate_fidelity_by_block, estimate_fidelity_dense, sample_state
 from uqsub.channel import KrausSet, kraus_from_choi, reconstruct_choi
 from uqsub.closed_forms import f21_exact
 from uqsub.mcsim import HaarSampler, McEstimate, estimate_fidelity
@@ -135,7 +135,39 @@ class TestAgainstDensityMatrixReference:
         assert est.std_error == pytest.approx(ref.std_error, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def kraus_by_size():
+    return {size: optimal_kraus(*size, 0.3)[0] for size in [(2, 1), (1, 2), (2, 2), (3, 1), (3, 3)]}
+
+
+class TestSlices:
+    """Evaluating each draw block in slices gives the block-at-once values."""
+
+    @pytest.mark.parametrize("seed", [6, 13])
+    @pytest.mark.parametrize("samples", [2, 255, 257, 2001, 4500])  # none a multiple of 256
+    @pytest.mark.parametrize("n1, n2", [(2, 1), (1, 2), (2, 2), (3, 1), (3, 3)])
+    def test_same_estimate_as_the_block_reference(self, kraus_by_size, n1, n2, samples, seed):
+        kraus = kraus_by_size[n1, n2]
+        est = estimate_fidelity(kraus, n1, n2, 0.45, samples, HaarSampler(seed=seed))
+        ref = estimate_fidelity_by_block(kraus, n1, n2, 0.45, samples, HaarSampler(seed=seed))
+        assert est == ref
+
+
 class TestSize:
+    def test_peak_memory_of_the_optimal_3_3_channel(self):
+        # the temporaries of one 256-sample slice; a block of 2,000 at once
+        # peaks at about 12.7 MB
+        p = 0.5
+        sol = solve(assemble(build_objective(3, 3), p))
+        kraus = kraus_from_choi(reconstruct_choi(sol, 3, 3))
+        tracemalloc.start()
+        try:
+            estimate_fidelity(kraus, 3, 3, p, samples=4000, sampler=HaarSampler(seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_peak_memory_at_six_qubits(self):
         kraus = KrausSet(operators=dn_kraus(6))
         tracemalloc.start()

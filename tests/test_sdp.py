@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import block_dict
+from references import CertifyingChain, block_dict, solve_certifying_every_iterate
 from uqsub import objective, sdp
 from uqsub.objective import assemble, build_objective
 from uqsub.sdp import (
@@ -631,3 +631,85 @@ class TestLargeChains:
         assert check_certificate(prob, sol).passed
         assert check_dual(prob, sol.dual_multipliers).passed
         assert value - 1e-12 <= sol.objective_value <= value + gap + 1e-12
+
+
+def has_cycle(prob):
+    """Whether some component of the chain's row graph, joined by the 2x2
+    blocks that span two rows, is a cycle: as many links as rows."""
+    owner = {(pos, i): r for r, (terms, _) in enumerate(prob.equalities) for pos, i, _, _ in terms}
+    root = list(range(prob.num_constraints))
+
+    def find(r):
+        while root[r] != r:
+            r = root[r]
+        return r
+
+    for pos, spec in enumerate(prob.blocks):
+        if spec.dim == 2:
+            a, b = find(owner[pos, 0]), find(owner[pos, 1])
+            if a == b and owner[pos, 0] != owner[pos, 1]:
+                return True
+            root[a] = b
+    return False
+
+
+class TestDeferredCertificates:
+    """The ascent certifies an iterate only where its bracket can close; the
+    reference certifies every trial point, and every solution is the same."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.375, 0.5, 0.95, 1.0])
+    def test_covariant_grid_as_the_reference(self, p):
+        for n1 in range(1, 13):
+            for n2 in range(1, 13):
+                prob = assemble(cached_objective(n1, n2), p)
+                assert tuple(solve(prob)) == tuple(solve_certifying_every_iterate(prob)), (n1, n2)
+
+    @pytest.mark.parametrize("n1, n2", [(23, 1), (1, 23)])
+    def test_longest_chains_as_the_reference(self, n1, n2):
+        prob = assemble(cached_objective(n1, n2), 0.5)
+        assert tuple(solve(prob)) == tuple(solve_certifying_every_iterate(prob))
+
+    @pytest.mark.parametrize(
+        "config",
+        [SolverConfig(max_iterations=k) for k in (0, 1, 3)] + [SolverConfig(gap_tol=1e-3)],
+    )
+    @pytest.mark.parametrize("n1, n2", [(10, 8), (7, 5), (12, 12)])
+    def test_configs_as_the_reference(self, n1, n2, config):
+        prob = assemble(cached_objective(n1, n2), 0.95)
+        assert tuple(solve(prob, config)) == tuple(solve_certifying_every_iterate(prob, config))
+
+    def test_random_chain_problems_as_the_reference(self):
+        cycles = 0
+        for seed in range(300):
+            prob = random_chain_problem(np.random.default_rng(seed), 1 + seed % 12)
+            cycles += has_cycle(prob)
+            assert tuple(solve(prob)) == tuple(solve_certifying_every_iterate(prob)), seed
+        assert cycles
+
+    def test_stall_certifies_the_point_it_returns(self, monkeypatch):
+        prob = covariant_problem(10, 10, 0.95)
+        for chain in (sdp._Chain, CertifyingChain):
+            monkeypatch.setattr(chain, "search", lambda *args: None)
+        sol = solve(prob)
+        assert sol.status == sdp.STATUS_STALLED
+        assert tuple(sol) == tuple(solve_certifying_every_iterate(prob))
+        dual = check_dual(prob, sol.dual_multipliers)
+        assert dual.passed
+        assert dual.dual_value - sol.objective_value == pytest.approx(sol.gap_estimate, abs=1e-12)
+
+    def test_fewer_certificates_on_the_grid(self, monkeypatch):
+        counts = {}
+        certificate = sdp._Chain.certificate
+
+        def counted(chain, t):
+            counts[type(chain)] = counts.get(type(chain), 0) + 1
+            return certificate(chain, t)
+
+        monkeypatch.setattr(sdp._Chain, "certificate", counted)
+        for n1 in range(1, 11):
+            for n2 in range(1, 11):
+                prob = assemble(cached_objective(n1, n2), 0.4)
+                sol = solve(prob)
+                assert sol.iterations == solve_certifying_every_iterate(prob).iterations
+        assert counts[sdp._Chain] <= 700
+        assert counts[CertifyingChain] > 2000
