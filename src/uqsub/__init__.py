@@ -10,7 +10,7 @@ reconstructs/simulates the optimal channel.
 
 from ._lazy import lazy_getattr
 from .angular import HalfInt, SectorIndex, enumerate_sectors
-from .closed_forms import cem_fidelity, dn_fidelity, f1n2, f21_exact, f2inf, mp_upper
+from .closed_forms import dn_fidelity, f21_exact, f2inf, mp_upper
 from .objective import ObjectiveTable, PolyInP, assemble, build_objective
 from .sdp import SdpProblem, SdpSolution, SolverConfig, solve
 
@@ -43,13 +43,11 @@ __all__ = [
     "assemble",
     "build_objective",
     "build_omega",
-    "cem_fidelity",
     "check_certificate",
     "check_dual",
     "dn_fidelity",
     "enumerate_sectors",
     "estimate_fidelity",
-    "f1n2",
     "f21_exact",
     "f2inf",
     "kraus_from_choi",

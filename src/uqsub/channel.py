@@ -6,7 +6,8 @@ plus one term per j1.  Where register B is not symmetric the channel gets the
 flat Gram value 1/2, which gives 1/2 (I - I_A x P_sym^B) x I_2.  On the
 symmetric subspace of B each Gram variable W^{j,j'}_{q,j1} acts the same way
 on every coupling path g of register A, so one kernel per j1 is applied to the
-coupled vectors |(j1 g, n2/2) j m> of all paths at once.
+coupled vectors |(j1 g, n2/2) j m> of all paths at once, summed over the Gram
+blocks (q, j1) of `angular.sector_blocks` with one coupling map per block.
 
 Qubit 0 is the most significant bit of a computational-basis index and
 spin-up is basis state 0.  The Choi matrix J of an n-qubit to 1-qubit
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import HalfInt, SectorIndex, cg_twice
+from .angular import HalfInt, SectorIndex, cg_twice, j_values, sector_blocks
 from .errors import CapacityError, ReconstructionError
 from .objective import w_values_from_solution
 from .sdp import SdpSolution
@@ -73,7 +74,8 @@ def symmetric_columns(
         paths.setdefault(tj1, []).append(va)
     sectors = {}
     for tj1, maps in paths.items():
-        labels, cgmat = _coupling(tj1, n2, range(tj1 + n2, abs(tj1 - n2) - 2, -2))
+        tjs = [j.twice for j in reversed(j_values(HalfInt(tj1), n2))]
+        labels, cgmat = _coupling(tj1, n2, tjs)
         sectors[tj1] = (labels, np.stack([np.kron(va, dicke) @ cgmat for va in maps]))
     return dicke, sectors
 
@@ -127,29 +129,24 @@ def choi_output_trace(choi: np.ndarray) -> np.ndarray:
 
 
 def _gram_kernel(
-    w: dict[SectorIndex, float], tj1: int, labels: list[tuple[int, int]]
+    w: dict[SectorIndex, float], n1: int, n2: int, tj1: int, labels: list[tuple[int, int]]
 ) -> np.ndarray:
-    """K[s, (j,m), s', (j',m')] of one j1: the matrix elements of the
-    covariant characterization between the coupled vectors of one path."""
-    size = len(labels)
+    """K[s, (j,m), s', (j',m')] of one j1, the sum of A^T W_(q,j1) A over its
+    Gram blocks (q, j1): A[j, s, (j,m), M] couples the output qubit s with the
+    conjugate of |j m> (m -> -m, phase (-1)^((tm - tm0)/2)) into |q M>."""
+    size, tm0 = len(labels), labels[0][1]
+    first = {tj: col for col, (tj, tm) in enumerate(labels) if tm == tj}
     kernel = np.zeros((2, size, 2, size))
-    for ci, (tj, tm) in enumerate(labels):
-        for cj, (tjp, tmp) in enumerate(labels):
-            if abs(tj - tjp) > 2:
-                continue
-            lo, hi = HalfInt(min(tj, tjp)), HalfInt(max(tj, tjp))
-            phase = -1.0 if ((tm - tmp) // 2) % 2 else 1.0
-            for si, ts in enumerate((1, -1)):
-                tsp = tmp + ts - tm  # selection rule s - m = s' - m'
-                if tsp not in (1, -1):
-                    continue
-                kernel[si, ci, (1 - tsp) // 2, cj] = phase * sum(
-                    cg_twice(1, ts, tj, -tm, tq, ts - tm)
-                    * cg_twice(1, tsp, tjp, -tmp, tq, tsp - tmp)
-                    * w.get(SectorIndex(j1=HalfInt(tj1), j=lo, jp=hi, q=HalfInt(tq)), 0.0)
-                    for tq in {tj - 1, tj + 1} & {tjp - 1, tjp + 1}
-                    if tq >= 0
-                )
+    for q, j1, rows in sector_blocks(n1, n2):
+        if j1.twice == tj1:
+            amp = np.zeros((len(rows), 2, size, q.twice + 1))
+            for a, tj in enumerate(j.twice for j in rows):
+                phase = [[(-1.0) ** ((tm0 - tm) // 2)] for tm in range(tj, -tj - 1, -2)]
+                # the coupling's rows are (s, -m), -m descending: reversed, m runs j..-j
+                cgmat = _coupling(1, tj, (q.twice,))[1].reshape(2, tj + 1, -1)[:, ::-1]
+                amp[a, :, first[tj] : first[tj] + tj + 1] = phase * cgmat
+            gram = [[w.get(SectorIndex(j1, *sorted((j, jp)), q), 0.0) for jp in rows] for j in rows]
+            kernel += np.einsum("asmM,ab,btnM->smtn", amp, gram, amp)
     return kernel
 
 
@@ -172,7 +169,7 @@ def reconstruct_choi(
     choi = 0.5 * np.kron(flat, np.eye(2))
     blocks = choi.reshape(dim, 2, dim, 2)  # a view: blocks[i, s, i', s']
     for tj1, (labels, vectors) in sectors.items():
-        kernel = _gram_kernel(w, tj1, labels)  # the same on every path g
+        kernel = _gram_kernel(w, n1, n2, tj1, labels)  # the same on every path g
         blocks += np.einsum("gic,scSd,gjd->isjS", vectors, kernel, vectors, optimize=True)
     tp_residual = float(np.abs(choi_output_trace(choi) - np.eye(dim)).max())
     min_eig = float(np.linalg.eigvalsh(0.5 * (choi + choi.T)).min())

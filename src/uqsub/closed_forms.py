@@ -21,17 +21,14 @@ def dn_fidelity(p: float) -> float:
 
     Three curves share this formula for qubits. Doing nothing keeps the
     target with weight 1 - p and the noise with weight p, whose Haar-averaged
-    overlap with the target is 1/d = 1/2. With a single mixture copy
-    (`f1n2`) the noise copies cannot raise that, for any n2: the covariant
-    SDP gives F(1, n2) = 1 - p/2. The symmetric/antisymmetric-measurement
-    purification protocol on two copies (`cem_fidelity`) gains nothing over
-    doing nothing for qubits.
+    overlap with the target is 1/d = 1/2. With a single mixture copy the
+    noise copies cannot raise that, for any n2: the covariant SDP gives the
+    single-mixture-copy optimum F(1, n2) = 1 - p/2. The
+    symmetric/antisymmetric-measurement purification protocol on two copies
+    gains nothing over doing nothing for qubits: its fidelity is 1 - p/2 too.
     """
     _check_p(p)
     return 1.0 - p / 2.0
-
-
-f1n2 = cem_fidelity = dn_fidelity
 
 
 def f21_exact(p: float) -> float:

@@ -3,8 +3,9 @@
 `solve` reads the structure of the problem it receives.  The covariant SDP
 is a chain: PSD blocks of dimension <= 2, and equality rows that each fix a
 positive combination of at most two diagonal entries, every diagonal entry
-lying in exactly one row.  Such problems go to `_solve_chain`, which splits
-the rows into components joined by 2x2 blocks (one path per j1 in the
+lying in exactly one row and the two entries of every 2x2 block in adjacent
+rows, so the rows come in path order.  Such problems go to `_solve_chain`,
+which splits the rows into the runs that 2x2 blocks join (one per j1 in the
 covariant problem) and maximizes each in s = sin^2 theta per row, where the
 objective is concave: projected Newton steps with an explicit active set,
 each one tridiagonal solve, until a primal/dual bracket closes at round-off.
@@ -14,7 +15,8 @@ the step from it gains at most the target gap plus round-off, when the ascent
 cannot move, or at the step limit: the dual value bounds every primal value
 from above (weak duality), so a larger gain shows that the bracket there is
 still open, and the ascent stops where certifying every iterate would.
-Every other problem -- the dense Choi block of the oracle, and anything
+Every other problem -- the dense Choi block of the oracle, a cycle of three
+or more rows, a 2x2 block inside one row, rows out of path order, anything
 malformed -- goes to `solve_ipm`, a primal-dual path-following method with
 Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
 
@@ -189,7 +191,8 @@ def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | N
 
     A chain has blocks of dimension 1 or 2, and equality rows with a positive
     rhs and one or two terms, each diagonal with a positive coefficient;
-    every diagonal entry lies in exactly one row.
+    every diagonal entry lies in exactly one row, and the two entries of
+    every 2x2 block lie in adjacent rows.
     """
     if not problem.equalities or any(spec.dim not in (1, 2) for spec in problem.blocks):
         return None
@@ -204,20 +207,23 @@ def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | N
     entries = [(pos, i) for pos, spec in enumerate(problem.blocks) for i in range(spec.dim)]
     if len(owner) != len(entries):
         return None
-    return [(pos, i, *owner[(pos, i)]) for pos, i in entries]
+    chain = [(pos, i, *owner[(pos, i)]) for pos, i in entries]
+    if any(i and abs(r - chain[e - 1][2]) != 1 for e, (_, i, r, _) in enumerate(chain)):
+        return None
+    return chain
 
 
 class _Chain:
-    """One component of a chain problem: rows joined by 2x2 blocks, in walk
-    order (a path from one end, a cycle from any row).
+    """One component of a chain problem: a run of rows joined by 2x2 blocks,
+    in row order.
 
     A row with two entries owns s in [0, 1] and sets t = s on its first entry
     and t = 1 - s on its second (side +1, -1), x = (rhs/a) t; a pinned entry
     has t = 1 (side 0).  A 2x2 block is the rank-one w w^T with
     w = (sqrt x_e, sign(C_ef) sqrt x_f), so the optimum is the maximum over the
     box of h(s) = sum_e C_ee x_e + sum_b 2|C_b| sqrt(x_e x_f), concave in s,
-    whose Hessian is tridiagonal but for a cycle's corner.  Entries are indexed
-    locally; a pinned row's second entry is -1, which reads an appended 0.
+    whose Hessian is tridiagonal.  Entries are indexed locally; a pinned
+    row's second entry is -1, which reads an appended 0.
     """
 
     def __init__(self, rows, members, entries, rhs, sym, cfg):
@@ -280,21 +286,20 @@ class _Chain:
         return w, sum(uw), [x + u for x, u in zip(lam, up)], sum(map(operator.mul, self.rhs, up))
 
     def derivatives(self, t):
-        """Gradient of h in s and -Hessian: its diagonal and links (i, i+1), the
-        last slot the corner (0, R-1) of a cycle.  A corner, a block with two
-        zero entries, adds nothing: on that face its term is zero."""
+        """Gradient of h in s and -Hessian: its diagonal and links (i, i+1).  A
+        corner, a block with two zero entries, adds nothing: on that face its
+        term is zero."""
         grad = self.lin_grad[:]
-        diag, link = [0.0] * len(grad), [0.0] * len(grad)
+        diag, link = [0.0] * len(grad), [0.0] * (len(grad) - 1)
         for e, f, k in self.pairs:
             if t[e] * t[f] > 0.0:
                 h = 0.25 * k / math.sqrt(t[e] * t[f])
                 re, rf, se, sf = self.row[e], self.row[f], self.side[e], self.side[f]
                 grad[re] += 2 * se * h * t[f]
                 grad[rf] += 2 * sf * h * t[e]
-                diag[re] += h * t[f] / t[e] + (2 * h if re == rf else 0.0)
+                diag[re] += h * t[f] / t[e]
                 diag[rf] += h * t[e] / t[f]
-                if re != rf:
-                    link[min(re, rf) if abs(re - rf) == 1 else -1] -= se * sf * h
+                link[min(re, rf)] -= se * sf * h
         return grad, diag, link
 
     def ascend(self, max_iterations: int):
@@ -357,7 +362,7 @@ class _Chain:
             # by a few round-offs of the row's own curvature
             damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
                       for x, g in zip(diag, grad)]
-            step = _cyclic_solve(damped, link, grad, free)
+            step = _tridiagonal_solve(damped, link, grad, free)
             longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
             step = [x / longest for x in step]
             rate = sum(map(operator.mul, grad, step))
@@ -386,26 +391,19 @@ class _Chain:
         return None
 
 
-def _cyclic_solve(diag, link, rhs, free):
+def _tridiagonal_solve(diag, link, rhs, free):
     """x = 0 off the free rows and A x = rhs on them, for the symmetric
-    positive definite A with diagonal `diag`, A[i, i+1] = link[i] and the
-    corner A[0, n-1] = link[n-1], eliminated in row order."""
-    n = len(diag)
+    positive definite A with diagonal `diag` and A[i, i+1] = link[i]:
+    Thomas elimination in row order."""
     d = [x if f else 1.0 for x, f in zip(diag, free)]
     x = [y if f else 0.0 for y, f in zip(rhs, free)]
-    c = [y if f and g else 0.0 for y, f, g in zip(link, free, free[1:] + free[:1])]
-    fill = [c[-1]] + [0.0] * n  # A[i, n-1] when row i is eliminated
-    for i in range(n - 1):
-        if i == n - 2:
-            c[i], fill[i] = c[i] + fill[i], 0.0
-        d[i + 1] -= c[i] * c[i] / d[i]
-        x[i + 1] -= c[i] * x[i] / d[i]
-        fill[i + 1] -= c[i] * fill[i] / d[i]
-        d[-1] -= fill[i] * fill[i] / d[i]
-        x[-1] -= fill[i] * x[i] / d[i]
+    c = [y if f and g else 0.0 for y, f, g in zip(link, free, free[1:])]
+    for i, ci in enumerate(c):
+        d[i + 1] -= ci * ci / d[i]
+        x[i + 1] -= ci * x[i] / d[i]
     x[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - c[i] * x[i + 1] - fill[i] * x[-1]) / d[i]
+    for i in range(len(c) - 1, -1, -1):
+        x[i] = (x[i] - c[i] * x[i + 1]) / d[i]
     return x
 
 
@@ -420,20 +418,16 @@ def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution
     sym = [(float(c[0][0]), float(c[-1][-1]),
             (float(c[0][-1]) + float(c[-1][0])) / 2 if len(c) == 2 else 0.0)
            for c in problem.objective]
-    members, links = [[] for _ in rhs], [[] for _ in rhs]
+    members, joined = [[] for _ in rhs], [False] * len(rhs)
     for e, (_, i, r, _) in enumerate(entries):
         members[r].append(e)
-        if i:  # the second entry of a 2x2 block joins its row to the first's
-            links[r].append(entries[e - 1][2])
-            links[entries[e - 1][2]].append(r)
-    # a row has at most two links: walk each path from an end, a cycle from any row
-    chains, seen = [], [False] * len(rhs)
-    for start in sorted(range(len(rhs)), key=lambda r: len(links[r])):
-        rows = [] if seen[start] else [start]
-        while rows and not seen[rows[-1]]:
-            seen[rows[-1]] = True
-            rows += [n for n in links[rows[-1]] if not seen[n]][:1]
-        chains += [_Chain(rows, members, entries, rhs, sym, cfg)] if rows else []
+        if i:  # a 2x2 block joins its two adjacent rows
+            joined[min(r, entries[e - 1][2])] = True
+    # the components are the runs of joined rows: single rows first, then by first row
+    ends = [r for r, more in enumerate(joined) if not more]
+    runs = [range(a + 1, b + 1) for a, b in zip([-1] + ends, ends)]
+    chains = [_Chain(rows, members, entries, rhs, sym, cfg)
+              for rows in sorted(runs, key=lambda rows: len(rows) > 1)]
     w, lam = [0.0] * len(entries), [0.0] * len(rhs)
     status, it, primal, gap, min_z, rp_norm = STATUS_OPTIMAL, 0, 0.0, 0.0, 0.0, 0.0
     for chain in chains:

@@ -45,8 +45,8 @@ from uqsub.sdp import (
     SdpProblem,
     SdpSolution,
     SolverConfig,
-    _cyclic_solve,
     _EPS,
+    _tridiagonal_solve,
 )
 
 EXTRACT_QUBIT_GUARD = 6
@@ -578,7 +578,7 @@ class CertifyingChain(sdp._Chain):
                 # by a few round-offs of the row's own curvature
                 damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
                           for x, g in zip(diag, grad)]
-                step = _cyclic_solve(damped, link, grad, free)
+                step = _tridiagonal_solve(damped, link, grad, free)
                 longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
                 step = [x / longest for x in step]
                 rate = sum(map(operator.mul, grad, step))

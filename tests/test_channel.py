@@ -185,6 +185,15 @@ class TestReconstruct:
         with pytest.raises(ReconstructionError):
             reconstruct_choi(bad, 2, 1)
 
+    def test_tp_violation_raises(self):
+        # a diagonal Gram entry doubled keeps every block PSD but breaks its row
+        w = w_values_from_solution(solve(assemble(build_objective(2, 1), 0.5)), 2, 1)
+        diagonal = next(s for s, v in w.items() if s.j == s.jp and v > 0.1)
+        choi = reconstruct_choi(w, 2, 1)
+        assert np.abs(choi_output_trace(choi) - np.eye(8)).max() <= 1e-12
+        with pytest.raises(ReconstructionError, match="not TP"):
+            reconstruct_choi({**w, diagonal: 2 * w[diagonal]}, 2, 1)
+
 
 class TestKraus:
     def test_identity_channel_choi(self):
@@ -209,6 +218,10 @@ class TestKraus:
             out = apply_choi(choi, rho)
             expected = np.einsum("ikjk->ij", rho.reshape(2, 4, 2, 4))
             assert np.abs(out - expected).max() < 1e-10
+
+    def test_not_psd_raises(self):
+        with pytest.raises(ReconstructionError, match="not PSD"):
+            kraus_from_choi(dn_choi(1, 1) - 1e-3 * np.eye(8))
 
     def test_completeness_and_rank_bound(self):
         sol = solve(assemble(build_objective(2, 1), 0.5))

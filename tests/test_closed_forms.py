@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import uqsub
+from uqsub import closed_forms
 from uqsub.closed_forms import (
-    cem_fidelity,
     default_p_grid,
     dn_fidelity,
-    f1n2,
     f21_exact,
     f2inf,
     mp_upper,
@@ -97,14 +97,25 @@ class TestMpUpper:
 
 
 class TestCemAndSingleCopy:
-    def test_cem_equals_dn_pointwise(self):
+    """The single-mixture-copy optimum F(1, n2) and the symmetric-measurement
+    protocol both give 1 - p/2, which has one name, `dn_fidelity`."""
+
+    def test_one_name_for_one_minus_half_p(self):
         for p in np.linspace(0, 1, 21):
-            assert cem_fidelity(p) == dn_fidelity(p)
+            assert dn_fidelity(p) == 1.0 - p / 2.0
+        for name in ("f1n2", "cem_fidelity"):
+            assert not hasattr(closed_forms, name) and not hasattr(uqsub, name)
+            assert name not in uqsub.__all__
 
     def test_f1n2(self):
-        assert f1n2(0.2) == pytest.approx(0.9, abs=1e-15)
-        assert f1n2(0.0) == 1.0
-        assert f1n2(1.0) == 0.5
+        assert dn_fidelity(0.2) == pytest.approx(0.9, abs=1e-15)
+        assert dn_fidelity(0.0) == 1.0
+        assert dn_fidelity(1.0) == 0.5
+        for n2 in (1, 2, 5):
+            table = build_objective(1, n2)
+            for p in (0.2, 0.5, 0.9):
+                value = solve(assemble(table, p)).objective_value
+                assert value == pytest.approx(dn_fidelity(p), abs=1e-12), (n2, p)
 
 
 class TestF2Inf:
@@ -158,7 +169,7 @@ class TestOrderings:
         assert f21_exact(p) <= f2inf(p) + 1e-9
 
     def test_all_curves_within_unit_interval(self):
-        curves = (dn_fidelity, f1n2, f21_exact, lambda p: mp_upper(p, 2), cem_fidelity, f2inf)
+        curves = (dn_fidelity, f21_exact, lambda p: mp_upper(p, 2), f2inf)
         values = [curve(p) for curve in curves for p in default_p_grid()]
         assert len(values) == len(curves) * 101
         for value in values:

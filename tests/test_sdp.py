@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from references import CertifyingChain, block_dict, solve_certifying_every_iterate
 from uqsub import objective, sdp
-from uqsub.objective import assemble, build_objective
+from uqsub.angular import j1_values, sector_blocks
+from uqsub.objective import MAX_TOTAL_QUBITS, assemble, build_objective
+from uqsub.oracle import build_omega, choi_problem, twirl_objective
 from uqsub.sdp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    STATUS_STALLED,
     BlockSpec,
     SdpProblem,
     SolverConfig,
@@ -40,21 +43,38 @@ def covariant_problem(n1, n2, p):
 
 
 def random_chain_problem(rng, num_blocks):
-    """Blocks of dim 1-2, diagonal entries paired at random into rows of one or
-    two entries with positive coefficients and rhs, random symmetric objective."""
+    """Blocks of dim 1-2 in random order, their diagonal entries in rows of one
+    or two entries laid along paths: each 2x2 block joins two adjacent rows,
+    now and then two blocks join the same two rows, and each 1x1 block fills
+    a path's end or starts a row of its own; the rows left with one entry are
+    pinned.  Positive coefficients and rhs, random symmetric objective."""
     dims = [int(d) for d in rng.integers(1, 3, num_blocks)]
-    entries = [(b, i) for b, d in enumerate(dims) for i in range(d)]
-    order = rng.permutation(len(entries))
-    equalities = []
-    k = 0
-    while k < len(order):
-        size = 1 if k == len(order) - 1 or rng.uniform() < 0.25 else 2
-        terms = []
-        for j in order[k : k + size]:
-            b, i = entries[j]
-            terms.append((b, i, i, rng.uniform(0.2, 3.0)))
-        equalities.append((tuple(terms), float(rng.uniform(0.2, 3.0))))
-        k += size
+    pairs = [b for b, d in enumerate(dims) if d == 2]
+    paths = []  # each a list of rows, each row a list of (block, index)
+    while pairs:
+        b, low = pairs.pop(), int(rng.integers(2))  # the entry in the lower row
+        if pairs and rng.uniform() < 0.15:  # a second block on the same two rows
+            c = pairs.pop()
+            paths.append([[(b, low), (c, 0)], [(b, 1 - low), (c, 1)]])
+        elif paths and len(paths[-1][-1]) == 1 and rng.uniform() < 0.6:
+            paths[-1][-1].append((b, low))
+            paths[-1].append([(b, 1 - low)])
+        else:
+            paths.append([[(b, low)], [(b, 1 - low)]])
+    for b in (b for b, d in enumerate(dims) if d == 1):
+        ends = [row for path in paths for row in path if len(row) == 1]
+        if ends and rng.uniform() < 0.5:
+            ends[int(rng.integers(len(ends)))].append((b, 0))
+        else:
+            paths.append([[(b, 0)]])
+    rows = [row for k in rng.permutation(len(paths)) for row in paths[k]]
+    place = [int(k) for k in rng.permutation(num_blocks)]  # where block b goes
+    equalities = [
+        (tuple((place[b], i, i, rng.uniform(0.2, 3.0)) for b, i in row),
+         float(rng.uniform(0.2, 3.0)))
+        for row in rows
+    ]
+    dims = [dims[b] for b in sorted(range(num_blocks), key=place.__getitem__)]
     objective = []
     for d in dims:
         a = rng.standard_normal((d, d))
@@ -63,6 +83,28 @@ def random_chain_problem(rng, num_blocks):
         blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate(dims)],
         objective=objective,
         equalities=equalities,
+    )
+
+
+def negative_cross_term_problem(order):
+    """Two paths of rows, (b1, b1+b3, b3+b2) and (b0, b0), with negative cross
+    terms; `order` lists the five rows, range(5) being path order."""
+    rows = [
+        (((1, 0, 0, 1.398),), 0.239),
+        (((1, 1, 1, 1.247), (3, 1, 1, 2.563)), 1.785),
+        (((3, 0, 0, 2.931), (2, 0, 0, 1.414)), 2.44),
+        (((0, 0, 0, 1.044),), 0.483),
+        (((0, 1, 1, 1.136),), 1.144),
+    ]
+    return SdpProblem(
+        blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate([2, 2, 1, 2])],
+        objective=[
+            np.array([[2.555, -1.647], [-1.647, 2.647]]),
+            np.array([[2.712, -0.018], [-0.018, 0.79]]),
+            np.array([[0.239]]),
+            np.array([[1.702, -0.871], [-0.871, -1.095]]),
+        ],
+        equalities=[rows[r] for r in order],
     )
 
 
@@ -176,7 +218,23 @@ class TestSolveGeneric:
             equalities=[(((0, 0, 0, -1.0),), 1.0)],
         )
         sol = solve(prob)
-        assert sol.status != STATUS_OPTIMAL
+        assert sol.status == STATUS_STALLED
+        assert sol.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        assert not check_certificate(prob, sol).passed
+
+    def test_residual_that_stops_falling_is_reported_infeasible(self):
+        # X_00 = -1 cannot hold, while the free X_22 with its positive
+        # coefficient keeps the steps long: the primal residual stays near 1
+        c = np.array([[-0.6, -0.9, -0.2], [-0.9, -2.2, 0.4], [-0.2, 0.4, 1.6]])
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=3)],
+            objective=[c],
+            equalities=[(((0, 0, 0, -1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
+        )
+        sol = solve(prob)
+        assert sol.status == STATUS_INFEASIBLE
+        assert sol.iterations > 25  # not the affine check, which returns at 0
+        assert sol.primal_residual > 0.5
 
 
 class TestProblem:
@@ -365,6 +423,25 @@ class TestCertificate:
         assert not report.passed
         assert prob.blocks[pos].name in report.failed_blocks
 
+    def test_dense_choi_block_and_a_row_residual(self):
+        # the oracle's Choi problem has blocks larger than 2x2
+        prob = choi_problem(twirl_objective(build_omega(2, 1, 0.4)))
+        sol = solve(prob)
+        assert sol.status == STATUS_OPTIMAL
+        assert max(spec.dim for spec in prob.blocks) > 2
+        assert check_certificate(prob, sol).passed
+        shifted = [np.array(b) for b in sol.blocks]
+        big = max(range(len(shifted)), key=lambda k: len(shifted[k]))
+        shifted[big] = shifted[big] + 1e-3 * np.eye(len(shifted[big]))  # PSD, rows broken
+        report = check_certificate(prob, sol._replace(blocks=shifted))
+        assert not report.passed
+        assert report.failed_blocks == [] and report.primal_residual > 1e-8
+        assert any("equality residual" in line for line in report.details)
+        broken = [np.array(b) for b in sol.blocks]
+        broken[big] = broken[big] - 1e-3 * np.eye(len(broken[big]))  # no longer PSD
+        report = check_certificate(prob, sol._replace(blocks=broken))
+        assert prob.blocks[big].name in report.failed_blocks
+
     def test_cauchy_schwarz_tight_at_interior_maximizer(self):
         # below the branch point the cross term saturates collinearity
         prob = covariant_problem(2, 1, 0.25)
@@ -440,26 +517,20 @@ class TestChainSolver:
         # a method on angles with sin and cos of either sign has a local
         # maximum here, with sin < 0 in block b3 (gap 2e-3); in s = sin^2 each
         # cross term takes the sign of its C and the objective is concave
-        prob = SdpProblem(
-            blocks=[BlockSpec(name=f"b{i}", dim=d) for i, d in enumerate([2, 2, 1, 2])],
-            objective=[
-                np.array([[2.555, -1.647], [-1.647, 2.647]]),
-                np.array([[2.712, -0.018], [-0.018, 0.79]]),
-                np.array([[0.239]]),
-                np.array([[1.702, -0.871], [-0.871, -1.095]]),
-            ],
-            equalities=[
-                (((3, 0, 0, 2.931), (2, 0, 0, 1.414)), 2.44),
-                (((1, 0, 0, 1.398),), 0.239),
-                (((0, 0, 0, 1.044),), 0.483),
-                (((1, 1, 1, 1.247), (3, 1, 1, 2.563)), 1.785),
-                (((0, 1, 1, 1.136),), 1.144),
-            ],
-        )
+        prob = negative_cross_term_problem(range(5))
         sol = solve(prob)
         assert sol.status == STATUS_OPTIMAL
         assert sol.gap_estimate <= 1e-12
         assert sol.objective_value == pytest.approx(solve_ipm(prob).objective_value, abs=1e-8)
+
+    def test_tolerance_below_round_off_reports_stalled(self):
+        # the ascent closes its bracket, but a row residual of 1.1e-16 misses
+        # feas_tol, so the certificate judged against the config fails
+        prob = covariant_problem(2, 1, 0.5)
+        sol = solve(prob, SolverConfig(feas_tol=1e-300))
+        assert sol.status == STATUS_STALLED
+        assert 0.0 < sol.primal_residual <= 1e-15
+        assert sol.objective_value == solve(prob).objective_value
 
     def test_lowered_multiplier_breaks_dual_feasibility(self):
         prob = covariant_problem(2, 2, 0.4)
@@ -500,15 +571,54 @@ class TestChainSolver:
             objective=[-np.eye(2)],
             equalities=[(((0, 0, 1, 1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
         )
-        for prob in (dense, shared, offdiag):
+        # two paths whose rows are listed out of path order
+        shuffled = negative_cross_term_problem((2, 0, 3, 1, 4))
+        for prob in (dense, shared, offdiag, shuffled):
             sol = solve(prob)
             assert calls[-1] is prob
             assert sol.status == STATUS_OPTIMAL
+            assert check_certificate(prob, sol).passed
+            dual = check_dual(prob, sol.dual_multipliers)
+            assert dual.passed
+            assert abs(dual.dual_value - sol.objective_value) <= 1e-7
         assert solve(shared).objective_value == pytest.approx(2.0, abs=1e-7)
         assert solve(offdiag).objective_value == pytest.approx(-1.25, abs=1e-7)
+        in_order = solve(negative_cross_term_problem(range(5))).objective_value
+        assert solve(shuffled).objective_value == pytest.approx(in_order, abs=1e-7)
         calls.clear()
         solve(covariant_problem(2, 1, 0.5))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "dims, equalities",
+        [
+            ([1], [(((0, 0, 0, 1.0),), 0.0)]),
+            ([1, 1, 1], [(((0, 0, 0, 1.0), (1, 0, 0, 1.0), (2, 0, 0, 1.0)), 1.0)]),
+            ([2], [(((0, 0, 0, 1.0),), 1.0), (((0, 0, 1, 1.0), (0, 1, 1, 1.0)), 1.0)]),
+            ([1], [(((0, 0, 0, -1.0),), 1.0)]),
+            ([2], [(((0, 0, 0, 1.0),), 1.0)]),
+            (
+                [2, 1],
+                [(((0, 0, 0, 1.0),), 1.0), (((1, 0, 0, 1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
+            ),
+        ],
+        ids=[
+            "rhs-not-positive", "three-terms", "off-diagonal-term", "coefficient-not-positive",
+            "entry-in-no-row", "block-on-rows-0-and-2",
+        ],
+    )
+    def test_not_a_chain(self, dims, equalities):
+        prob = SdpProblem(
+            blocks=[BlockSpec(f"b{i}", d) for i, d in enumerate(dims)],
+            objective=[np.eye(d) for d in dims],
+            equalities=equalities,
+        )
+        assert sdp._chain_entries(prob) is None
+
+    def test_random_chain_problems_take_the_chain_path(self):
+        for seed in range(300):
+            prob = random_chain_problem(np.random.default_rng(seed), 1 + seed % 12)
+            assert sdp._chain_entries(prob) is not None, seed
 
 
 def chain_scale(prob):
@@ -524,7 +634,10 @@ def chain_scale(prob):
 
 
 class TestChainShapes:
-    """Chains that are not paths: cycles, a block inside one row, pinned rows."""
+    """Chain shapes beyond a plain path: two blocks on the same two rows, pinned
+    rows; and the covariant layout, one run of rows per j1. A cycle of three or
+    more rows and a block inside one row are not chains: `solve` hands them to
+    the IPM."""
 
     @staticmethod
     def closes_its_bracket(prob):
@@ -540,7 +653,8 @@ class TestChainShapes:
         return sol
 
     def test_two_blocks_on_the_same_two_rows(self):
-        # rows (b0[0], b1[0]) and (b0[1], b1[1]) form a cycle of two rows
+        # rows (b0[0], b1[0]) and (b0[1], b1[1]) form a cycle of two rows, whose
+        # two blocks add to one link of the tridiagonal system
         prob = SdpProblem(
             blocks=[BlockSpec("b0", 2), BlockSpec("b1", 2)],
             objective=[np.array([[1.0, 0.8], [0.8, 0.3]]), np.array([[0.2, -0.9], [-0.9, 1.1]])],
@@ -551,7 +665,26 @@ class TestChainShapes:
         )
         self.closes_its_bracket(prob)
 
-    def test_three_rows_in_a_cycle(self):
+    @staticmethod
+    def goes_to_ipm(prob, monkeypatch):
+        calls = []
+
+        def recording_ipm(problem, config=None):
+            calls.append(problem)
+            return solve_ipm(problem, config)
+
+        monkeypatch.setattr(sdp, "solve_ipm", recording_ipm)
+        assert sdp._chain_entries(prob) is None
+        sol = solve(prob)
+        assert calls == [prob]
+        assert sol.status == STATUS_OPTIMAL
+        assert check_certificate(prob, sol).passed
+        dual = check_dual(prob, sol.dual_multipliers)
+        assert dual.passed
+        assert abs(dual.dual_value - sol.objective_value) <= 1e-7
+        return sol
+
+    def test_three_rows_in_a_cycle(self, monkeypatch):
         # blocks b0, b1, b2 join rows (0, 1), (1, 2) and (2, 0)
         prob = SdpProblem(
             blocks=[BlockSpec(f"b{i}", 2) for i in range(3)],
@@ -566,9 +699,9 @@ class TestChainShapes:
                 (((1, 1, 1, 0.5), (2, 0, 0, 1.5)), 1.1),
             ],
         )
-        self.closes_its_bracket(prob)
+        self.goes_to_ipm(prob, monkeypatch)
 
-    def test_block_inside_one_row(self):
+    def test_block_inside_one_row(self, monkeypatch):
         # X_00 + X_11 = 1: the maximum is the top eigenvalue of C
         c = np.array([[0.3, -0.7], [-0.7, 1.2]])
         prob = SdpProblem(
@@ -576,8 +709,8 @@ class TestChainShapes:
             objective=[c],
             equalities=[(((0, 0, 0, 1.0), (0, 1, 1, 1.0)), 1.0)],
         )
-        sol = self.closes_its_bracket(prob)
-        assert sol.objective_value == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-12)
+        sol = self.goes_to_ipm(prob, monkeypatch)
+        assert sol.objective_value == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-7)
 
     def test_every_row_pinned(self):
         c = np.array([[0.5, -0.4], [-0.4, -1.0]])
@@ -606,6 +739,36 @@ class TestChainShapes:
         monkeypatch.undo()
         assert sol.status == STATUS_OPTIMAL
         assert check_certificate(prob, sol).passed
+
+    @staticmethod
+    def assert_one_run_per_j1(prob, n1, n2):
+        """The problem is a chain, and the runs of rows that its 2x2 blocks
+        join are the rows of each j1 in turn, j1 descending."""
+        entries = sdp._chain_entries(prob)
+        assert entries is not None, (n1, n2)
+        block_j1 = [j1 for _, j1, _ in sector_blocks(n1, n2)]
+        row_j1 = {r: block_j1[pos] for pos, _, r, _ in entries}
+        joined = {min(r, entries[e - 1][2]) for e, (_, i, r, _) in enumerate(entries) if i}
+        runs = [[row_j1[0]]]
+        for r in range(1, prob.num_constraints):
+            if r - 1 not in joined:
+                runs.append([])
+            runs[-1].append(row_j1[r])
+        assert [set(run) for run in runs] == [{j1} for j1 in j1_values(n1)], (n1, n2)
+
+    def test_covariant_layout_is_one_run_per_j1(self):
+        sizes = [(n1, n - n1) for n in range(2, MAX_TOTAL_QUBITS + 1) for n1 in range(1, n)]
+        assert len(sizes) == 276
+        for n1, n2 in sizes:
+            # the blocks and rows `assemble` writes for every p
+            specs, _, rows = objective._layout(n1, n2)
+            zero = [[[0.0] * spec.dim for _ in range(spec.dim)] for spec in specs]
+            self.assert_one_run_per_j1(SdpProblem(list(specs), zero, rows), n1, n2)
+
+    @pytest.mark.parametrize("n1, n2", [(40, 40), (2, 400)])
+    def test_covariant_layout_beyond_the_size_guard(self, monkeypatch, n1, n2):
+        monkeypatch.setattr(objective, "MAX_TOTAL_QUBITS", n1 + n2)
+        self.assert_one_run_per_j1(assemble(build_objective(n1, n2), 0.5), n1, n2)
 
 
 class TestLargeChains:
