@@ -25,9 +25,7 @@ from .sdp import solve
 __getattr__ = lazy_getattr(
     globals(),
     {
-        **dict.fromkeys(
-            ("DENSE_QUBIT_GUARD", "build_omega", "solve_choi", "twirl_objective"), ".oracle"
-        ),
+        **dict.fromkeys(("build_omega", "solve_choi", "twirl_objective"), ".oracle"),
         **dict.fromkeys(
             ("BASIS_QUBIT_GUARD", "KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"
         ),
@@ -43,6 +41,11 @@ EXIT_VERIFY = 5
 EXIT_SCHEMA = 6
 
 log = None  # the "uqsub" logger, set up by main under QSUB_LOG=info or debug
+
+
+class _Failure(Exception):
+    """A command's failure as (exit code, message): `main` prints the
+    message as one line on stderr and returns the code."""
 
 
 def _setup_logging():
@@ -61,36 +64,30 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write(path: str, text: str) -> bool:
-    """Write an output file; on failure say why on stderr and return False."""
+def _write(path: str, text: str) -> None:
+    """Write an output file, or fail with exit 4 saying why."""
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Failure(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _solve_instance(n1: int, n2: int, p: float):
-    problem = assemble(build_objective(n1, n2), p)
-    return problem, solve(problem)
+def _solved(n1: int, n2: int, p: float):
+    """The covariant solution at (n1, n2, p), which must be optimal."""
+    sol = solve(assemble(build_objective(n1, n2), p))
+    if not sol.success:
+        raise _Failure(
+            EXIT_SOLVER,
+            f"solver failure: status={sol.status} primal_residual={sol.primal_residual:.3e} "
+            f"gap={sol.gap_estimate:.3e}",
+        )
+    return sol
 
 
 def cmd_optimize(args) -> int:
-    try:
-        problem, sol = _solve_instance(args.n1, args.n2, args.p)
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sol = _solved(args.n1, args.n2, args.p)
     w = w_values_from_solution(sol, args.n1, args.n2)
-    if not sol.success:
-        print(
-            f"solver failure: status={sol.status} primal_residual={sol.primal_residual:.3e} "
-            f"gap={sol.gap_estimate:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_SOLVER
     if args.json:
         doc = {
             "n1": args.n1,
@@ -134,7 +131,7 @@ def cmd_optimize(args) -> int:
 
 def _sweep_point(task):
     n1, n2, p = task
-    _, sol = _solve_instance(n1, n2, p)
+    sol = solve(assemble(build_objective(n1, n2), p))
     return n1, n2, sol.objective_value, sol.status
 
 
@@ -200,7 +197,8 @@ def _fork_share(share):
 
 
 def _reap(pid: int, read_end: int):
-    """(rows, None) of a forked share, or (None, why its child failed)."""
+    """What `_run_share` returned in a forked share's child, or why that
+    child failed as one string."""
     try:
         with os.fdopen(read_end, "rb") as fh:
             data = fh.read()
@@ -210,15 +208,14 @@ def _reap(pid: int, read_end: int):
         payload = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
         payload = None
-    if code == 0 and isinstance(payload, list):
-        return payload, None
-    if isinstance(payload, str):
-        return None, payload
-    return None, f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    if isinstance(payload, str) or code == 0 and isinstance(payload, list):
+        return payload
+    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
 
 
 def _sweep_rows(shares):
-    """Rows of every share, and the first failure's reason or None.
+    """Rows of every share, or a failure (exit 3) naming the first share's
+    error.
 
     Each share after the first runs in a forked child, or here where that
     child cannot start; the first runs here, and its error is reported as a
@@ -236,29 +233,27 @@ def _sweep_rows(shares):
         own = _run_share(local)
     finally:
         reaped = [_reap(*child) for child in children]
-    outcomes = [(None, own) if isinstance(own, str) else (own, None)] + reaped
-    failure = next((why for got, why in outcomes if got is None), None)
-    return [row for got, _ in outcomes if got for row in got], failure
+    rows = []
+    for got in [own, *reaped]:
+        if isinstance(got, str):
+            raise _Failure(EXIT_SOLVER, f"sweep worker failure: {got}")
+        rows += got
+    return rows
 
 
 def cmd_sweep(args) -> int:
     if min(args.n1_max, args.n2_max) < 1 or args.n1_max + args.n2_max > MAX_TOTAL_QUBITS:
-        print(
+        raise _Failure(
+            EXIT_USAGE,
             f"error: need --n1-max, --n2-max >= 1 with --n1-max + --n2-max <= {MAX_TOTAL_QUBITS}",
-            file=sys.stderr,
         )
-        return EXIT_USAGE
     if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"error: --jobs must be >= 1, got {args.jobs}")
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
     shares = _shares(tasks, args.jobs if args.jobs is not None else _usable_cores())
     if log is not None:
         log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, len(shares))
-    results, failure = _sweep_rows(shares)
-    if failure is not None:
-        print(f"sweep worker failure: {failure}", file=sys.stderr)
-        return EXIT_SOLVER
+    results = _sweep_rows(shares)
     fmax = {(n1, n2): value for n1, n2, value, _ in results}
     status = {(n1, n2): st for n1, n2, _, st in results}
     f_dn = closed_forms.dn_fidelity(args.p)
@@ -278,8 +273,7 @@ def cmd_sweep(args) -> int:
         gap = 0.0 if _fmt(f) == _fmt(f_dn) else f - f_dn
         fields = [n1, n2, _fmt(args.p), _fmt(f), _fmt(f_dn), _fmt(gap), status[(n1, n2)], prefer]
         lines.append(",".join(map(str, fields)))
-    if not _write(args.out, "\n".join(lines) + "\n"):
-        return EXIT_IO
+    _write(args.out, "\n".join(lines) + "\n")
     # flag (never fix) monotonicity violations beyond solver noise
     for n1, n2 in fmax:
         for other in ((n1 + 1, n2), (n1, n2 + 1)):
@@ -291,28 +285,21 @@ def cmd_sweep(args) -> int:
                 )
     bad = [key for key, st in status.items() if st != "optimal"]
     if bad:
-        print(f"solver failure on grid points: {bad}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise _Failure(EXIT_SOLVER, f"solver failure on grid points: {bad}")
     print(f"wrote {len(tasks)} rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_curves(args) -> int:
     if args.p_steps < 2:
-        print("error: --p-steps must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        table = build_objective(args.n1, args.n2)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, "error: --p-steps must be >= 2")
+    table = build_objective(args.n1, args.n2)
     ps = closed_forms.default_p_grid(args.p_steps)
     lines = ["p,f_opt,f_dn,f_mp_upper,f_2inf"]
     for p in ps:
         sol = solve(assemble(table, p))
         if not sol.success:
-            print(f"solver failure at p={p}: {sol.status}", file=sys.stderr)
-            return EXIT_SOLVER
+            raise _Failure(EXIT_SOLVER, f"solver failure at p={p}: {sol.status}")
         lines.append(
             ",".join(
                 _fmt(v)
@@ -325,8 +312,7 @@ def cmd_curves(args) -> int:
                 )
             )
         )
-    if not _write(args.out, "\n".join(lines) + "\n"):
-        return EXIT_IO
+    _write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(ps)} rows to {args.out}")
     return EXIT_OK
 
@@ -335,32 +321,25 @@ def cmd_verify(args) -> int:
     try:
         n1, n2 = (int(tok) for tok in args.case.split(","))
     except ValueError:
-        print("expected --case n1,n2", file=sys.stderr)
-        return EXIT_USAGE
-    guard, build_omega, twirl_objective, solve_choi = map(
-        __getattr__, ("DENSE_QUBIT_GUARD", "build_omega", "twirl_objective", "solve_choi")
+        n1 = n2 = 0
+    if min(n1, n2) < 1:
+        raise _Failure(EXIT_USAGE, "error: expected --case n1,n2 with n1, n2 >= 1")
+    sol = _solved(n1, n2, args.p)
+    build_omega, twirl_objective, solve_choi = map(
+        __getattr__, ("build_omega", "twirl_objective", "solve_choi")
     )
-    if min(n1, n2) < 1 or n1 + n2 > guard:
-        print(f"verify needs n1, n2 >= 1 with n1+n2 <= {guard}", file=sys.stderr)
-        return EXIT_USAGE
-    _, sol = _solve_instance(n1, n2, args.p)
-    if not sol.success:
-        print(f"covariant solver failure: {sol.status}", file=sys.stderr)
-        return EXIT_SOLVER
     from numpy.linalg import LinAlgError  # loaded with the oracle already
 
     try:
         oracle_value, _ = solve_choi(twirl_objective(build_omega(n1, n2, args.p)))
-    except (RuntimeError, ArithmeticError, CapacityError, LinAlgError) as exc:
-        print(f"oracle solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except (RuntimeError, ArithmeticError, LinAlgError) as exc:
+        raise _Failure(EXIT_SOLVER, f"oracle solver failure: {exc}")
     diff = abs(sol.objective_value - oracle_value)
     print(f"covariant SDP : {_fmt(sol.objective_value)}")
     print(f"oracle SDP    : {_fmt(oracle_value)}")
     print(f"difference    : {diff:.3e}")
     if diff > 1e-5:
-        print("MISMATCH (tolerance 1e-5)", file=sys.stderr)
-        return EXIT_VERIFY
+        raise _Failure(EXIT_VERIFY, "MISMATCH (tolerance 1e-5)")
     print("pass (tolerance 1e-5)")
     return EXIT_OK
 
@@ -370,21 +349,15 @@ def cmd_reconstruct(args) -> int:
         __getattr__, ("BASIS_QUBIT_GUARD", "reconstruct_choi", "kraus_from_choi")
     )
     if args.n1 + args.n2 > guard:
-        print(f"error: reconstruct limited to n1+n2 <= {guard}", file=sys.stderr)
-        return EXIT_USAGE
-    _, sol = _solve_instance(args.n1, args.n2, args.p)
-    if not sol.success:
-        print(f"solver failure: {sol.status}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise _Failure(EXIT_USAGE, f"error: reconstruct limited to n1+n2 <= {guard}")
+    sol = _solved(args.n1, args.n2, args.p)
     from numpy.linalg import LinAlgError  # loaded with the channel already
 
     try:
         kraus = kraus_from_choi(reconstruct_choi(sol, args.n1, args.n2))
     except (ReconstructionError, LinAlgError) as exc:
-        print(f"channel reconstruction failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    if not _write(args.out, kraus.to_json() + "\n"):
-        return EXIT_IO
+        raise _Failure(EXIT_SOLVER, f"channel reconstruction failure: {exc}")
+    _write(args.out, kraus.to_json() + "\n")
     print(
         f"wrote {len(kraus.operators)} Kraus operators to {args.out} "
         f"(completeness residual {kraus.completeness_residual():.3e}, "
@@ -395,11 +368,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.samples < 2:
-        print(f"error: --samples must be >= 2, got {args.samples}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"error: --samples must be >= 2, got {args.samples}")
     if not 0 <= args.seed < 2**128:  # the range of a Philox key
-        print(f"error: --seed must lie in [0, 2**128), got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"error: --seed must lie in [0, 2**128), got {args.seed}")
     KrausSet, estimate_fidelity, HaarSampler = map(
         __getattr__, ("KrausSet", "estimate_fidelity", "HaarSampler")
     )
@@ -407,34 +378,29 @@ def cmd_simulate(args) -> int:
         with open(args.kraus) as fh:
             kraus = KrausSet.from_json(fh.read())
     except OSError as exc:
-        print(f"cannot read {args.kraus}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot read {args.kraus}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"Kraus schema mismatch: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise _Failure(EXIT_SCHEMA, f"Kraus schema mismatch: {exc}")
     if not kraus.operators:
-        print("Kraus schema mismatch: empty operator list", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise _Failure(EXIT_SCHEMA, "Kraus schema mismatch: empty operator list")
     dim = 1 << (args.n1 + args.n2)
     shapes = sorted({m.shape for m in kraus.operators})
     if shapes != [(2, dim)]:
-        print(f"Kraus operators of shape {shapes}, flags give dimension {dim}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise _Failure(
+            EXIT_SCHEMA, f"Kraus operators of shape {shapes}, flags give dimension {dim}"
+        )
     residual = kraus.completeness_residual()
     if residual > 1e-8:
-        print(
-            f"Kraus set not trace preserving: completeness residual {residual:.3e}",
-            file=sys.stderr,
+        raise _Failure(
+            EXIT_SCHEMA, f"Kraus set not trace preserving: completeness residual {residual:.3e}"
         )
-        return EXIT_SCHEMA
-    _, sol = _solve_instance(args.n1, args.n2, args.p)
+    sol = _solved(args.n1, args.n2, args.p)
     try:
         estimate = estimate_fidelity(
             kraus, args.n1, args.n2, args.p, samples=args.samples, sampler=HaarSampler(args.seed)
         )
     except MemoryError:
-        print(f"error: --samples {args.samples} does not fit in memory", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure(EXIT_USAGE, f"error: --samples {args.samples} does not fit in memory")
     passed = estimate.within(sol.objective_value, n_sigma=4)
     doc = {
         "mean": estimate.mean,
@@ -515,15 +481,26 @@ def main(argv=None) -> int:
         args.p += 0.0  # -0.0 passes the range check; print it as 0
     if hasattr(args, "n1") and (args.n1 < 1 or args.n2 < 1):
         parser.error("--n1 and --n2 must be >= 1")
+    # the one place where a failure becomes its exit code and stderr line
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed reader shows here rather than at exit
-        return code
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed reader shows here rather than at exit
+    except _Failure as exc:
+        code, line = exc.args
+    except CapacityError as exc:
+        code, line = EXIT_USAGE, f"error: {exc}"
     except BrokenPipeError:
         # the interpreter flushes stdout once more at exit: let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output is closed", file=sys.stderr)
-        return EXIT_IO
+        code, line = EXIT_IO, "error: standard output is closed"
+    except Exception as exc:
+        if log is not None:
+            log.debug("unexpected error", exc_info=exc)
+        code, line = EXIT_SOLVER, f"error: {type(exc).__name__}: {exc}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -240,6 +240,18 @@ class _Instance:
         return sum(float(np.vdot(c, x)) for c, x in zip(self.c, xs))
 
 
+def _is_farkas(inst: _Instance, y: np.ndarray, psd_tol: float) -> bool:
+    """Whether y, scaled to unit length, proves that no PSD X meets the rows:
+    sum_r y_r A_r is PSD within `psd_tol` and b.y < 0, while every such X
+    would give b.y = <sum_r y_r A_r, X> >= 0."""
+    norm = float(np.linalg.norm(y))
+    if norm == 0.0:
+        return False
+    y = y / norm
+    min_eig = min(float(np.linalg.eigvalsh(s).min()) for s in inst.adjoint(y))
+    return min_eig >= -psd_tol and float(inst.b @ y) < 0.0
+
+
 def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Maximize the linear objective over block-PSD variables with equalities.
 
@@ -373,7 +385,8 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
         else:
             stall_count += 1
         if stall_count > 25 and rp_norm > 1e3 * cfg.feas_tol:
-            status = STATUS_INFEASIBLE
+            # a residual that stops falling may also mean an unbounded problem
+            status = STATUS_INFEASIBLE if _is_farkas(inst, y, cfg.psd_tol) else STATUS_STALLED
             break
 
     if status in (STATUS_STALLED, STATUS_MAX_ITERATIONS) and best is not None:

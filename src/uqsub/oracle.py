@@ -64,7 +64,7 @@ def build_omega(n1: int, n2: int, p: float) -> np.ndarray:
     """
     n = n1 + n2
     if n > DENSE_QUBIT_GUARD:
-        raise CapacityError(f"dense path limited to {DENSE_QUBIT_GUARD} qubits, got {n}")
+        raise CapacityError(f"dense path limited to n1+n2 <= {DENSE_QUBIT_GUARD}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
     pop = _popcounts(n)

@@ -605,6 +605,76 @@ class TestClosedStdout:
         assert err == "error: standard output is closed\n"
 
 
+@pytest.fixture(scope="module")
+def kraus_21(tmp_path_factory):
+    """A Kraus file of the optimal (2,1) channel at p = 0.5."""
+    path = tmp_path_factory.mktemp("kraus") / "kraus.json"
+    assert main(["reconstruct", "--n1", "2", "--n2", "1", "--p", "0.5", "--out", str(path)]) == 0
+    return path
+
+
+SOLVER_FAILURE = "solver failure: status=stalled primal_residual="
+MISSING = "{tmp}/missing/out"  # in a directory that does not exist
+SWEEP_2X2 = ["sweep", "--n1-max", "2", "--n2-max", "2", "--p", "0.5", "--jobs", "1", "--out"]
+INSTANCE_21 = ["--n1", "2", "--n2", "1", "--p", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "code,patch,argv,first_words",
+    [
+        (3, "solve", ["optimize", *INSTANCE_21], SOLVER_FAILURE),
+        (3, "solve", ["curves", "--p-steps", "3", "--out", "{tmp}/c.csv"], "solver failure at p="),
+        (3, "solve", ["verify", "--case", "2,1", "--p", "0.5"], SOLVER_FAILURE),
+        (3, "solve", ["reconstruct", *INSTANCE_21, "--out", "{tmp}/k.json"], SOLVER_FAILURE),
+        (3, "solve", ["simulate", *INSTANCE_21, "--kraus", "{kraus}", "--samples", "10"],
+         SOLVER_FAILURE),
+        (3, "solve", [*SWEEP_2X2, "{tmp}/s.csv"], "solver failure on grid points: "),
+        (5, "solve_choi", ["verify", "--case", "2,1", "--p", "0.5"], "MISMATCH"),
+        (2, None, ["optimize", "--n1", "13", "--n2", "12", "--p", "0.5"], "error: n1+n2 = 25"),
+        (2, None, ["curves", "--n1", "13", "--n2", "12", "--out", "{tmp}/c.csv"],
+         "error: n1+n2 = 25"),
+        (2, None, ["verify", "--case", "4,3", "--p", "0.5"], "error: dense path"),
+        (4, None, [*SWEEP_2X2, MISSING], "cannot write"),
+        (4, None, ["curves", "--p-steps", "3", "--out", MISSING], "cannot write"),
+        (4, None, ["reconstruct", *INSTANCE_21, "--out", MISSING], "cannot write"),
+    ],
+    ids=["optimize-solve", "curves-solve", "verify-solve", "reconstruct-solve", "simulate-solve",
+         "sweep-solve", "verify-mismatch", "optimize-size", "curves-size", "verify-size",
+         "sweep-out", "curves-out", "reconstruct-out"],
+)
+def test_failure_is_its_exit_code_and_one_line(
+    capsys, monkeypatch, tmp_path, kraus_21, code, patch, argv, first_words
+):
+    if patch == "solve":
+        monkeypatch.setattr(cli, "solve", lambda problem: solve(problem)._replace(status="stalled"))
+    elif patch == "solve_choi":
+        value = solve(assemble(build_objective(2, 1), 0.5)).objective_value
+        monkeypatch.setattr(cli, "solve_choi", lambda objective: (value + 1e-3, None))
+    argv = [arg.format(tmp=tmp_path, kraus=kraus_21) for arg in argv]
+    got, _, err = run(capsys, argv)
+    assert got == code
+    assert err.startswith(first_words) and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def broken_build(n1, n2):
+    raise ZeroDivisionError("division by zero")
+
+
+def test_unexpected_exception_is_exit_3_and_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_objective", broken_build)
+    code, out, err = run(capsys, ["optimize", *INSTANCE_21])
+    assert (code, out, err) == (3, "", "error: ZeroDivisionError: division by zero\n")
+
+
+def test_unexpected_exception_traceback_is_logged_under_debug(monkeypatch, caplog):
+    monkeypatch.setattr(cli, "build_objective", broken_build)
+    monkeypatch.setenv("QSUB_LOG", "debug")
+    caplog.set_level("DEBUG", logger="uqsub")
+    assert main(["optimize", *INSTANCE_21]) == 3
+    assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [ZeroDivisionError]
+
+
 def probe_run(code: str, cwd=None) -> subprocess.CompletedProcess:
     """`code` run in a fresh interpreter on this checkout, its output captured."""
     src = Path(__file__).resolve().parents[1] / "src"

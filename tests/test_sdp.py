@@ -236,6 +236,25 @@ class TestSolveGeneric:
         assert sol.iterations > 25  # not the affine check, which returns at 0
         assert sol.primal_residual > 0.5
 
+    @pytest.mark.parametrize("seed", [None, 8], ids=["diag-0-0-1", "random-seed-8"])
+    def test_unbounded_problem_is_not_reported_infeasible(self, seed):
+        # X_00 = X_11 = 2, X_01 = -1.332/0.689 meets the row, and the free
+        # X_22 with C_22 > 0 lets the objective grow without bound; with
+        # seed 8 the primal residual stops falling, as it does when infeasible
+        if seed is None:
+            c = np.diag([0.0, 0.0, 1.0])
+        else:
+            a = np.random.default_rng(seed).standard_normal((3, 3))
+            c = 0.5 * (a + a.T)
+        assert c[2, 2] > 0
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=3)],
+            objective=[c],
+            equalities=[(((0, 0, 1, -0.689),), 1.332)],
+        )
+        sol = solve(prob)
+        assert sol.status not in (STATUS_INFEASIBLE, STATUS_OPTIMAL)
+
 
 class TestProblem:
     @pytest.mark.parametrize(
