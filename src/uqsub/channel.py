@@ -130,13 +130,16 @@ def choi_output_trace(choi: np.ndarray) -> np.ndarray:
 
 def _gram_kernel(
     w: dict[SectorIndex, float], n1: int, n2: int, tj1: int, labels: list[tuple[int, int]]
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """K[s, (j,m), s', (j',m')] of one j1, the sum of A^T W_(q,j1) A over its
     Gram blocks (q, j1): A[j, s, (j,m), M] couples the output qubit s with the
-    conjugate of |j m> (m -> -m, phase (-1)^((tm - tm0)/2)) into |q M>."""
+    conjugate of |j m> (m -> -m, phase (-1)^((tm - tm0)/2)) into |q M>; and
+    the smallest eigenvalue of those blocks, which A, orthogonal, carries to
+    the Choi matrix on the orthonormal coupled vectors of this j1."""
     size, tm0 = len(labels), labels[0][1]
     first = {tj: col for col, (tj, tm) in enumerate(labels) if tm == tj}
     kernel = np.zeros((2, size, 2, size))
+    min_eig = np.inf
     for q, j1, rows in sector_blocks(n1, n2):
         if j1.twice == tj1:
             amp = np.zeros((len(rows), 2, size, q.twice + 1))
@@ -147,7 +150,25 @@ def _gram_kernel(
                 amp[a, :, first[tj] : first[tj] + tj + 1] = phase * cgmat
             gram = [[w.get(SectorIndex(j1, *sorted((j, jp)), q), 0.0) for jp in rows] for j in rows]
             kernel += np.einsum("asmM,ab,btnM->smtn", amp, gram, amp)
-    return kernel
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
+    return kernel, min_eig
+
+
+def _choi_matrix(w: dict[SectorIndex, float], n1: int, n2: int) -> tuple[np.ndarray, float]:
+    """The dense Choi matrix of the Gram values, unchecked, and its smallest
+    eigenvalue, read from the Gram blocks: the flat part, present where
+    n2 > 1, only adds the eigenvalue 1/2."""
+    dicke, sectors = symmetric_columns(n1, n2)
+    dim = 1 << (n1 + n2)
+    flat = np.eye(dim) - np.kron(np.eye(1 << n1), dicke @ dicke.T)
+    choi = 0.5 * np.kron(flat, np.eye(2))
+    blocks = choi.reshape(dim, 2, dim, 2)  # a view: blocks[i, s, i', s']
+    min_eig = 0.5 if n2 > 1 else np.inf
+    for tj1, (labels, vectors) in sectors.items():
+        kernel, lam = _gram_kernel(w, n1, n2, tj1, labels)  # the same on every path g
+        blocks += np.einsum("gic,scSd,gjd->isjS", vectors, kernel, vectors, optimize=True)
+        min_eig = min(min_eig, lam)
+    return choi, min_eig
 
 
 def reconstruct_choi(
@@ -163,16 +184,8 @@ def reconstruct_choi(
     completely positive without touching the fidelity.
     """
     w = solution if isinstance(solution, dict) else w_values_from_solution(solution, n1, n2)
-    dicke, sectors = symmetric_columns(n1, n2)
-    dim = 1 << (n1 + n2)
-    flat = np.eye(dim) - np.kron(np.eye(1 << n1), dicke @ dicke.T)
-    choi = 0.5 * np.kron(flat, np.eye(2))
-    blocks = choi.reshape(dim, 2, dim, 2)  # a view: blocks[i, s, i', s']
-    for tj1, (labels, vectors) in sectors.items():
-        kernel = _gram_kernel(w, n1, n2, tj1, labels)  # the same on every path g
-        blocks += np.einsum("gic,scSd,gjd->isjS", vectors, kernel, vectors, optimize=True)
-    tp_residual = float(np.abs(choi_output_trace(choi) - np.eye(dim)).max())
-    min_eig = float(np.linalg.eigvalsh(0.5 * (choi + choi.T)).min())
+    choi, min_eig = _choi_matrix(w, n1, n2)
+    tp_residual = float(np.abs(choi_output_trace(choi) - np.eye(choi.shape[0] // 2)).max())
     if min_eig < -1e-7:
         raise ReconstructionError(f"reconstructed Choi not PSD: min eig {min_eig:.3e}")
     if tp_residual > 1e-8:

@@ -8,9 +8,9 @@ robustness and verifiability over speed, with explicit residuals, but keeps
 the numpy work per iteration small and independent of the number of blocks:
 blocks of one dimension are stacked into one array, the equality rows act
 straight from their sparse `(block, i, k, coef)` terms through index arrays,
-the Schur matrix is factored once per iteration for both Newton systems, and
-one eigendecomposition of each X and Z serves the scaling and all four
-step-length tests.
+one LAPACK solve per iteration factors the Schur matrix once for both Newton
+systems, and one eigendecomposition of each X and Z stack serves the scaling
+and all four step-length tests, which take the minimum over the stacks.
 `check_certificate` and `check_dual` re-derive primal and dual feasibility
 of a solution independently of either solver.  This is the numpy part of the
 solver; `uqsub.sdp` imports it on first use.
@@ -62,38 +62,23 @@ def _guarded_inv(eig) -> np.ndarray:
     return _sym(_spectral(eig, 1.0 / np.maximum(eig[0], floor)))
 
 
-def _inverse_root(inst, eigs):
-    """X^-1/2 of every block from the eigendecompositions of the stacks,
-    zero-padded by `inst.padded`, or None where a block is not PD."""
+def _inverse_root(eigs):
+    """X^-1/2 of every stack from its eigendecomposition, or None where a
+    block is not PD."""
     if min(e[0].min() for e in eigs) <= 0.0:
         return None
-    return inst.padded([_spectral(e, 1.0 / np.sqrt(e[0])) for e in eigs])
+    return [_spectral(e, 1.0 / np.sqrt(e[0])) for e in eigs]
 
 
-def _max_step(root, step) -> float:
+def _max_step(roots, steps) -> float:
     """Largest alpha with x + alpha*dx still PSD in every block, from
-    root = x^-1/2 (None where x is not PD) and step = dx, their blocks
-    zero-padded to one size (`_Instance.padded`): the padding only adds
-    eigenvalues 0, which do not change the test."""
-    if root is None:
+    roots = x^-1/2 (None where x is not PD) and steps = dx, stack by stack:
+    -1/lam for the smallest eigenvalue lam of x^-1/2 dx x^-1/2, unbounded
+    when lam >= 0."""
+    if roots is None:
         return 0.0
-    lam = np.linalg.eigvalsh(_sym(root @ step @ root)).min()
+    lam = min(np.linalg.eigvalsh(_sym(r @ s @ r)).min() for r, s in zip(roots, steps))
     return np.inf if lam >= 0 else -1.0 / lam
-
-
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs through the Cholesky factor L, by substitution in
-    panels of 64 rows: numpy has no triangular solver, and a general solve
-    against all of L would cost as much as factoring it again."""
-    x = np.array(rhs, dtype=float)
-    starts = range(0, len(x), 64)
-    for s in starts:
-        e = s + 64
-        x[s:e] = np.linalg.solve(chol[s:e, s:e], x[s:e] - chol[s:e, :s] @ x[:s])
-    for s in reversed(starts):
-        e = s + 64
-        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, x[s:e] - chol[e:, s:e].T @ x[e:])
-    return x
 
 
 class _Instance:
@@ -188,18 +173,6 @@ class _Instance:
         """One stack per dimension -> per-block matrices in problem order."""
         return [stacks[g][slot] for g, slot in self.place]
 
-    def padded(self, stacks) -> np.ndarray:
-        """Every block in one array (blocks, dmax, dmax), stack by stack,
-        each zero-padded at the bottom and right."""
-        dmax = self.shapes[-1][1]
-        out = np.zeros((len(self.dims), dmax, dmax))
-        start = 0
-        for s in stacks:
-            n, d, _ = s.shape
-            out[start : start + n, :d, :d] = s
-            start += n
-        return out
-
     def identity(self, scale: float = 1.0) -> list[np.ndarray]:
         return [np.tile(scale * np.eye(d), (n, 1, 1)) for n, d, _ in self.shapes]
 
@@ -257,8 +230,8 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
 
     Deterministic: identical problems and configs produce identical iterates.
     Inconsistent equalities are reported as infeasible, never projected away;
-    a stall before the tolerances are met reports the best iterate instead of
-    pretending success.
+    a stall before the tolerances are met, a singular Schur matrix among its
+    causes, reports the best iterate instead of pretending success.
     """
     cfg = config or SolverConfig()
     inst = _Instance(problem)
@@ -323,24 +296,18 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
             status = STATUS_OPTIMAL
             break
 
-        # one eigendecomposition of each X and Z serves the scaling, Z^-1
-        # and, as X^-1/2 and Z^-1/2 of all blocks at once, all four
-        # step-length tests
+        # one eigendecomposition of each X and Z stack serves the scaling,
+        # Z^-1 and, as X^-1/2 and Z^-1/2, all four step-length tests
         x_eig = [np.linalg.eigh(x) for x in xs]
         z_eig = [np.linalg.eigh(z) for z in zs]
         ws = [_nt_scaling(e, z) for e, z in zip(x_eig, zs)]
         m_mat = inst.schur(ws)
-        try:
-            m_mat.flat[:: inst.m + 1] += 1e-13 * np.trace(m_mat) / max(inst.m, 1)
-            m_chol = np.linalg.cholesky(m_mat)
-        except np.linalg.LinAlgError:
-            status = STATUS_STALLED
-            break
+        m_mat.flat[:: inst.m + 1] += 1e-13 * np.trace(m_mat) / max(inst.m, 1)
 
         # dZ = A*(dy) - Rd ; dX = Rc - W dZ W ; A(dX) = rp with
         # Rc = sigma mu Z^-1 - X: the right-hand side M dy = A(Rc + W Rd W) - rp
-        # is affine in sigma mu, so one solve through the factor serves the
-        # predictor and the corrector
+        # is affine in sigma mu, so one solve of M, factored once for both
+        # columns, serves the predictor and the corrector
         zinv = [_guarded_inv(e) for e in z_eig]
         rhs = np.stack(
             [
@@ -349,7 +316,11 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
             ],
             axis=-1,
         )
-        dy_fixed, dy_per_sigma_mu = _chol_solve(m_chol, rhs).T
+        try:
+            dy_fixed, dy_per_sigma_mu = np.linalg.solve(m_mat, rhs).T
+        except np.linalg.LinAlgError:
+            status = STATUS_STALLED
+            break
 
         def newton(sigma_mu):
             dy = dy_fixed + sigma_mu * dy_per_sigma_mu
@@ -359,10 +330,10 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
             correction = lift(rp - inst.apply(dx))
             return [d + e for d, e in zip(dx, correction)], dy, dz
 
-        x_root, z_root = _inverse_root(inst, x_eig), _inverse_root(inst, z_eig)
+        x_root, z_root = _inverse_root(x_eig), _inverse_root(z_eig)
         dx_a, dy_a, dz_a = newton(0.0)
-        ap = min(1.0, 0.99 * _max_step(x_root, inst.padded(dx_a)))
-        ad = min(1.0, 0.99 * _max_step(z_root, inst.padded(dz_a)))
+        ap = min(1.0, 0.99 * _max_step(x_root, dx_a))
+        ad = min(1.0, 0.99 * _max_step(z_root, dz_a))
         mu_aff = sum(
             float(np.vdot(x + ap * dx, z + ad * dz))
             for x, dx, z, dz in zip(xs, dx_a, zs, dz_a)
@@ -370,8 +341,8 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
         sigma = min(0.99, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
 
         dx, dy, dz = newton(sigma * mu)
-        ap = min(1.0, 0.98 * _max_step(x_root, inst.padded(dx)))
-        ad = min(1.0, 0.98 * _max_step(z_root, inst.padded(dz)))
+        ap = min(1.0, 0.98 * _max_step(x_root, dx))
+        ad = min(1.0, 0.98 * _max_step(z_root, dz))
         if min(ap, ad) < 1e-10:
             status = STATUS_STALLED
             break

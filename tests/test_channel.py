@@ -10,7 +10,9 @@ from oracles import apply_choi, choi_from_kraus, dn_choi, haar_su2
 from references import build_constraints, dn_w_values, evaluate, half_int
 from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
 from uqsub.channel import (
+    BASIS_QUBIT_GUARD,
     KrausSet,
+    _choi_matrix,
     choi_output_trace,
     kraus_from_choi,
     reconstruct_choi,
@@ -106,6 +108,12 @@ class TestCoupledBasis:
 UP_TO_SIX_QUBITS = [
     (n1, n - n1, p) for n in range(2, 7) for n1 in range(1, n) for p in (0.0, 0.375, 1.0)
 ]
+# every size pair the coupled basis admits
+BASIS_PAIRS = [(n1, n - n1) for n in range(2, BASIS_QUBIT_GUARD + 1) for n1 in range(1, n)]
+
+
+def dense_min_eig(choi: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(choi).min())
 
 
 class TestReconstruct:
@@ -182,8 +190,29 @@ class TestReconstruct:
         bad = dict(w)
         off = SectorIndex(j1=HalfInt(2), j=HalfInt(1), jp=HalfInt(3), q=HalfInt(2))
         bad[off] = 5.0  # breaks the Gram structure badly
-        with pytest.raises(ReconstructionError):
+        with pytest.raises(ReconstructionError, match="not PSD"):
             reconstruct_choi(bad, 2, 1)
+
+    # the PSD check reads the smallest eigenvalue off the Gram blocks, with the
+    # flat part's 1/2 where n2 > 1, instead of diagonalizing the dense matrix
+    @pytest.mark.parametrize("n1,n2", BASIS_PAIRS)
+    def test_block_minimum_is_dense_minimum_at_optimum(self, n1, n2):
+        table = build_objective(n1, n2)
+        for p in (0.0, 0.3, 0.7, 1.0):
+            w = w_values_from_solution(solve(assemble(table, p)), n1, n2)
+            choi, min_eig = _choi_matrix(w, n1, n2)
+            assert abs(min_eig - dense_min_eig(choi)) <= 1e-12, p
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 5), (4, 4)])
+    def test_block_minimum_is_dense_minimum_for_random_w(self, n1, n2):
+        # random symmetric Gram data, far from PSD, and the same with every
+        # block shifted to PD, where the flat part's 1/2 is the minimum if n2 > 1
+        rng = np.random.default_rng(n1 * 10 + n2)
+        for shift in (0.0, 10.0):
+            w = {s: rng.standard_normal() + shift * (s.j == s.jp) for s in enumerate_sectors(n1, n2)}
+            choi, min_eig = _choi_matrix(w, n1, n2)
+            assert abs(min_eig - dense_min_eig(choi)) <= 1e-12, shift
+            assert (min_eig == 0.5) == (shift > 0 and n2 > 1)
 
     def test_tp_violation_raises(self):
         # a diagonal Gram entry doubled keeps every block PSD but breaks its row

@@ -1,11 +1,20 @@
-"""The IPM's term-format row operators against the dense-stack reference."""
+"""The IPM's term-format row operators against the dense-stack reference,
+its step-length test against the assembled block-diagonal matrix, and its
+exit when the Schur solve fails."""
 import numpy as np
 import pytest
 
 from references import DenseInstance
-from uqsub.ipm import _chol_solve, _Instance, solve_ipm
+from uqsub.ipm import _Instance, _inverse_root, _max_step, solve_ipm
 from uqsub.oracle import build_omega, choi_problem, twirl_objective
-from uqsub.sdp import STATUS_OPTIMAL, BlockSpec, SdpProblem
+from uqsub.sdp import (
+    STATUS_MAX_ITERATIONS,
+    STATUS_OPTIMAL,
+    STATUS_STALLED,
+    BlockSpec,
+    SdpProblem,
+    SolverConfig,
+)
 
 SIX_QUBIT_PAIRS = [(n1, n - n1) for n in range(2, 7) for n1 in range(1, n)]
 
@@ -71,14 +80,71 @@ def test_hand_built_rows_match_dense_reference():
     assert_close(inst.schur(inst.identity()), flat @ flat.T)
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65, 150])
-def test_chol_solve_matches_dense_solve(m):
-    rng = np.random.default_rng(m)
-    a = rng.standard_normal((m, m))
-    mat = a @ a.T + m * np.eye(m)
-    rhs = rng.standard_normal((m, 2))
-    got = _chol_solve(np.linalg.cholesky(mat), rhs)
-    np.testing.assert_allclose(got, np.linalg.solve(mat, rhs), rtol=1e-12, atol=1e-14)
+def block_diagonal(blocks) -> np.ndarray:
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    start = 0
+    for b in blocks:
+        out[start : start + len(b), start : start + len(b)] = b
+        start += len(b)
+    return out
+
+
+def dense_max_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha*dx PSD, read from the whole matrix through
+    its Cholesky factor L: -1/lam for the smallest eigenvalue lam of
+    L^-1 dx L^-T."""
+    chol = np.linalg.cholesky(x)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, dx).T)
+    lam = np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).min()
+    return np.inf if lam >= 0 else -1.0 / lam
+
+
+def check_max_step(problem: SdpProblem, seed: int):
+    inst = _Instance(problem)
+    xs, dxs = random_point(inst.dims, seed)
+    roots = _inverse_root([np.linalg.eigh(s) for s in inst.stack(xs)])
+    got = _max_step(roots, inst.stack(dxs))
+    want = dense_max_step(block_diagonal(xs), block_diagonal(dxs))
+    assert np.isfinite(want)
+    assert abs(got - want) <= 1e-12 * want
+    # a PSD step never reaches the boundary; a point off the interior moves not at all
+    assert _max_step(roots, inst.stack(xs)) == np.inf
+    singular = xs[:-1] + [0.0 * xs[-1]]
+    assert _inverse_root([np.linalg.eigh(s) for s in inst.stack(singular)]) is None
+    assert _max_step(None, inst.stack(dxs)) == 0.0
+
+
+@pytest.mark.parametrize("n1,n2", SIX_QUBIT_PAIRS, ids=[f"{a}-{b}" for a, b in SIX_QUBIT_PAIRS])
+def test_choi_max_step_matches_block_diagonal_matrix(n1, n2):
+    check_max_step(choi_problem(twirl_objective(build_omega(n1, n2, 0.375))), seed=n1 * 5 + n2)
+
+
+def test_hand_built_max_step_matches_block_diagonal_matrix():
+    check_max_step(hand_built_problem(), seed=9)
+
+
+def test_failed_schur_solve_stalls_with_best_iterate(monkeypatch):
+    # the third Schur solve fails: the loop ends there as stalled and delivers
+    # the best of the three iterates seen, the same that a limit of three
+    # iterations delivers
+    problem = choi_problem(twirl_objective(build_omega(2, 1, 0.5)))
+    limited = solve_ipm(problem, SolverConfig(max_iterations=3))
+    assert limited.status == STATUS_MAX_ITERATIONS
+    real_solve, calls = np.linalg.solve, []
+
+    def failing_solve(a, b):
+        calls.append(a.shape)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    sol = solve_ipm(problem)
+    assert len(calls) == 3
+    assert (sol.status, sol.iterations) == (STATUS_STALLED, 3)
+    assert sol.blocks == limited.blocks
+    assert sol.objective_value == limited.objective_value
+    assert sol.dual_multipliers == limited.dual_multipliers
 
 
 def test_problem_without_rows_is_solved():

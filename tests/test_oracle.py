@@ -289,6 +289,17 @@ class TestSolveChoi:
             assert abs(value - covariant) <= 1e-8, (n1, n2)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.375, 1.0])
+@pytest.mark.parametrize("n1,n2", SIZE_PAIRS)
+def test_oracle_agrees_with_covariant_within_2e_9(n1, n2, p):
+    # README states agreement within 6.1e-10 for every pair with n1+n2 <= 6;
+    # the IPM stops about 1e-10 short, so its last digits move with round-off
+    value, solution = solve_choi(twirl_objective(build_omega(n1, n2, p)))
+    assert solution.status == "optimal"
+    covariant = solve(assemble(build_objective(n1, n2), p)).objective_value
+    assert abs(value - covariant) <= 2e-9
+
+
 def test_cli_import_skips_numpy_polynomial():
     # numpy.polynomial costs about 0.1 s per CLI process; the twirl's
     # quadrature nodes come from linalg.eigh instead
