@@ -67,7 +67,7 @@ def symmetric_columns(
     as (paths, 2^(n1+n2), columns).
     """
     if n1 + n2 > BASIS_QUBIT_GUARD:
-        raise CapacityError(f"coupled basis limited to {BASIS_QUBIT_GUARD} qubits")
+        raise CapacityError(f"coupled basis limited to n1+n2 <= {BASIS_QUBIT_GUARD}, got {n1 + n2}")
     dicke = next(vmat for tjb, vmat in _couple_register(n2) if tjb == n2)
     paths: dict[int, list[np.ndarray]] = {}
     for tj1, va in _couple_register(n1):

@@ -26,9 +26,7 @@ __getattr__ = lazy_getattr(
     globals(),
     {
         **dict.fromkeys(("build_omega", "solve_choi", "twirl_objective"), ".oracle"),
-        **dict.fromkeys(
-            ("BASIS_QUBIT_GUARD", "KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"
-        ),
+        **dict.fromkeys(("KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"),
         **dict.fromkeys(("HaarSampler", "estimate_fidelity"), ".mcsim"),
     },
 )
@@ -345,11 +343,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    guard, reconstruct_choi, kraus_from_choi = map(
-        __getattr__, ("BASIS_QUBIT_GUARD", "reconstruct_choi", "kraus_from_choi")
-    )
-    if args.n1 + args.n2 > guard:
-        raise _Failure(EXIT_USAGE, f"error: reconstruct limited to n1+n2 <= {guard}")
+    reconstruct_choi, kraus_from_choi = map(__getattr__, ("reconstruct_choi", "kraus_from_choi"))
     sol = _solved(args.n1, args.n2, args.p)
     from numpy.linalg import LinAlgError  # loaded with the channel already
 

@@ -12,13 +12,15 @@ one LAPACK solve per iteration factors the Schur matrix once for both Newton
 systems, and one eigendecomposition of each X and Z stack serves the scaling
 and all four step-length tests, which take the minimum over the stacks.
 `check_certificate` and `check_dual` re-derive primal and dual feasibility
-of a solution independently of either solver.  This is the numpy part of the
-solver; `uqsub.sdp` imports it on first use.
+of a solution independently of either solver, on the same stacks: a block is
+PSD when its smallest eigenvalue, one `eigvalsh` per stack for every block
+size, is at least -psd_tol.  This is the numpy part of the solver;
+`uqsub.sdp` imports it on first use.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     SolverConfig,
-    _Record,
 )
 
 # every function below acts on a stack of blocks, an array (count, d, d)
@@ -212,6 +213,11 @@ class _Instance:
     def inner_c(self, xs) -> float:
         return sum(float(np.vdot(c, x)) for c, x in zip(self.c, xs))
 
+    def min_eigenvalues(self, stacks) -> np.ndarray:
+        """Smallest eigenvalue of every block's symmetric part, in problem order."""
+        per_stack = [np.linalg.eigvalsh(_sym(s))[:, 0] for s in stacks]
+        return np.array([per_stack[g][slot] for g, slot in self.place])
+
 
 def _is_farkas(inst: _Instance, y: np.ndarray, psd_tol: float) -> bool:
     """Whether y, scaled to unit length, proves that no PSD X meets the rows:
@@ -221,8 +227,7 @@ def _is_farkas(inst: _Instance, y: np.ndarray, psd_tol: float) -> bool:
     if norm == 0.0:
         return False
     y = y / norm
-    min_eig = min(float(np.linalg.eigvalsh(s).min()) for s in inst.adjoint(y))
-    return min_eig >= -psd_tol and float(inst.b @ y) < 0.0
+    return inst.min_eigenvalues(inst.adjoint(y)).min() >= -psd_tol and float(inst.b @ y) < 0.0
 
 
 def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -371,7 +376,7 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
             xs = [x + e for x, e in zip(xs, lift(rp_vec))]
 
     rp, rd, mu, rp_norm, rd_norm = measure(xs, zs, y)
-    min_eig = min(float(np.linalg.eigvalsh(x).min()) for x in xs)
+    min_eig = float(inst.min_eigenvalues(xs).min())
     obj_p = inst.inner_c(xs)
     obj_d = float(inst.b @ y) if inst.m else obj_p
     gap = abs(obj_d - obj_p)
@@ -403,76 +408,45 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
     )
 
 
-class CertificateReport(_Record):
-    """What `check_certificate` found; compares and prints like a dataclass."""
+class CertificateReport(NamedTuple):
+    """What `check_certificate` found."""
 
-    _fields = ("passed", "primal_residual", "min_eigenvalue", "failed_blocks", "details")
-
-    def __init__(
-        self,
-        passed: bool,
-        primal_residual: float,
-        min_eigenvalue: float,
-        failed_blocks: list[str],
-        details: list[str],
-    ):
-        self.passed, self.primal_residual = passed, primal_residual
-        self.min_eigenvalue, self.failed_blocks = min_eigenvalue, failed_blocks
-        self.details = details
+    passed: bool
+    primal_residual: float
+    min_eigenvalue: float
+    failed_blocks: list[str]
+    details: list[str]
 
 
 def check_certificate(
     problem: SdpProblem, solution: SdpSolution, feas_tol: float = 1e-8, psd_tol: float = 1e-8
 ) -> CertificateReport:
-    """Re-derive feasibility of a solution independently of the solver loop.
-
-    2x2 blocks are checked with the determinant/diagonal test, larger blocks
-    by eigendecomposition.
-    """
+    """Re-derive feasibility of a solution independently of the solver loop:
+    the row residual, and every block's smallest eigenvalue against -psd_tol."""
     inst = _Instance(problem)
-    blocks = [np.asarray(blk, dtype=float) for blk in solution.blocks]
-    rp = inst.b - inst.apply(inst.stack(blocks))
-    rp_norm = float(np.max(np.abs(rp))) if inst.m else 0.0
-    failed = []
-    details = []
-    min_eig = 0.0
-    for spec, blk in zip(problem.blocks, blocks):
-        if spec.dim == 1:
-            lam = float(blk[0, 0])
-            ok = lam >= -psd_tol
-        elif spec.dim == 2:
-            a, c, bb = float(blk[0, 0]), float(blk[1, 1]), float(blk[0, 1])
-            lam = float(np.linalg.eigvalsh(blk).min())
-            ok = a >= -psd_tol and c >= -psd_tol and bb * bb <= a * c + psd_tol
-        else:
-            lam = float(np.linalg.eigvalsh(0.5 * (blk + blk.T)).min())
-            ok = lam >= -psd_tol
-        min_eig = min(min_eig, lam)
-        if not ok:
-            failed.append(spec.name)
-            details.append(f"block {spec.name}: PSD violated (min eig {lam:.3e})")
+    xs = inst.stack(solution.blocks)
+    rp_norm = float(np.max(np.abs(inst.b - inst.apply(xs)))) if inst.m else 0.0
+    lams = inst.min_eigenvalues(xs).tolist()
+    bad = [(spec.name, lam) for spec, lam in zip(problem.blocks, lams) if lam < -psd_tol]
+    details = [f"block {name}: PSD violated (min eig {lam:.3e})" for name, lam in bad]
     if rp_norm > feas_tol:
         details.append(f"equality residual {rp_norm:.3e} exceeds {feas_tol:.1e}")
-    passed = not failed and rp_norm <= feas_tol
     return CertificateReport(
-        passed=passed,
+        passed=not bad and rp_norm <= feas_tol,
         primal_residual=rp_norm,
-        min_eigenvalue=min_eig,
-        failed_blocks=failed,
+        min_eigenvalue=min(0.0, *lams),
+        failed_blocks=[name for name, _ in bad],
         details=details,
     )
 
 
-class DualReport(_Record):
-    """What `check_dual` found; compares and prints like a dataclass."""
+class DualReport(NamedTuple):
+    """What `check_dual` found."""
 
-    _fields = ("passed", "dual_value", "min_eigenvalue", "failed_blocks")
-
-    def __init__(
-        self, passed: bool, dual_value: float, min_eigenvalue: float, failed_blocks: list[str]
-    ):
-        self.passed, self.dual_value = passed, dual_value
-        self.min_eigenvalue, self.failed_blocks = min_eigenvalue, failed_blocks
+    passed: bool
+    dual_value: float
+    min_eigenvalue: float
+    failed_blocks: list[str]
 
 
 def check_dual(
@@ -480,21 +454,17 @@ def check_dual(
 ) -> DualReport:
     """Re-derive dual feasibility of row multipliers independently of the solver.
 
-    When every Z_b = sum_r y_r A_rb - C_b is PSD, the dual value
-    sum_r b_r y_r + offset bounds the maximum from above (weak duality).
+    When every Z_b = sum_r y_r A_rb - C_b is PSD, its smallest eigenvalue at
+    least -psd_tol, the dual value sum_r b_r y_r + offset bounds the maximum
+    from above (weak duality).
     """
     inst = _Instance(problem)
     y = np.asarray(multipliers, dtype=float)
-    failed = []
-    min_eig = np.inf
-    for spec, aty, c in zip(problem.blocks, inst.unstack(inst.adjoint(y)), inst.unstack(inst.c)):
-        lam = float(np.linalg.eigvalsh(aty - c).min())
-        min_eig = min(min_eig, lam)
-        if lam < -psd_tol:
-            failed.append(spec.name)
+    lams = inst.min_eigenvalues([a - c for a, c in zip(inst.adjoint(y), inst.c)]).tolist()
+    failed = [spec.name for spec, lam in zip(problem.blocks, lams) if lam < -psd_tol]
     return DualReport(
         passed=not failed,
         dual_value=float(inst.b @ y) + problem.offset if inst.m else problem.offset,
-        min_eigenvalue=min_eig,
+        min_eigenvalue=min(lams),
         failed_blocks=failed,
     )

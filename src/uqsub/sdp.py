@@ -452,9 +452,11 @@ def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution
         u, v = w[e], w[e + spec.dim - 1] * (-1.0 if c[2] < 0 else 1.0)
         blocks.append([[u * u, u * v], [u * v, v * v]] if spec.dim == 2 else [[u * u]])
         e += spec.dim
-    # every block is w w^T, so its smallest eigenvalue is 0
+    # every block is w w^T, so its smallest eigenvalue is 0; the dual residual
+    # is how far the repaired Z falls short of PSD
     return SdpSolution(
-        blocks, primal + problem.offset, rp_norm, max(0.0, -min_z), 0.0, gap, it, status, lam
+        blocks, primal + problem.offset, primal_residual=rp_norm, dual_residual=max(0.0, -min_z),
+        min_eigenvalue=0.0, gap_estimate=gap, iterations=it, status=status, dual_multipliers=lam,
     )
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import uqsub.cli as cli
 from uqsub.cli import main
 from uqsub.errors import ReconstructionError
-from uqsub.objective import assemble, build_objective, w_values_from_solution
+from uqsub.objective import MAX_TOTAL_QUBITS, assemble, build_objective, w_values_from_solution
 from uqsub.oracle import twirl_objective
 from uqsub.sdp import solve
 
@@ -462,6 +462,8 @@ class TestReconstructSimulate:
 class TestReconstructInputs:
     @pytest.mark.parametrize("n1,n2", [(5, 4), (13, 12)])
     def test_too_many_qubits_exit_2(self, capsys, tmp_path, n1, n2):
+        # the channel's coupled-basis limit; beyond MAX_TOTAL_QUBITS the
+        # objective's size guard stops the solve first
         out_file = tmp_path / "kraus.json"
         code, out, err = run(
             capsys,
@@ -469,7 +471,8 @@ class TestReconstructInputs:
              "--out", str(out_file)],
         )
         assert code == 2
-        assert "n1+n2 <= 8" in err
+        n = n1 + n2
+        assert (f"n1+n2 <= 8, got {n}" if n <= MAX_TOTAL_QUBITS else f"n1+n2 = {n} exceeds") in err
         assert out == ""
         assert not out_file.exists()
 

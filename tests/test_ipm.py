@@ -1,11 +1,13 @@
 """The IPM's term-format row operators against the dense-stack reference,
-its step-length test against the assembled block-diagonal matrix, and its
-exit when the Schur solve fails."""
+its step-length test against the assembled block-diagonal matrix, its
+per-stack smallest eigenvalues against one eigvalsh per block, and its exit
+when the Schur solve fails."""
 import numpy as np
 import pytest
 
 from references import DenseInstance
 from uqsub.ipm import _Instance, _inverse_root, _max_step, solve_ipm
+from uqsub.objective import assemble, build_objective
 from uqsub.oracle import build_omega, choi_problem, twirl_objective
 from uqsub.sdp import (
     STATUS_MAX_ITERATIONS,
@@ -14,6 +16,7 @@ from uqsub.sdp import (
     BlockSpec,
     SdpProblem,
     SolverConfig,
+    solve,
 )
 
 SIX_QUBIT_PAIRS = [(n1, n - n1) for n in range(2, 7) for n1 in range(1, n)]
@@ -121,6 +124,34 @@ def test_choi_max_step_matches_block_diagonal_matrix(n1, n2):
 
 def test_hand_built_max_step_matches_block_diagonal_matrix():
     check_max_step(hand_built_problem(), seed=9)
+
+
+def check_min_eigenvalues(problem: SdpProblem, blocks):
+    """One eigvalsh per stack against one per block, in problem order."""
+    inst = _Instance(problem)
+    got = inst.min_eigenvalues(inst.stack(blocks))
+    assert len(got) == len(blocks)
+    for lam, blk in zip(got, blocks):
+        eigs = np.linalg.eigvalsh(np.asarray(blk))
+        assert abs(lam - eigs[0]) <= 1e-12 * np.abs(eigs).max()
+
+
+@pytest.mark.parametrize("n1,n2", SIX_QUBIT_PAIRS, ids=[f"{a}-{b}" for a, b in SIX_QUBIT_PAIRS])
+def test_choi_min_eigenvalues_match_per_block(n1, n2):
+    # at the optimum, where blocks are singular, and at an indefinite point
+    problem = choi_problem(twirl_objective(build_omega(n1, n2, 0.375)))
+    check_min_eigenvalues(problem, solve_ipm(problem).blocks)
+    check_min_eigenvalues(problem, random_point(_Instance(problem).dims, seed=n1 * 3 + n2)[1])
+
+
+def test_hand_built_and_covariant_min_eigenvalues_match_per_block():
+    problem = hand_built_problem()
+    for points in random_point(_Instance(problem).dims, seed=11):
+        check_min_eigenvalues(problem, points)
+    # stacks of 1x1 and 2x2 blocks
+    problem = assemble(build_objective(2, 1), 0.5)
+    check_min_eigenvalues(problem, solve(problem).blocks)
+    check_min_eigenvalues(problem, random_point(_Instance(problem).dims, seed=12)[1])
 
 
 def test_failed_schur_solve_stalls_with_best_iterate(monkeypatch):

@@ -442,6 +442,17 @@ class TestCertificate:
         assert not report.passed
         assert prob.blocks[pos].name in report.failed_blocks
 
+    def test_2x2_block_with_a_negative_eigenvalue_fails(self):
+        # eigenvalues +-9e-5, though b^2 = 8.1e-9 lies within psd_tol of a c = 0
+        prob = SdpProblem(
+            [BlockSpec("b", 2)], [np.zeros((2, 2))], [(((0, 0, 0, 1.0), (0, 1, 1, 1.0)), 0.0)]
+        )
+        sol = SdpSolution([[[0.0, 9e-5], [9e-5, 0.0]]], 0.0, 0.0, 0.0, 0.0, 0.0, 0, STATUS_OPTIMAL)
+        report = check_certificate(prob, sol)
+        assert not report.passed
+        assert report.failed_blocks == ["b"] and report.primal_residual == 0.0
+        assert report.min_eigenvalue == pytest.approx(-9e-5, rel=1e-12)
+
     def test_dense_choi_block_and_a_row_residual(self):
         # the oracle's Choi problem has blocks larger than 2x2
         prob = choi_problem(twirl_objective(build_omega(2, 1, 0.4)))
