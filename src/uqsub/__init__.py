@@ -18,7 +18,9 @@ from .sdp import SdpProblem, SdpSolution, SolverConfig, solve
 __getattr__ = lazy_getattr(
     globals(),
     {
-        **dict.fromkeys(("KrausSet", "kraus_from_choi", "reconstruct_choi"), ".channel"),
+        **dict.fromkeys(
+            ("KrausSet", "kraus_from_choi", "reconstruct_choi", "reconstruct_kraus"), ".channel"
+        ),
         **dict.fromkeys(("HaarSampler", "McEstimate", "estimate_fidelity"), ".mcsim"),
         **dict.fromkeys(
             ("build_omega", "solve_choi", "sym_projector", "twirl_objective"), ".oracle"
@@ -53,6 +55,7 @@ __all__ = [
     "kraus_from_choi",
     "mp_upper",
     "reconstruct_choi",
+    "reconstruct_kraus",
     "solve",
     "solve_choi",
     "sym_projector",

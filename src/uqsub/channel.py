@@ -1,13 +1,13 @@
 """Concrete channels from Gram data and back.
 
-Turns an optimal set of Gram variables into a dense Choi matrix and Kraus
-operators, and serializes Kraus sets as JSON.  The Choi matrix is a flat part
-plus one term per j1.  Where register B is not symmetric the channel gets the
-flat Gram value 1/2, which gives 1/2 (I - I_A x P_sym^B) x I_2.  On the
-symmetric subspace of B each Gram variable W^{j,j'}_{q,j1} acts the same way
-on every coupling path g of register A, so one kernel per j1 is applied to the
-coupled vectors |(j1 g, n2/2) j m> of all paths at once, summed over the Gram
-blocks (q, j1) of `angular.sector_blocks` with one coupling map per block.
+Turns an optimal set of Gram variables into a Choi matrix and Kraus
+operators, and serializes Kraus sets as JSON.  Both are read off one list of
+eigen-terms (lam, v) of the Choi matrix.  Off the averaged input's support,
+where B is not symmetric, the flat value 1/2 on I_A x (I - P_sym^B) x I_2
+keeps the channel trace preserving without touching the fidelity.  On the
+symmetric subspace of B each Gram block (q, j1) of `angular.sector_blocks`
+acts the same way on every coupling path g of A, so each of its 1x1 or 2x2
+eigenpairs gives one v per path g and per M.
 
 Qubit 0 is the most significant bit of a computational-basis index and
 spin-up is basis state 0.  The Choi matrix J of an n-qubit to 1-qubit
@@ -122,75 +122,68 @@ class KrausSet:
         return cls(operators=ops)
 
 
-def choi_output_trace(choi: np.ndarray) -> np.ndarray:
-    """Partial trace over the output qubit; equals I_in for a TP channel."""
-    d_in = choi.shape[0] // 2
-    return np.einsum("isjs->ij", choi.reshape(d_in, 2, d_in, 2))
-
-
-def _gram_kernel(
-    w: dict[SectorIndex, float], n1: int, n2: int, tj1: int, labels: list[tuple[int, int]]
-) -> tuple[np.ndarray, float]:
-    """K[s, (j,m), s', (j',m')] of one j1, the sum of A^T W_(q,j1) A over its
-    Gram blocks (q, j1): A[j, s, (j,m), M] couples the output qubit s with the
-    conjugate of |j m> (m -> -m, phase (-1)^((tm - tm0)/2)) into |q M>; and
-    the smallest eigenvalue of those blocks, which A, orthogonal, carries to
-    the Choi matrix on the orthonormal coupled vectors of this j1."""
-    size, tm0 = len(labels), labels[0][1]
-    first = {tj: col for col, (tj, tm) in enumerate(labels) if tm == tj}
-    kernel = np.zeros((2, size, 2, size))
-    min_eig = np.inf
+def _eigen_terms(w: dict[SectorIndex, float], n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi matrix of the Gram values as sum_k lam_k v_k v_k^T, unchecked,
+    the v_k orthonormal rows indexed (input, output).  The flat part is 1/2 on
+    e_a x b x e_s, b a non-symmetric coupling path vector of B.  An eigenpair
+    (lam, u) of a Gram block (q, j1) gives one v per path g of A and per M,
+    sum_j u_j A_j |(j1 g, n2/2) j>: the orthogonal A_j couples the output qubit
+    s with the conjugate of |j m> (m -> -m, phase (-1)^(j_max - m)) into |q M>."""
+    sectors = symmetric_columns(n1, n2)[1]
+    nonsym = [np.zeros((1 << n2, 0))] + [b for tjb, b in _couple_register(n2) if tjb < n2]
+    flat = np.kron(np.kron(np.eye(1 << n1), np.hstack(nonsym)), np.eye(2)).T
+    lams, vecs = [np.full(len(flat), 0.5)], [flat]
     for q, j1, rows in sector_blocks(n1, n2):
-        if j1.twice == tj1:
-            amp = np.zeros((len(rows), 2, size, q.twice + 1))
-            for a, tj in enumerate(j.twice for j in rows):
-                phase = [[(-1.0) ** ((tm0 - tm) // 2)] for tm in range(tj, -tj - 1, -2)]
-                # the coupling's rows are (s, -m), -m descending: reversed, m runs j..-j
-                cgmat = _coupling(1, tj, (q.twice,))[1].reshape(2, tj + 1, -1)[:, ::-1]
-                amp[a, :, first[tj] : first[tj] + tj + 1] = phase * cgmat
-            gram = [[w.get(SectorIndex(j1, *sorted((j, jp)), q), 0.0) for jp in rows] for j in rows]
-            kernel += np.einsum("asmM,ab,btnM->smtn", amp, gram, amp)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
-    return kernel, min_eig
+        labels, paths = sectors[j1.twice]
+        span = {tj: slice(col, col + tj + 1) for col, (tj, tm) in enumerate(labels) if tm == tj}
+        maps = []
+        for tj in (j.twice for j in rows):
+            phase = [[(-1.0) ** ((labels[0][1] - tm) // 2)] for tm in range(tj, -tj - 1, -2)]
+            # the coupling's rows are (s, -m), -m descending: reversed, m runs j..-j
+            cgmat = _coupling(1, tj, (q.twice,))[1].reshape(2, tj + 1, -1)[:, ::-1]
+            maps.append(np.einsum("gic,scM->gMis", paths[:, :, span[tj]], phase * cgmat))
+        gram = [[w.get(SectorIndex(j1, *sorted((j, jp)), q), 0.0) for jp in rows] for j in rows]
+        lam, u = np.linalg.eigh(gram)
+        vecs.append(np.einsum("ak,agMis->kgMis", u, maps).reshape(-1, flat.shape[1]))
+        lams.append(np.repeat(lam, len(vecs[-1]) // len(lam)))
+    return np.concatenate(lams), np.concatenate(vecs)
 
 
-def _choi_matrix(w: dict[SectorIndex, float], n1: int, n2: int) -> tuple[np.ndarray, float]:
-    """The dense Choi matrix of the Gram values, unchecked, and its smallest
-    eigenvalue, read from the Gram blocks: the flat part, present where
-    n2 > 1, only adds the eigenvalue 1/2."""
-    dicke, sectors = symmetric_columns(n1, n2)
-    dim = 1 << (n1 + n2)
-    flat = np.eye(dim) - np.kron(np.eye(1 << n1), dicke @ dicke.T)
-    choi = 0.5 * np.kron(flat, np.eye(2))
-    blocks = choi.reshape(dim, 2, dim, 2)  # a view: blocks[i, s, i', s']
-    min_eig = 0.5 if n2 > 1 else np.inf
-    for tj1, (labels, vectors) in sectors.items():
-        kernel, lam = _gram_kernel(w, n1, n2, tj1, labels)  # the same on every path g
-        blocks += np.einsum("gic,scSd,gjd->isjS", vectors, kernel, vectors, optimize=True)
-        min_eig = min(min_eig, lam)
-    return choi, min_eig
+def _checked_terms(
+    solution: SdpSolution | dict[SectorIndex, float], n1: int, n2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigen-terms of the channel, checked PSD and trace preserving."""
+    w = solution if isinstance(solution, dict) else w_values_from_solution(solution, n1, n2)
+    lam, v = _eigen_terms(w, n1, n2)
+    if lam.min() < -1e-7:
+        raise ReconstructionError(f"reconstructed Choi not PSD: min eig {lam.min():.3e}")
+    # Tr_out J = sum_k lam_k V_k V_k^T, V_k the (input, output) matrix of v_k
+    cols = v.reshape(len(lam), -1, 2).transpose(1, 0, 2).reshape(1 << (n1 + n2), -1)
+    tp_residual = float(np.abs((cols * np.repeat(lam, 2)) @ cols.T - np.eye(len(cols))).max())
+    if tp_residual > 1e-8:
+        raise ReconstructionError(f"reconstructed Choi not TP: residual {tp_residual:.3e}")
+    return lam, v
 
 
 def reconstruct_choi(
     solution: SdpSolution | dict[SectorIndex, float], n1: int, n2: int
 ) -> np.ndarray:
-    """Assemble the dense Choi matrix of the covariant channel fixed by the
-    Gram values.
+    """The dense Choi matrix of the covariant channel fixed by the Gram values,
+    sum_k lam_k v_k v_k^T over its eigen-terms."""
+    lam, v = _checked_terms(solution, n1, n2)
+    return (v.T * lam) @ v
 
-    Where register B is symmetric, the averaged input's support, the matrix
-    elements follow the covariant characterization, one Gram kernel per j1
-    that is diagonal in A's coupling path; elsewhere the channel is extended
-    with flat diagonal Gram values 1/2, which keeps it trace preserving and
-    completely positive without touching the fidelity.
-    """
-    w = solution if isinstance(solution, dict) else w_values_from_solution(solution, n1, n2)
-    choi, min_eig = _choi_matrix(w, n1, n2)
-    tp_residual = float(np.abs(choi_output_trace(choi) - np.eye(choi.shape[0] // 2)).max())
-    if min_eig < -1e-7:
-        raise ReconstructionError(f"reconstructed Choi not PSD: min eig {min_eig:.3e}")
-    if tp_residual > 1e-8:
-        raise ReconstructionError(f"reconstructed Choi not TP: residual {tp_residual:.3e}")
-    return choi
+
+def reconstruct_kraus(
+    solution: SdpSolution | dict[SectorIndex, float], n1: int, n2: int
+) -> KrausSet:
+    """The same channel's Kraus operators sqrt(lam_k) v_k^T, one per eigen-term
+    with lam_k above 1e-10 as in `kraus_from_choi`, but with no eigensolver
+    beyond the 2x2 Gram blocks: the operators are a function of the Gram values."""
+    lam, v = _checked_terms(solution, n1, n2)
+    keep = lam > 1e-10
+    ops = v[keep].reshape(-1, 1 << (n1 + n2), 2).transpose(0, 2, 1)
+    return KrausSet(operators=list(np.sqrt(lam[keep])[:, None, None] * ops))
 
 
 def kraus_from_choi(choi: np.ndarray) -> KrausSet:

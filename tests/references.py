@@ -156,6 +156,12 @@ def evaluate(table: ObjectiveTable, w: Mapping[SectorIndex, float], p: float) ->
     return total
 
 
+def choi_output_trace(choi: np.ndarray) -> np.ndarray:
+    """Partial trace over the output qubit; equals I_in for a TP channel."""
+    d_in = choi.shape[0] // 2
+    return np.einsum("isjs->ij", choi.reshape(d_in, 2, d_in, 2))
+
+
 def block_dict(solution: SdpSolution, problem: SdpProblem) -> dict[str, np.ndarray]:
     """Solution blocks keyed by the block names of the problem."""
     return {spec.name: np.asarray(blk) for spec, blk in zip(problem.blocks, solution.blocks)}

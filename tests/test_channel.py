@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import apply_choi, choi_from_kraus, dn_choi, haar_su2
-from references import build_constraints, dn_w_values, evaluate, half_int
-from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors
+from references import (
+    build_constraints,
+    choi_output_trace,
+    dn_w_values,
+    evaluate,
+    half_int,
+    multiplicity,
+)
+from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, sector_blocks
 from uqsub.channel import (
     BASIS_QUBIT_GUARD,
     KrausSet,
-    _choi_matrix,
-    choi_output_trace,
+    _eigen_terms,
     kraus_from_choi,
     reconstruct_choi,
+    reconstruct_kraus,
     symmetric_columns,
     w_values_from_solution,
 )
@@ -116,6 +123,12 @@ def dense_min_eig(choi: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(choi).min())
 
 
+def choi_of_terms(w, n1, n2):
+    """The unchecked Choi matrix sum_k lam_k v_k v_k^T and its eigenvalues."""
+    lam, v = _eigen_terms(w, n1, n2)
+    return (v.T * lam) @ v, lam
+
+
 class TestReconstruct:
     def test_1_1_dn_solution_reproduces_partial_trace(self):
         w = dn_w_values(1, 1)
@@ -190,18 +203,19 @@ class TestReconstruct:
         bad = dict(w)
         off = SectorIndex(j1=HalfInt(2), j=HalfInt(1), jp=HalfInt(3), q=HalfInt(2))
         bad[off] = 5.0  # breaks the Gram structure badly
-        with pytest.raises(ReconstructionError, match="not PSD"):
-            reconstruct_choi(bad, 2, 1)
+        for reconstruct in (reconstruct_choi, reconstruct_kraus):
+            with pytest.raises(ReconstructionError, match="not PSD"):
+                reconstruct(bad, 2, 1)
 
-    # the PSD check reads the smallest eigenvalue off the Gram blocks, with the
-    # flat part's 1/2 where n2 > 1, instead of diagonalizing the dense matrix
+    # the PSD check reads the smallest eigenvalue off the eigen-terms: the
+    # Gram blocks' and, where n2 > 1, the flat part's 1/2
     @pytest.mark.parametrize("n1,n2", BASIS_PAIRS)
     def test_block_minimum_is_dense_minimum_at_optimum(self, n1, n2):
         table = build_objective(n1, n2)
         for p in (0.0, 0.3, 0.7, 1.0):
             w = w_values_from_solution(solve(assemble(table, p)), n1, n2)
-            choi, min_eig = _choi_matrix(w, n1, n2)
-            assert abs(min_eig - dense_min_eig(choi)) <= 1e-12, p
+            choi, lam = choi_of_terms(w, n1, n2)
+            assert abs(lam.min() - dense_min_eig(choi)) <= 1e-12, p
 
     @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 5), (4, 4)])
     def test_block_minimum_is_dense_minimum_for_random_w(self, n1, n2):
@@ -210,9 +224,9 @@ class TestReconstruct:
         rng = np.random.default_rng(n1 * 10 + n2)
         for shift in (0.0, 10.0):
             w = {s: rng.standard_normal() + shift * (s.j == s.jp) for s in enumerate_sectors(n1, n2)}
-            choi, min_eig = _choi_matrix(w, n1, n2)
-            assert abs(min_eig - dense_min_eig(choi)) <= 1e-12, shift
-            assert (min_eig == 0.5) == (shift > 0 and n2 > 1)
+            choi, lam = choi_of_terms(w, n1, n2)
+            assert abs(lam.min() - dense_min_eig(choi)) <= 1e-12, shift
+            assert (lam.min() == 0.5) == (shift > 0 and n2 > 1)
 
     def test_tp_violation_raises(self):
         # a diagonal Gram entry doubled keeps every block PSD but breaks its row
@@ -220,8 +234,46 @@ class TestReconstruct:
         diagonal = next(s for s, v in w.items() if s.j == s.jp and v > 0.1)
         choi = reconstruct_choi(w, 2, 1)
         assert np.abs(choi_output_trace(choi) - np.eye(8)).max() <= 1e-12
-        with pytest.raises(ReconstructionError, match="not TP"):
-            reconstruct_choi({**w, diagonal: 2 * w[diagonal]}, 2, 1)
+        for reconstruct in (reconstruct_choi, reconstruct_kraus):
+            with pytest.raises(ReconstructionError, match="not TP"):
+                reconstruct({**w, diagonal: 2 * w[diagonal]}, 2, 1)
+
+
+def rank_formula(w, n1, n2):
+    """The rank of the Choi matrix: 2 * 2^n1 (2^n2 - n2 - 1) for the flat
+    part, plus rank W * paths(j1) * (2q+1) for each Gram block (q, j1)."""
+    rank = 2 * (1 << n1) * ((1 << n2) - n2 - 1)
+    for q, j1, rows in sector_blocks(n1, n2):
+        gram = [[w[SectorIndex(j1, *sorted((j, jp)), q)] for jp in rows] for j in rows]
+        block_rank = int((np.linalg.eigvalsh(gram) > 1e-10).sum())
+        rank += block_rank * multiplicity(n1, j1) * (q.twice + 1)
+    return rank
+
+
+class TestReconstructKraus:
+    """Kraus operators read off the eigen-terms, with no dense eigensolver."""
+
+    @pytest.mark.parametrize("n1,n2", BASIS_PAIRS)
+    def test_same_channel_as_dense_factorization(self, n1, n2):
+        table = build_objective(n1, n2)
+        for p in (0.0, 0.375, 0.7, 1.0):
+            w = w_values_from_solution(solve(assemble(table, p)), n1, n2)
+            choi = reconstruct_choi(w, n1, n2)
+            ops = np.asarray(reconstruct_kraus(w, n1, n2).operators)
+            vecs = ops.transpose(0, 2, 1).reshape(len(ops), -1)  # as in choi_from_kraus
+            assert np.abs(vecs.T @ vecs.conj() - choi).max() <= 1e-12, p
+            assert len(ops) == len(kraus_from_choi(choi).operators), p
+            assert len(ops) == rank_formula(w, n1, n2), p
+
+    def test_operators_are_a_function_of_the_gram_values(self):
+        # a dense eigh picks any basis inside a degenerate eigenspace: this
+        # change in one W once moved a Kraus entry by 1.0
+        w = w_values_from_solution(solve(assemble(build_objective(3, 2), 0.4)), 3, 2)
+        top = max(w, key=lambda s: abs(w[s]))
+        ops = np.asarray(reconstruct_kraus(w, 3, 2).operators)
+        moved = np.asarray(reconstruct_kraus({**w, top: w[top] * (1 + 2e-15)}, 3, 2).operators)
+        assert moved.shape == ops.shape
+        assert np.abs(moved - ops).max() <= 1e-12
 
 
 class TestKraus:

@@ -378,19 +378,19 @@ class TestVerify:
 
 class TestReconstructSimulate:
     @pytest.mark.parametrize(
-        "stage,exc",
+        "exc",
         [
-            ("reconstruct_choi", ReconstructionError("reconstructed Choi not TP: residual 1.0e-03")),
-            ("kraus_from_choi", ReconstructionError("Choi not PSD: min eig -1.0e-03")),
-            ("kraus_from_choi", np.linalg.LinAlgError("Eigenvalues did not converge")),
+            ReconstructionError("reconstructed Choi not TP: residual 1.0e-03"),
+            ReconstructionError("reconstructed Choi not PSD: min eig -1.0e-03"),
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
         ],
         ids=["reconstruct-choi", "kraus-not-psd", "kraus-linalg"],
     )
-    def test_channel_failure_exit_3(self, capsys, monkeypatch, tmp_path, stage, exc):
+    def test_channel_failure_exit_3(self, capsys, monkeypatch, tmp_path, exc):
         def failing(*args):
             raise exc
 
-        monkeypatch.setattr(cli, stage, failing)
+        monkeypatch.setattr(cli, "reconstruct_kraus", failing)
         kraus_file = tmp_path / "kraus.json"
         code, out, err = run(
             capsys,

@@ -19,9 +19,13 @@ from oracles import (
     permutation_operator,
     random_channel,
 )
-from references import build_omega_by_subsets, oracle_fidelity, twirl_objective_complex
+from references import (
+    build_omega_by_subsets,
+    choi_output_trace,
+    oracle_fidelity,
+    twirl_objective_complex,
+)
 from uqsub import oracle
-from uqsub.channel import choi_output_trace
 from uqsub.closed_forms import f21_exact
 from uqsub.errors import CapacityError
 from uqsub.objective import assemble, build_objective
