@@ -55,16 +55,13 @@ def _couple_register(n: int) -> list[tuple[int, np.ndarray]]:
     return branches
 
 
-def symmetric_columns(
-    n1: int, n2: int
-) -> tuple[np.ndarray, dict[int, tuple[list[tuple[int, int]], np.ndarray]]]:
+def symmetric_columns(n1: int, n2: int) -> dict[int, tuple[list[tuple[int, int]], np.ndarray]]:
     """Coupled vectors |(j1 g, n2/2) j m> of the space where B is symmetric.
 
     Register A's qubits couple left to right into j1 along a path g, B's into
-    its top spin n2/2, then the two into j.  Returns the Dicke isometry of B,
-    shape (2^n2, n2+1), and per twice-j1 the column labels (tj, tm), j
-    descending then m = j..-j, with the vectors of every path g of A stacked
-    as (paths, 2^(n1+n2), columns).
+    its top spin n2/2 (the Dicke isometry), then the two into j.  Returns per
+    twice-j1 the column labels (tj, tm), j descending then m = j..-j, with the
+    vectors of every path g of A stacked as (paths, 2^(n1+n2), columns).
     """
     if n1 + n2 > BASIS_QUBIT_GUARD:
         raise CapacityError(f"coupled basis limited to n1+n2 <= {BASIS_QUBIT_GUARD}, got {n1 + n2}")
@@ -77,7 +74,7 @@ def symmetric_columns(
         tjs = [j.twice for j in reversed(j_values(HalfInt(tj1), n2))]
         labels, cgmat = _coupling(tj1, n2, tjs)
         sectors[tj1] = (labels, np.stack([np.kron(va, dicke) @ cgmat for va in maps]))
-    return dicke, sectors
+    return sectors
 
 
 @dataclass
@@ -129,7 +126,7 @@ def _eigen_terms(w: dict[SectorIndex, float], n1: int, n2: int) -> tuple[np.ndar
     (lam, u) of a Gram block (q, j1) gives one v per path g of A and per M,
     sum_j u_j A_j |(j1 g, n2/2) j>: the orthogonal A_j couples the output qubit
     s with the conjugate of |j m> (m -> -m, phase (-1)^(j_max - m)) into |q M>."""
-    sectors = symmetric_columns(n1, n2)[1]
+    sectors = symmetric_columns(n1, n2)
     nonsym = [np.zeros((1 << n2, 0))] + [b for tjb, b in _couple_register(n2) if tjb < n2]
     flat = np.kron(np.kron(np.eye(1 << n1), np.hstack(nonsym)), np.eye(2)).T
     lams, vecs = [np.full(len(flat), 0.5)], [flat]

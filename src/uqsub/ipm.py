@@ -415,7 +415,6 @@ class CertificateReport(NamedTuple):
     primal_residual: float
     min_eigenvalue: float
     failed_blocks: list[str]
-    details: list[str]
 
 
 def check_certificate(
@@ -428,15 +427,11 @@ def check_certificate(
     rp_norm = float(np.max(np.abs(inst.b - inst.apply(xs)))) if inst.m else 0.0
     lams = inst.min_eigenvalues(xs).tolist()
     bad = [(spec.name, lam) for spec, lam in zip(problem.blocks, lams) if lam < -psd_tol]
-    details = [f"block {name}: PSD violated (min eig {lam:.3e})" for name, lam in bad]
-    if rp_norm > feas_tol:
-        details.append(f"equality residual {rp_norm:.3e} exceeds {feas_tol:.1e}")
     return CertificateReport(
         passed=not bad and rp_norm <= feas_tol,
         primal_residual=rp_norm,
         min_eigenvalue=min(0.0, *lams),
         failed_blocks=[name for name, _ in bad],
-        details=details,
     )
 
 

@@ -18,8 +18,7 @@ is an exact integer ratio rounded once before its square root, so the
 floats do not depend on the path.  Block-structured SDP instances for any
 p are assembled from a placement computed once per (n1, n2).
 
-Its records are named tuples, as in `uqsub.angular` and `uqsub.sdp`, and
-`json` loads only when a table is written.
+Its records are named tuples, as in `uqsub.angular` and `uqsub.sdp`.
 """
 from __future__ import annotations
 
@@ -52,8 +51,8 @@ class PolyInP(NamedTuple):
 
     The value is sum_k split[k] binom(n,k) (1-p)^k p^(n-k) (the Bernstein
     basis in 1-p, nonnegative on [0, 1]); at p = 1 (p = 0) it is exactly
-    split[0] (split[n]).  Monomial coefficients, which cancel to round-off
-    near p = 1, are derived only for the JSON table.
+    split[0] (split[n]).  Monomial coefficients would cancel to round-off
+    near p = 1, so none are formed.
     """
 
     split: tuple[float, ...]
@@ -61,16 +60,6 @@ class PolyInP(NamedTuple):
     def at(self, weights: list[float]) -> float:
         """Value at the p whose `split_weights` are given."""
         return sum(map(operator.mul, self.split, weights))
-
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        """Monomial coefficients in p, low degree first."""
-        n = len(self.split) - 1
-        coeffs = [0.0] * (n + 1)
-        for k, c in enumerate(self.split):
-            for i in range(k + 1):
-                coeffs[n - k + i] += c * (comb(n, k) * comb(k, i) * (-1) ** i)
-        return tuple(coeffs)
 
     __add__ = __mul__ = __rmul__ = _not_a_sequence
 
@@ -190,31 +179,6 @@ class ObjectiveTable(NamedTuple):
     n2: int
     entries: dict[SectorIndex, PolyInP]
     constant: PolyInP
-
-    def to_json(self) -> str:
-        import json
-
-        sectors = [
-            {
-                "tj1": s.j1.twice,
-                "tj": s.j.twice,
-                "tjp": s.jp.twice,
-                "tq": s.q.twice,
-                "coefficients": list(poly.coefficients),
-            }
-            for s, poly in self.entries.items()
-        ]
-        return json.dumps(
-            {
-                "schema": "uqsub.objective_table.v1",
-                "n1": self.n1,
-                "n2": self.n2,
-                "labels": "twice-values",
-                "constant_coefficients": list(self.constant.coefficients),
-                "sectors": sectors,
-            },
-            indent=2,
-        )
 
 
 def build_objective(n1: int, n2: int) -> ObjectiveTable:

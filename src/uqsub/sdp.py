@@ -23,10 +23,9 @@ Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
 This module and the chain solver need only the standard library, and at
 import time only its light modules: the blocks and the solution are named
 tuples and the problem and config small plain classes, not dataclasses
-(which load `inspect`), and `json` loads when a solution is written.  The
-IPM and the independent checkers `check_certificate` and `check_dual` use
-numpy and live in `uqsub.ipm`; they are importable from here and load on
-first use.
+(which load `inspect`).  The IPM and the independent checkers
+`check_certificate` and `check_dual` use numpy and live in `uqsub.ipm`; they
+are importable from here and load on first use.
 """
 from __future__ import annotations
 
@@ -166,23 +165,6 @@ class SdpSolution(NamedTuple):
     @property
     def success(self) -> bool:
         return self.status == STATUS_OPTIMAL
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "schema": "uqsub.sdp_solution.v1",
-                "objective_value": self.objective_value,
-                "primal_residual": self.primal_residual,
-                "dual_residual": self.dual_residual,
-                "min_eigenvalue": self.min_eigenvalue,
-                "gap_estimate": self.gap_estimate,
-                "iterations": self.iterations,
-                "status": self.status,
-                "blocks": self.blocks,
-            }
-        )
 
 
 def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | None:

@@ -122,7 +122,7 @@ def reference_layout(n1: int, n2: int):
 
 
 def degree(poly: PolyInP) -> int:
-    return len(poly.coefficients) - 1
+    return len(poly.split) - 1
 
 
 def multiplicity(n1: int, j1: HalfInt) -> int:
@@ -437,7 +437,7 @@ def dn_w_values(n1: int, n2: int) -> dict[SectorIndex, float]:
     dim = 1 << n
     sums: dict[SectorIndex, float] = {}
     counts: dict[SectorIndex, int] = {}
-    for tj1, (labels, vectors) in symmetric_columns(n1, n2)[1].items():
+    for tj1, (labels, vectors) in symmetric_columns(n1, n2).items():
         tjs = sorted({tj for tj, _ in labels})
         for path in vectors:
             u3 = path.reshape(2, dim // 2, len(labels))

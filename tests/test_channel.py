@@ -19,6 +19,7 @@ from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, sector_blocks
 from uqsub.channel import (
     BASIS_QUBIT_GUARD,
     KrausSet,
+    _couple_register,
     _eigen_terms,
     kraus_from_choi,
     reconstruct_choi,
@@ -53,7 +54,7 @@ def stacked_columns(n1, n2):
     """Every coupled vector of symmetric_columns as one matrix, with its
     (tj1, tj, tm) labels: all j1, all paths of register A."""
     mats, labels = [], []
-    for tj1, (cols, vectors) in symmetric_columns(n1, n2)[1].items():
+    for tj1, (cols, vectors) in symmetric_columns(n1, n2).items():
         for path in vectors:
             mats.append(path)
             labels += [(tj1, tj, tm) for tj, tm in cols]
@@ -93,7 +94,7 @@ class TestCoupledBasis:
 
     def test_dicke_isometry_has_spin_n2_half(self):
         for n1, n2 in [(1, 1), (2, 2), (1, 4)]:
-            dicke = symmetric_columns(n1, n2)[0]
+            dicke = next(vmat for tjb, vmat in _couple_register(n2) if tjb == n2)
             assert dicke.shape == (1 << n2, n2 + 1)
             assert np.abs(dicke.T @ dicke - np.eye(n2 + 1)).max() < 1e-12
             jz, j2 = total_angular_ops(n2)

@@ -1,7 +1,7 @@
 import hashlib
-import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from references import (
     split_overlap_reference,
 )
 from uqsub import objective
-from uqsub.angular import SectorIndex, enumerate_sectors, j1_values, sector_blocks
+from uqsub.angular import HalfInt, SectorIndex, enumerate_sectors, j1_values, sector_blocks
 from uqsub.errors import CapacityError
 from uqsub.objective import (
     MAX_TOTAL_QUBITS,
@@ -93,13 +93,18 @@ def random_feasible_w(n1, n2, rng):
 
 
 class TestPoly:
-    def test_horner_matches_numpy(self):
-        # the noise-split value against numpy on the derived monomials
-        poly = PolyInP((1.0, -2.0, 0.5, 3.0))
-        for p in P_GRID:
-            assert poly_value(poly, p) == pytest.approx(
-                np.polyval(poly.coefficients[::-1], p), abs=1e-14
-            )
+    def test_split_sum_matches_exact_bernstein(self):
+        # the float noise-split sum against the Bernstein sum in exact rationals
+        polys = [PolyInP((1.0, -2.0, 0.5, 3.0))] + list(build_objective(5, 4).entries.values())
+        for poly in polys:
+            n = len(poly.split) - 1
+            for p in P_GRID:
+                q = Fraction(p)
+                exact = sum(
+                    Fraction(c) * math.comb(n, k) * (1 - q) ** k * q ** (n - k)
+                    for k, c in enumerate(poly.split)
+                )
+                assert poly_value(poly, p) == pytest.approx(float(exact), abs=1e-14)
 
     def test_degree_bound(self):
         table = build_objective(3, 2)
@@ -189,31 +194,33 @@ class TestBuildObjective:
             build_objective(20, 10)
 
     def test_json_schema_round_trip(self):
+        # the layout the table's JSON writer had: sectors keyed by doubled
+        # integers (2j1, 2j, 2j', 2q) with the Bernstein split as payload
         table = build_objective(2, 1)
-        doc = json.loads(table.to_json())
-        assert doc["schema"] == "uqsub.objective_table.v1"
-        assert doc["n1"] == 2 and doc["n2"] == 1
-        assert len(doc["sectors"]) == 7
-        by_key = {
-            (s["tj1"], s["tj"], s["tjp"], s["tq"]): s["coefficients"] for s in doc["sectors"]
+        assert table.n1 == 2 and table.n2 == 1
+        doc = {tuple(label.twice for label in s): poly.split for s, poly in table.entries.items()}
+        assert len(doc) == 7
+        back = {
+            SectorIndex(*map(HalfInt, key)): PolyInP(split) for key, split in doc.items()
         }
-        value = np.polyval(by_key[(2, 3, 3, 4)][::-1], 0.5)
+        assert back == table.entries and list(back) == list(table.entries)
+        value = poly_value(back[sector(1, 3 / 2, 3 / 2, 2)], 0.5)
         assert value == pytest.approx(5 * 0.5 * (3 + 2.5) / 72, abs=1e-12)
-
 
     @pytest.mark.parametrize(
         "n1,n2,digest",
         [
-            (2, 1, "44c7a7aa4fb8fae14a6428dea721e82539812392f9ca79c542ed07909ab26ac4"),
-            (3, 3, "8f10fd9783f424e9b73fb6229e16436c5290f614eafd7c88a2eea6023496b275"),
-            (5, 4, "0a0dc77801bb5ffae2b0dc40bd3e3ce4f26023fc16d8385877caf94afea8bf9b"),
+            (2, 1, "11ded13bec2fa77b472df63ffa666d9ae65bf7cd30db654ad10c1cc9382c3f5b"),
+            (3, 3, "2c113f5b6c693f1eac8137acc6135a6cc4ba431466c3a1ba2276671640c08c33"),
+            (5, 4, "ae5bbc194b9c84146704f7982d7f3bc60b6a9ca78dc89e3d45bd929fa6959b8b"),
         ],
         ids=["2-1", "3-3", "5-4"],
     )
-    def test_json_bytes_are_pinned(self, n1, n2, digest):
-        # exact integer ratios, one sqrt each and sums in a fixed order: the
-        # table's bytes do not depend on the platform or the Python version
-        text = build_objective(n1, n2).to_json()
+    def test_table_repr_is_pinned(self, n1, n2, digest):
+        # exact integer ratios, one sqrt each and sums in a fixed order: every
+        # split float, key and order of the table is the same on any platform
+        # and Python version
+        text = repr(build_objective(n1, n2))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -228,7 +235,6 @@ class TestRecords:
         back = pickle.loads(pickle.dumps(table))
         assert type(back) is ObjectiveTable and back == table
         assert list(back.entries) == list(table.entries) and repr(back) == repr(table)
-        assert back.to_json() == table.to_json()
         poly = next(iter(table.entries.values()))
         with pytest.raises(AttributeError):
             table.n1 = n1 + 1
