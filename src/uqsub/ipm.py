@@ -14,7 +14,7 @@ and all four step-length tests, which take the minimum over the stacks.
 `check_certificate` and `check_dual` re-derive primal and dual feasibility
 of a solution independently of either solver, on the same stacks: a block is
 PSD when its smallest eigenvalue, one `eigvalsh` per stack for every block
-size, is at least -psd_tol.  This is the numpy part of the solver;
+size, is at least -CHECK_TOL.  This is the numpy part of the solver;
 `uqsub.sdp` imports it on first use.
 """
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .sdp import (
     SdpSolution,
     SolverConfig,
 )
+
+# the row residual and the PSD margin that `check_certificate` and
+# `check_dual` allow
+CHECK_TOL = 1e-8
 
 # every function below acts on a stack of blocks, an array (count, d, d)
 
@@ -112,10 +116,11 @@ class _Instance:
         # apply/adjoint: each term as one or two (row, flat entry, coef)
         # triples, the entry (i, k) and, off the diagonal, (k, i)
         rows, flat, coef = [], [], []
-        # schur: the terms on each block, with off-diagonal coefficients
-        # scaled by sqrt 2 and diagonal ones by 1/sqrt 2 so that one
-        # formula serves both kinds (see `schur`)
-        on_block = [[[] for _ in range(n)] for n, _, _ in self.shapes]
+        # schur: the terms on each block, as (row, flat W[i, 0], flat W[k, 0],
+        # i, k, coef), with off-diagonal coefficients scaled by sqrt 2 and
+        # diagonal ones by 1/sqrt 2 so that one formula serves both kinds
+        # (see `schur`)
+        self._on_block = [[] for _ in self.dims]
         for r, (terms, _) in enumerate(problem.equalities):
             for pos, i, k, cf in terms:
                 g, slot = self.place[pos]
@@ -129,39 +134,25 @@ class _Instance:
                     flat.append(base + k * d + i)
                     coef.append(cf)
                 scaled = cf * math.sqrt(2.0) if i != k else cf / math.sqrt(2.0)
-                on_block[g][slot].append((r, i, k, scaled))
+                self._on_block[pos].append((r, base + i * d, base + k * d, i, k, scaled))
         self._rows = np.array(rows, dtype=np.intp)
         self._flat = np.array(flat, dtype=np.intp)
         self._coef = np.array(coef, dtype=float)
-
-        self._on_block = on_block
         self._pairs = None  # the Schur gather tables, built by the first `schur`
 
     def _build_pairs(self) -> None:
-        """Per stack, the terms of every block, padded to one count by terms of
-        coefficient 0 on row 0, and the flat positions `schur` gathers."""
-        m = self.m
-        self._pairs = []
-        pair_index = []
-        for g, ((n, d, _), blocks) in enumerate(zip(self.shapes, self._on_block)):
-            u = max(map(len, blocks))
-            if not u:
-                continue
-            padded = np.zeros((n, u, 4))
-            for slot, found in enumerate(blocks):
-                if found:
-                    padded[slot, : len(found)] = found
-            r, i, k = padded[..., :3].astype(np.intp).transpose(2, 0, 1)
-            c = padded[..., 3]
-            # flat positions in the stack of W[i, i'], W[k, k'] and W[i, k']
-            # for every pair of terms on one block
-            base = (np.arange(n) * d * d)[:, None, None]
-            ii, kk, ik = (
-                base + a[:, :, None] * d + b[:, None, :] for a, b in ((i, i), (k, k), (i, k))
-            )
-            self._pairs.append((g, ii, kk, ik, c[:, :, None] * c[:, None, :]))
-            pair_index.append((r[:, :, None] * m + r[:, None, :]).ravel())
-        self._pair_index = np.concatenate(pair_index) if pair_index else np.zeros(0, np.intp)
+        """For every pair of terms (i, k), (i', k') on one block, block by block
+        in stack order: the flat positions of W[i, i'], W[k, k'], W[i, k'] and
+        W[i', k] that `schur` gathers, the row pair and the product of the two
+        coefficients."""
+        tables = []
+        for pos in sorted(range(len(self.dims)), key=self.place.__getitem__):
+            if self._on_block[pos]:
+                r, ri, rk, i, k, c = map(np.array, zip(*self._on_block[pos]))
+                pairs = ((ri, i), (rk, k), (ri, k), (k, ri), (r * self.m, r))
+                tables.append([(a[:, None] + b).ravel() for a, b in pairs])
+                tables[-1].append(np.outer(c, c).ravel())
+        self._pairs = [np.concatenate(col) for col in zip(*tables)] or [np.zeros(0, np.intp)] * 6
 
     def stack(self, blocks) -> list[np.ndarray]:
         """Per-block matrices in problem order -> one stack per dimension."""
@@ -193,20 +184,15 @@ class _Instance:
         For terms (i, k) of row r and (i', k') of row s on one block,
         <A_r, W A_s W> collects c c' (W[i,i'] W[k,k'] + W[i,k'] W[k,i']),
         halved once for each term on the diagonal: the scaled coefficients
-        carry that factor.  Each stack gathers these entries for all its
-        pairs of terms at once, and one `bincount` adds them up by row pair
-        (two terms of one row on one block add there too).
+        carry that factor.  These entries are gathered for all pairs of terms
+        at once, and one `bincount` adds them up by row pair (two terms of one
+        row on one block add there too).
         """
         if self._pairs is None:
             self._build_pairs()
-        parts = []
-        for g, ii, kk, ik, cc in self._pairs:
-            w = ws[g].ravel()
-            wik = w[ik]
-            parts.append((cc * (w[ii] * w[kk] + wik * _t(wik))).ravel())
-        m_flat = np.bincount(
-            self._pair_index, np.concatenate(parts) if parts else None, minlength=self.m * self.m
-        )
+        ii, kk, ik, ki, index, cc = self._pairs
+        w = np.concatenate([x.ravel() for x in ws])
+        m_flat = np.bincount(index, cc * (w[ii] * w[kk] + w[ik] * w[ki]), minlength=self.m * self.m)
         m_mat = m_flat.reshape(self.m, self.m)
         return 0.5 * (m_mat + m_mat.T)
 
@@ -417,18 +403,17 @@ class CertificateReport(NamedTuple):
     failed_blocks: list[str]
 
 
-def check_certificate(
-    problem: SdpProblem, solution: SdpSolution, feas_tol: float = 1e-8, psd_tol: float = 1e-8
-) -> CertificateReport:
+def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
     """Re-derive feasibility of a solution independently of the solver loop:
-    the row residual, and every block's smallest eigenvalue against -psd_tol."""
+    the row residual against CHECK_TOL, and every block's smallest eigenvalue
+    against -CHECK_TOL."""
     inst = _Instance(problem)
     xs = inst.stack(solution.blocks)
     rp_norm = float(np.max(np.abs(inst.b - inst.apply(xs)))) if inst.m else 0.0
     lams = inst.min_eigenvalues(xs).tolist()
-    bad = [(spec.name, lam) for spec, lam in zip(problem.blocks, lams) if lam < -psd_tol]
+    bad = [(spec.name, lam) for spec, lam in zip(problem.blocks, lams) if lam < -CHECK_TOL]
     return CertificateReport(
-        passed=not bad and rp_norm <= feas_tol,
+        passed=not bad and rp_norm <= CHECK_TOL,
         primal_residual=rp_norm,
         min_eigenvalue=min(0.0, *lams),
         failed_blocks=[name for name, _ in bad],
@@ -444,19 +429,17 @@ class DualReport(NamedTuple):
     failed_blocks: list[str]
 
 
-def check_dual(
-    problem: SdpProblem, multipliers: Sequence[float], psd_tol: float = 1e-8
-) -> DualReport:
+def check_dual(problem: SdpProblem, multipliers: Sequence[float]) -> DualReport:
     """Re-derive dual feasibility of row multipliers independently of the solver.
 
     When every Z_b = sum_r y_r A_rb - C_b is PSD, its smallest eigenvalue at
-    least -psd_tol, the dual value sum_r b_r y_r + offset bounds the maximum
+    least -CHECK_TOL, the dual value sum_r b_r y_r + offset bounds the maximum
     from above (weak duality).
     """
     inst = _Instance(problem)
     y = np.asarray(multipliers, dtype=float)
     lams = inst.min_eigenvalues([a - c for a, c in zip(inst.adjoint(y), inst.c)]).tolist()
-    failed = [spec.name for spec, lam in zip(problem.blocks, lams) if lam < -psd_tol]
+    failed = [spec.name for spec, lam in zip(problem.blocks, lams) if lam < -CHECK_TOL]
     return DualReport(
         passed=not failed,
         dual_value=float(inst.b @ y) + problem.offset if inst.m else problem.offset,

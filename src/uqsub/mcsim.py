@@ -58,10 +58,10 @@ class McEstimate:
     std_error: float
     samples: int
 
-    def within(self, reference: float, n_sigma: float = 4.0) -> bool:
-        """|mean - reference| within n_sigma standard errors, plus 1e-12 of
-        round-off for estimates whose samples all agree (std_error ~ 0)."""
-        return abs(self.mean - reference) <= n_sigma * self.std_error + 1e-12
+    def within(self, reference: float) -> bool:
+        """|mean - reference| within 4 standard errors, plus 1e-12 of round-off
+        for estimates whose samples all agree (std_error ~ 0)."""
+        return abs(self.mean - reference) <= 4 * self.std_error + 1e-12
 
 
 def estimate_fidelity(
@@ -69,15 +69,21 @@ def estimate_fidelity(
     n1: int,
     n2: int,
     p: float,
-    samples: int = 100_000,
-    sampler: HaarSampler | None = None,
+    samples: int,
+    sampler: HaarSampler,
 ) -> McEstimate:
     """Sample-average recovery fidelity of the channel on the mixture task.
 
     Per sample: draw a target and a noise state, and sum over the mixture's
     product states the weighted output overlap with the target (module
-    docstring).  Accumulation uses numpy's pairwise summation.
+    docstring).  Accumulation uses numpy's pairwise summation.  Raises
+    ValueError for p outside [0, 1], fewer than 2 samples (the standard error
+    needs two) or a Kraus set of the wrong dimension.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p = {p} outside [0, 1]")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     n = n1 + n2
     ops = np.stack(kraus.operators)
     if ops.shape[2] != 1 << n:
@@ -90,7 +96,6 @@ def estimate_fidelity(
         w = (1 - p) ** sum(mask) * p ** (n1 - sum(mask))
         if w:
             splits.append((w, mask))
-    sampler = sampler if sampler is not None else HaarSampler(seed=0)
     values = np.empty(samples)
     for start in range(0, samples, _BLOCK):
         size = min(_BLOCK, samples - start)

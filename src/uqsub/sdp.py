@@ -59,27 +59,7 @@ class BlockSpec(NamedTuple):
     dim: int
 
 
-class _Record:
-    """`repr` and `==` over the attributes `_fields`, as a dataclass writes
-    them: equal to an object of the same class with equal fields, unhashable."""
-
-    _fields: tuple[str, ...] = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({shown})"
-
-
-class SdpProblem(_Record):
+class SdpProblem:
     """maximize sum_b <objective[b], X_b> + offset over PSD blocks X_b
     subject to equality rows (terms, rhs), sum_b <A_b, X_b> = rhs.
 
@@ -88,11 +68,9 @@ class SdpProblem(_Record):
     (block, i, k, coef) puts coef at (i, k) and (k, i) of that block's
     coefficient matrix A_b, so a diagonal term weighs X_b[i][i] by coef and an
     off-diagonal one X_b[i][k] by 2 coef; terms on one entry add.  Raises
-    ValueError for a term outside its block or an objective matrix that is
-    not dim x dim for its block.
+    ValueError for no blocks, a block of dimension below 1, a term outside
+    its block or an objective matrix that is not dim x dim for its block.
     """
-
-    _fields = ("blocks", "objective", "equalities", "offset")
 
     def __init__(
         self,
@@ -105,6 +83,8 @@ class SdpProblem(_Record):
             blocks, objective, equalities, offset
         )
         dims = [spec.dim for spec in blocks]
+        if not dims or min(dims) < 1:
+            raise ValueError("the problem needs at least one block, each of dimension >= 1")
         if len(objective) != len(dims) or not all(map(_is_square, objective, dims)):
             raise ValueError("the objective needs one dim x dim matrix per block")
         for terms, _ in equalities:
@@ -125,11 +105,9 @@ def _is_square(matrix, dim: int) -> bool:
         return False
 
 
-class SolverConfig(_Record):
+class SolverConfig:
     """Tolerances and the iteration limit; ValueError for a tolerance that is
     not a positive number."""
-
-    _fields = ("feas_tol", "psd_tol", "gap_tol", "max_iterations")
 
     def __init__(
         self,

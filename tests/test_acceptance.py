@@ -263,7 +263,7 @@ def test_criterion_8_end_to_end_channel():
         est = estimate_fidelity(
             kraus, n1, n2, p, samples=100_000, sampler=HaarSampler(seed=seed + 100)
         )
-        ok = est.within(sol.objective_value, n_sigma=4)
+        ok = est.within(sol.objective_value)
         mc_ok &= ok
         details.append(
             f"({n1},{n2}): mc {est.mean:.5f} +/- {est.std_error:.5f} vs {sol.objective_value:.5f}"

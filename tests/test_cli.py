@@ -305,6 +305,24 @@ class TestCurves:
         assert "--p-steps" in err
         assert not out_file.exists()
 
+    def test_too_many_steps_exit_2_before_the_grid(self, capsys, tmp_path, monkeypatch):
+        def grid_built(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cli, "build_objective", grid_built)
+        monkeypatch.setattr(cli.closed_forms, "default_p_grid", grid_built)
+        out_file = tmp_path / "c.csv"
+        steps = str(cli.MAX_P_STEPS + 1)
+        code, out, err = run(capsys, ["curves", "--p-steps", steps, "--out", str(out_file)])
+        assert code == 2
+        assert err == f"error: --p-steps must lie in [2, {cli.MAX_P_STEPS}]\n"
+        assert out == "" and not out_file.exists()
+
+    def test_help_states_the_step_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["curves", "--help"])
+        assert f"2 to {cli.MAX_P_STEPS}" in " ".join(capsys.readouterr().out.split())
+
     def test_capacity_exit_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["curves", "--n1", "13", "--n2", "12", "--out", str(tmp_path / "c.csv")]
@@ -555,6 +573,17 @@ class TestSimulateInputs:
         code, out, err = self.simulate(capsys, kraus_file, "--samples", "1000000000000")
         assert code == 2
         assert err == "error: --samples 1000000000000 does not fit in memory\n"
+        assert out == ""
+
+    def test_samples_beyond_the_address_space_exit_2(self, capsys, tmp_path):
+        # numpy refuses such an array with ValueError before it allocates
+        kraus_file = tmp_path / "kraus.json"
+        run(capsys, ["reconstruct", "--n1", "1", "--n2", "1", "--p", "0.5",
+                     "--out", str(kraus_file)])
+        samples = "100000000000000000000"
+        code, out, err = self.simulate(capsys, kraus_file, "--samples", samples)
+        assert code == 2
+        assert err == f"error: --samples {samples} does not fit in memory\n"
         assert out == ""
 
     def test_not_trace_preserving_exit_6(self, capsys, tmp_path):

@@ -244,7 +244,7 @@ class TestChoiConvention:
         est = estimate_fidelity(
             KrausSet(operators=kraus), 2, 1, p, samples=200_000, sampler=HaarSampler(seed=6)
         )
-        assert est.within(exact, n_sigma=4)
+        assert est.within(exact)
 
 
 class TestSolveChoi:
