@@ -12,7 +12,7 @@ from ._lazy import lazy_getattr
 from .angular import HalfInt, SectorIndex, enumerate_sectors
 from .closed_forms import dn_fidelity, f21_exact, f2inf, mp_upper
 from .objective import ObjectiveTable, PolyInP, assemble, build_objective
-from .sdp import SdpProblem, SdpSolution, SolverConfig, solve
+from .sdp import SdpProblem, SdpSolution, solve
 
 # the numpy-backed exports load on first use
 __getattr__ = lazy_getattr(
@@ -41,7 +41,6 @@ __all__ = [
     "SdpProblem",
     "SdpSolution",
     "SectorIndex",
-    "SolverConfig",
     "assemble",
     "build_objective",
     "build_omega",

@@ -105,8 +105,9 @@ def cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     before the one square root.  Returns 0.0 whenever a selection rule
     fails.  Cached, and safe for concurrent readers.
     """
-    # plain ints: numpy integers would overflow in the factorial products
-    tj1, tm1, tj2, tm2, tJ, tM = map(int, (tj1, tm1, tj2, tm2, tJ, tM))
+    # plain ints: numpy integers would overflow in the factorial products, and
+    # a label that is not an integer raises TypeError instead of being truncated
+    tj1, tm1, tj2, tm2, tJ, tM = map(operator.index, (tj1, tm1, tj2, tm2, tJ, tM))
     if not _cg_selection_ok(tj1, tm1, tj2, tm2, tJ, tM):
         return 0.0
     f = _factorials((tj1 + tj2 + tJ) // 2 + 1)

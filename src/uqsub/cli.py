@@ -103,7 +103,7 @@ def cmd_optimize(args) -> int:
             "iterations": sol.iterations,
             "primal_residual": sol.primal_residual,
             "gap_estimate": sol.gap_estimate,
-            "min_eigenvalue": sol.min_eigenvalue,
+            "dual_residual": sol.dual_residual,
             "w": [
                 {
                     "tj1": s.j1.twice,
@@ -123,7 +123,7 @@ def cmd_optimize(args) -> int:
         print(
             f"status={sol.status} iterations={sol.iterations} "
             f"primal_residual={sol.primal_residual:.3e} gap={sol.gap_estimate:.3e} "
-            f"min_eigenvalue={sol.min_eigenvalue:.3e}"
+            f"dual_residual={sol.dual_residual:.3e}"
         )
         for s, value in w.items():
             # every row fixes a positive mix of two diagonal entries to 1, so an

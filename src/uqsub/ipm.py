@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import sdp
 from .sdp import (
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
@@ -31,7 +32,7 @@ from .sdp import (
     STATUS_STALLED,
     SdpProblem,
     SdpSolution,
-    SolverConfig,
+    _step_limit,
 )
 
 # the row residual and the PSD margin that `check_certificate` and
@@ -205,26 +206,27 @@ class _Instance:
         return np.array([per_stack[g][slot] for g, slot in self.place])
 
 
-def _is_farkas(inst: _Instance, y: np.ndarray, psd_tol: float) -> bool:
+def _is_farkas(inst: _Instance, y: np.ndarray) -> bool:
     """Whether y, scaled to unit length, proves that no PSD X meets the rows:
-    sum_r y_r A_r is PSD within `psd_tol` and b.y < 0, while every such X
+    sum_r y_r A_r is PSD within `sdp.PSD_TOL` and b.y < 0, while every such X
     would give b.y = <sum_r y_r A_r, X> >= 0."""
     norm = float(np.linalg.norm(y))
     if norm == 0.0:
         return False
     y = y / norm
-    return inst.min_eigenvalues(inst.adjoint(y)).min() >= -psd_tol and float(inst.b @ y) < 0.0
+    return inst.min_eigenvalues(inst.adjoint(y)).min() >= -sdp.PSD_TOL and float(inst.b @ y) < 0.0
 
 
-def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve_ipm(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolution:
     """Maximize the linear objective over block-PSD variables with equalities.
 
-    Deterministic: identical problems and configs produce identical iterates.
-    Inconsistent equalities are reported as infeasible, never projected away;
-    a stall before the tolerances are met, a singular Schur matrix among its
-    causes, reports the best iterate instead of pretending success.
+    Deterministic: identical problems and step limits produce identical
+    iterates.  Inconsistent equalities are reported as infeasible, never
+    projected away; a stall before the `sdp` tolerances are met, a singular
+    Schur matrix among its causes, reports the best iterate instead of
+    pretending success.
     """
-    cfg = config or SolverConfig()
+    limit = _step_limit(max_iterations)
     inst = _Instance(problem)
     ntot = sum(inst.dims)
 
@@ -244,7 +246,6 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
                 objective_value=problem.offset,
                 primal_residual=affine_residual,
                 dual_residual=np.inf,
-                min_eigenvalue=0.0,
                 gap_estimate=np.inf,
                 iterations=0,
                 status=STATUS_INFEASIBLE,
@@ -270,7 +271,7 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
         rd_norm = max(float(np.max(np.abs(r))) for r in rd)
         return rp, rd, mu, rp_norm, rd_norm
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, limit + 1):
         rp, rd, mu, rp_norm, rd_norm = measure(xs, zs, y)
         obj_p = inst.inner_c(xs)
         rel = 1.0 + abs(obj_p)
@@ -280,9 +281,9 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
         # stop once complementarity is well below the advertised gap; the
         # final affine polish below takes the primal residual to round-off
         if (
-            mu * ntot <= min(1e-3 * cfg.gap_tol, 1e-10) * rel
-            and rp_norm <= cfg.feas_tol
-            and rd_norm <= 1e2 * cfg.feas_tol
+            mu * ntot <= 1e-10 * rel
+            and rp_norm <= sdp.FEAS_TOL
+            and rd_norm <= 1e2 * sdp.FEAS_TOL
         ):
             status = STATUS_OPTIMAL
             break
@@ -346,9 +347,9 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
             stall_count = 0
         else:
             stall_count += 1
-        if stall_count > 25 and rp_norm > 1e3 * cfg.feas_tol:
+        if stall_count > 25 and rp_norm > 1e3 * sdp.FEAS_TOL:
             # a residual that stops falling may also mean an unbounded problem
-            status = STATUS_INFEASIBLE if _is_farkas(inst, y, cfg.psd_tol) else STATUS_STALLED
+            status = STATUS_INFEASIBLE if _is_farkas(inst, y) else STATUS_STALLED
             break
 
     if status in (STATUS_STALLED, STATUS_MAX_ITERATIONS) and best is not None:
@@ -371,10 +372,10 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
         # a valid optimality certificate regardless of how the loop exited
         rel = 1.0 + abs(obj_p)
         delivered_ok = (
-            rp_norm <= cfg.feas_tol
-            and rd_norm <= 1e2 * cfg.feas_tol
-            and gap <= cfg.gap_tol * rel
-            and min_eig >= -cfg.psd_tol
+            rp_norm <= sdp.FEAS_TOL
+            and rd_norm <= 1e2 * sdp.FEAS_TOL
+            and gap <= sdp.GAP_TOL * rel
+            and min_eig >= -sdp.PSD_TOL
         )
         if delivered_ok:
             status = STATUS_OPTIMAL
@@ -386,7 +387,6 @@ def solve_ipm(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSol
         objective_value=float(obj_p + problem.offset),
         primal_residual=rp_norm,
         dual_residual=rd_norm,
-        min_eigenvalue=min(0.0, min_eig),
         gap_estimate=float(gap),
         iterations=it,
         status=status,

@@ -19,11 +19,13 @@ Every other problem -- the dense Choi block of the oracle, a cycle of three
 or more rows, a 2x2 block inside one row, rows out of path order, anything
 malformed -- goes to `solve_ipm`, a primal-dual path-following method with
 Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
+A caller sets only the step limit; both solvers judge an answer against the
+fixed FEAS_TOL, PSD_TOL and GAP_TOL, read at call time.
 
 This module and the chain solver need only the standard library, and at
 import time only its light modules: the blocks and the solution are named
-tuples and the problem and config small plain classes, not dataclasses
-(which load `inspect`).  The IPM and the independent checkers
+tuples and the problem a small plain class, not dataclasses (which load
+`inspect`).  The IPM and the independent checkers
 `check_certificate` and `check_dual` use numpy and live in `uqsub.ipm`; they
 are importable from here and load on first use.
 """
@@ -40,6 +42,11 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_STALLED = "stalled"
+
+# an optimal answer's row residual, PSD margin and gap relative to 1 + |value|
+FEAS_TOL = 1e-9
+PSD_TOL = 1e-9
+GAP_TOL = 1e-7
 
 _EPS = sys.float_info.epsilon
 
@@ -105,21 +112,13 @@ def _is_square(matrix, dim: int) -> bool:
         return False
 
 
-class SolverConfig:
-    """Tolerances and the iteration limit; ValueError for a tolerance that is
-    not a positive number."""
-
-    def __init__(
-        self,
-        feas_tol: float = 1e-9,
-        psd_tol: float = 1e-9,
-        gap_tol: float = 1e-7,
-        max_iterations: int = 200,
-    ):
-        self.feas_tol, self.psd_tol, self.gap_tol = feas_tol, psd_tol, gap_tol
-        self.max_iterations = max_iterations
-        if not all(tol > 0 for tol in (feas_tol, psd_tol, gap_tol)):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+def _step_limit(max_iterations: int | None) -> int:
+    """200 for None; ValueError for anything but an int >= 0 (a bool is none)."""
+    if max_iterations is None:
+        return 200
+    if type(max_iterations) is not int or max_iterations < 0:
+        raise ValueError(f"max_iterations must be None or an int >= 0, not {max_iterations!r}")
+    return max_iterations
 
 
 class SdpSolution(NamedTuple):
@@ -130,7 +129,6 @@ class SdpSolution(NamedTuple):
     objective_value: float
     primal_residual: float
     dual_residual: float
-    min_eigenvalue: float
     gap_estimate: float
     iterations: int
     status: str
@@ -186,7 +184,7 @@ class _Chain:
     row's second entry is -1, which reads an appended 0.
     """
 
-    def __init__(self, rows, members, entries, rhs, sym, cfg):
+    def __init__(self, rows, members, entries, rhs, sym):
         ents = [e for r in rows for e in members[r]]
         local = {e: k for k, e in enumerate(ents)}
         self.rows, self.ents, self.rhs = rows, ents, [rhs[r] for r in rows]
@@ -215,7 +213,7 @@ class _Chain:
         # round-off of h grows with |C|, that of the gap also with the rows
         scale = sum(map(abs, self.lin)) + sum(k for _, _, k in self.pairs)
         self.slack = 4 * _EPS * scale
-        self.target = min(1e-3 * cfg.gap_tol, 4 * _EPS * len(rows)) * scale
+        self.target = 4 * _EPS * len(rows) * scale
 
     def terms(self, s) -> list[float]:
         return [s[i] if d > 0 else 1.0 - s[i] if d else 1.0 for i, d in zip(self.row, self.side)]
@@ -367,11 +365,11 @@ def _tridiagonal_solve(diag, link, rhs, free):
     return x
 
 
-def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution:
+def _solve_chain(problem: SdpProblem, entries, max_iterations: int) -> SdpSolution:
     """Each component maximized on its own from s = 1/2 until its gap is below
-    a target that scales with its rows and |C| (round-off by default), or it
+    a target of a few round-offs, which scales with its rows and |C|, or it
     cannot move; `iterations` counts the steps of the slowest component, and
-    the status judges the certificate against the config's tolerances."""
+    the status judges the certificate against the module's tolerances."""
     rhs = [float(b) for _, b in problem.equalities]
     # diagonal and symmetrized cross term (0 on a 1x1 block) of each block,
     # as floats also when the objective holds numpy scalars
@@ -386,12 +384,12 @@ def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution
     # the components are the runs of joined rows: single rows first, then by first row
     ends = [r for r, more in enumerate(joined) if not more]
     runs = [range(a + 1, b + 1) for a, b in zip([-1] + ends, ends)]
-    chains = [_Chain(rows, members, entries, rhs, sym, cfg)
+    chains = [_Chain(rows, members, entries, rhs, sym)
               for rows in sorted(runs, key=lambda rows: len(rows) > 1)]
     w, lam = [0.0] * len(entries), [0.0] * len(rhs)
     status, it, primal, gap, min_z, rp_norm = STATUS_OPTIMAL, 0, 0.0, 0.0, 0.0, 0.0
     for chain in chains:
-        steps, done, value, chain_gap = chain.ascend(cfg.max_iterations)
+        steps, done, value, chain_gap = chain.ascend(max_iterations)
         status = done if status == STATUS_OPTIMAL or done == STATUS_MAX_ITERATIONS else status
         it, primal, gap = max(it, steps), primal + value, gap + chain_gap
         min_z = min(min_z, *chain.min_eig(chain.lam))
@@ -403,7 +401,7 @@ def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution
         for r, v in zip(chain.rows, chain.lam):
             lam[r] = v
     rel = 1.0 + abs(primal + problem.offset)
-    if rp_norm <= cfg.feas_tol and gap <= cfg.gap_tol * rel and min_z >= -cfg.psd_tol:
+    if rp_norm <= FEAS_TOL and gap <= GAP_TOL * rel and min_z >= -PSD_TOL:
         status = STATUS_OPTIMAL
     elif status == STATUS_OPTIMAL:
         status = STATUS_STALLED
@@ -412,25 +410,25 @@ def _solve_chain(problem: SdpProblem, entries, cfg: SolverConfig) -> SdpSolution
         u, v = w[e], w[e + spec.dim - 1] * (-1.0 if c[2] < 0 else 1.0)
         blocks.append([[u * u, u * v], [u * v, v * v]] if spec.dim == 2 else [[u * u]])
         e += spec.dim
-    # every block is w w^T, so its smallest eigenvalue is 0; the dual residual
-    # is how far the repaired Z falls short of PSD
+    # the dual residual is how far the repaired Z falls short of PSD
     return SdpSolution(
         blocks, primal + problem.offset, primal_residual=rp_norm, dual_residual=max(0.0, -min_z),
-        min_eigenvalue=0.0, gap_estimate=gap, iterations=it, status=status, dual_multipliers=lam,
+        gap_estimate=gap, iterations=it, status=status, dual_multipliers=lam,
     )
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolution:
     """Maximize the linear objective over block-PSD variables with equalities.
 
     Chain-structured problems (see `_chain_entries`) are solved to round-off
     by `_solve_chain`; all others by `solve_ipm`.  Both are deterministic and
     return the same `SdpSolution` layout: blocks in problem order and the
     dual multipliers y of the rows, with dual slack Z = sum_r y_r A_r - C.
+    `max_iterations` bounds the steps, see `_step_limit`.
     """
-    cfg = config or SolverConfig()
+    limit = _step_limit(max_iterations)
     entries = _chain_entries(problem)
     if entries is None:
         # loads uqsub.ipm on first use; `sdp.solve_ipm`, once bound, is what runs
-        return __getattr__("solve_ipm")(problem, cfg)
-    return _solve_chain(problem, entries, cfg)
+        return __getattr__("solve_ipm")(problem, limit)
+    return _solve_chain(problem, entries, limit)

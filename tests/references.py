@@ -44,7 +44,6 @@ from uqsub.sdp import (
     STATUS_STALLED,
     SdpProblem,
     SdpSolution,
-    SolverConfig,
     _EPS,
     _tridiagonal_solve,
 )
@@ -617,11 +616,11 @@ class CertifyingChain(sdp._Chain):
 
 
 def solve_certifying_every_iterate(
-    problem: SdpProblem, config: SolverConfig | None = None
+    problem: SdpProblem, max_iterations: int | None = None
 ) -> SdpSolution:
     """sdp.solve with the chain components ascended by `CertifyingChain`."""
     saved, sdp._Chain = sdp._Chain, CertifyingChain
     try:
-        return sdp.solve(problem, config)
+        return sdp.solve(problem, max_iterations)
     finally:
         sdp._Chain = saved

@@ -111,6 +111,13 @@ class TestCg:
         assert cg_twice(1, 1, 1, -1, 1, 0) == 0.0  # perimeter odd
         assert cg_twice(2, 4, 2, -2, 2, 2) == 0.0  # |m| > j
 
+    def test_labels_must_be_integers(self):
+        # truncated by int(), these would read as (1, 1, 1, -1, 2, 0), 1/sqrt(2)
+        with pytest.raises(TypeError):
+            cg_twice(1.9, 1.2, 1, -1, 2, 0)
+        labels = (3, 1, 2, 0, 3, 1)
+        assert cg_twice.__wrapped__(*map(np.int64, labels)) == cg_twice.__wrapped__(*labels)
+
     @pytest.mark.parametrize("tj1,tj2", [(1, 1), (1, 2), (2, 2), (3, 2), (4, 3), (5, 5)])
     def test_against_ladder_oracle(self, tj1, tj2):
         table = cg_table_ladder(tj1, tj2)

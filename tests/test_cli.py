@@ -54,7 +54,7 @@ class TestOptimize:
             "iterations": sol.iterations,
             "primal_residual": sol.primal_residual,
             "gap_estimate": sol.gap_estimate,
-            "min_eigenvalue": sol.min_eigenvalue,
+            "dual_residual": sol.dual_residual,
             "w": [
                 {"tj1": s.j1.twice, "tj": s.j.twice, "tjp": s.jp.twice, "tq": s.q.twice, "value": v}
                 for s, v in w_values_from_solution(sol, 3, 2).items()

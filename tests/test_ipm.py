@@ -15,7 +15,6 @@ from uqsub.sdp import (
     STATUS_STALLED,
     BlockSpec,
     SdpProblem,
-    SolverConfig,
     solve,
 )
 
@@ -159,7 +158,7 @@ def test_failed_schur_solve_stalls_with_best_iterate(monkeypatch):
     # the best of the three iterates seen, the same that a limit of three
     # iterations delivers
     problem = choi_problem(twirl_objective(build_omega(2, 1, 0.5)))
-    limited = solve_ipm(problem, SolverConfig(max_iterations=3))
+    limited = solve_ipm(problem, 3)
     assert limited.status == STATUS_MAX_ITERATIONS
     real_solve, calls = np.linalg.solve, []
 
