@@ -95,7 +95,7 @@ def _factorials(top: int) -> tuple[int, ...]:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     """Clebsch-Gordan coefficient with all labels given as twice-values.
 
@@ -103,7 +103,7 @@ def cg_twice(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     the least common multiple of its denominators, so the squared
     coefficient is a ratio of two ints, divided once (correctly rounded)
     before the one square root.  Returns 0.0 whenever a selection rule
-    fails.  Cached, and safe for concurrent readers.
+    fails.  Cached by label value and type, and safe for concurrent readers.
     """
     # plain ints: numpy integers would overflow in the factorial products, and
     # a label that is not an integer raises TypeError instead of being truncated

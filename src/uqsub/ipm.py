@@ -2,8 +2,8 @@
 
 `solve_ipm` is a primal-dual path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering parameter for any
-`SdpProblem`; `uqsub.sdp.solve` sends it every problem that is not a chain,
-the oracle's charge blocks of the Choi matrix among them.  It favors
+`SdpProblem`; the oracle calls it on the charge blocks of the Choi matrix,
+which `uqsub.sdp.solve`, a solver of chains only, rejects.  It favors
 robustness and verifiability over speed, with explicit residuals, but keeps
 the numpy work per iteration small and independent of the number of blocks:
 blocks of one dimension are stacked into one array, the equality rows act
@@ -14,8 +14,8 @@ and all four step-length tests, which take the minimum over the stacks.
 `check_certificate` and `check_dual` re-derive primal and dual feasibility
 of a solution independently of either solver, on the same stacks: a block is
 PSD when its smallest eigenvalue, one `eigvalsh` per stack for every block
-size, is at least -CHECK_TOL.  This is the numpy part of the solver;
-`uqsub.sdp` imports it on first use.
+size, is at least -CHECK_TOL.  `uqsub.sdp` imports the checkers from here
+on first use.
 """
 from __future__ import annotations
 

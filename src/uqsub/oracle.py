@@ -23,7 +23,8 @@ from math import comb
 import numpy as np
 
 from .errors import CapacityError
-from .sdp import BlockSpec, SdpProblem, SdpSolution, solve
+from .ipm import solve_ipm as solve
+from .sdp import BlockSpec, SdpProblem, SdpSolution
 
 DENSE_QUBIT_GUARD = 6
 

@@ -1,11 +1,12 @@
-"""Self-contained solver for small block-diagonal semidefinite programs.
+"""Self-contained solver for the covariant semidefinite program.
 
-`solve` reads the structure of the problem it receives.  The covariant SDP
-is a chain: PSD blocks of dimension <= 2, and equality rows that each fix a
-positive combination of at most two diagonal entries, every diagonal entry
-lying in exactly one row and the two entries of every 2x2 block in adjacent
-rows, so the rows come in path order.  Such problems go to `_solve_chain`,
-which splits the rows into the runs that 2x2 blocks join (one per j1 in the
+`solve` takes chains only, as the covariant SDP is: PSD blocks of dimension
+<= 2, and equality rows that each fix a positive combination of at most two
+diagonal entries, every diagonal entry lying in exactly one row and the two
+entries of every 2x2 block in adjacent rows, so the rows come in path order.
+Any other problem, the oracle's dense Choi blocks among them, raises
+ValueError (the oracle calls `uqsub.ipm.solve_ipm`).  `_solve_chain` splits
+the rows into the runs that 2x2 blocks join (one per j1 in the
 covariant problem) and maximizes each in s = sin^2 theta per row, where the
 objective is concave: projected Newton steps with an explicit active set,
 each one tridiagonal solve, until a primal/dual bracket closes at round-off.
@@ -15,19 +16,15 @@ the step from it gains at most the target gap plus round-off, when the ascent
 cannot move, or at the step limit: the dual value bounds every primal value
 from above (weak duality), so a larger gain shows that the bracket there is
 still open, and the ascent stops where certifying every iterate would.
-Every other problem -- the dense Choi block of the oracle, a cycle of three
-or more rows, a 2x2 block inside one row, rows out of path order, anything
-malformed -- goes to `solve_ipm`, a primal-dual path-following method with
-Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
 A caller sets only the step limit; both solvers judge an answer against the
 fixed FEAS_TOL, PSD_TOL and GAP_TOL, read at call time.
 
 This module and the chain solver need only the standard library, and at
 import time only its light modules: the blocks and the solution are named
 tuples and the problem a small plain class, not dataclasses (which load
-`inspect`).  The IPM and the independent checkers
-`check_certificate` and `check_dual` use numpy and live in `uqsub.ipm`; they
-are importable from here and load on first use.
+`inspect`).  The independent checkers `check_certificate` and `check_dual`
+use numpy and live in `uqsub.ipm`; they are importable from here and load
+on first use.
 """
 from __future__ import annotations
 
@@ -52,10 +49,7 @@ _EPS = sys.float_info.epsilon
 
 __getattr__ = lazy_getattr(
     globals(),
-    dict.fromkeys(
-        ("solve_ipm", "check_certificate", "check_dual", "CertificateReport", "DualReport"),
-        ".ipm",
-    ),
+    dict.fromkeys(("check_certificate", "check_dual", "CertificateReport", "DualReport"), ".ipm"),
 )
 
 
@@ -143,31 +137,40 @@ class SdpSolution(NamedTuple):
         return self.status == STATUS_OPTIMAL
 
 
-def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]] | None:
+def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]]:
     """(block, index, row, coefficient) of every diagonal entry, in block
-    order, when the problem is a chain; None otherwise.
-
-    A chain has blocks of dimension 1 or 2, and equality rows with a positive
-    rhs and one or two terms, each diagonal with a positive coefficient;
-    every diagonal entry lies in exactly one row, and the two entries of
-    every 2x2 block lie in adjacent rows.
+    order.  A chain has equality rows and blocks of dimension 1 or 2; each
+    row has a positive rhs and one or two terms, each diagonal with a
+    positive coefficient; every diagonal entry lies in exactly one row, and
+    the two entries of every 2x2 block lie in adjacent rows.  A problem that
+    breaks one of these rules raises ValueError naming the first it breaks.
     """
-    if not problem.equalities or any(spec.dim not in (1, 2) for spec in problem.blocks):
-        return None
+    if not problem.equalities:
+        raise ValueError("not a chain: the problem has no equality rows")
+    for pos, spec in enumerate(problem.blocks):
+        if spec.dim > 2:
+            raise ValueError(f"not a chain: block {pos} is {spec.dim}x{spec.dim}, larger than 2x2")
     owner: dict[tuple[int, int], tuple[int, float]] = {}
     for r, (terms, rhs) in enumerate(problem.equalities):
         if not rhs > 0 or not 1 <= len(terms) <= 2:
-            return None
+            raise ValueError(f"not a chain: row {r} needs rhs > 0 and one or two terms, "
+                             f"not rhs {rhs!r} and {len(terms)} terms")
         for pos, i, k, a in terms:
-            if i != k or not a > 0 or (pos, i) in owner:
-                return None
+            if i != k or not a > 0:
+                raise ValueError(f"not a chain: row {r} needs diagonal terms with coefficient "
+                                 f"> 0, not {a!r} at ({i}, {k}) of block {pos}")
+            if (pos, i) in owner:
+                raise ValueError(f"not a chain: entry {i} of block {pos} is in two rows")
             owner[(pos, i)] = (r, float(a))
-    entries = [(pos, i) for pos, spec in enumerate(problem.blocks) for i in range(spec.dim)]
-    if len(owner) != len(entries):
-        return None
-    chain = [(pos, i, *owner[(pos, i)]) for pos, i in entries]
-    if any(i and abs(r - chain[e - 1][2]) != 1 for e, (_, i, r, _) in enumerate(chain)):
-        return None
+    chain = []
+    for pos, spec in enumerate(problem.blocks):
+        for i in range(spec.dim):
+            if (pos, i) not in owner:
+                raise ValueError(f"not a chain: entry {i} of block {pos} is in no row")
+            chain.append((pos, i, *owner[(pos, i)]))
+            if i and abs(chain[-1][2] - chain[-2][2]) != 1:
+                raise ValueError(f"not a chain: the entries of block {pos} lie in rows "
+                                 f"{chain[-2][2]} and {chain[-1][2]}, which are not adjacent")
     return chain
 
 
@@ -418,17 +421,12 @@ def _solve_chain(problem: SdpProblem, entries, max_iterations: int) -> SdpSoluti
 
 
 def solve(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolution:
-    """Maximize the linear objective over block-PSD variables with equalities.
-
-    Chain-structured problems (see `_chain_entries`) are solved to round-off
-    by `_solve_chain`; all others by `solve_ipm`.  Both are deterministic and
-    return the same `SdpSolution` layout: blocks in problem order and the
-    dual multipliers y of the rows, with dual slack Z = sum_r y_r A_r - C.
-    `max_iterations` bounds the steps, see `_step_limit`.
+    """Maximize the linear objective over block-PSD variables with equalities,
+    for a chain (see `_chain_entries`; anything else raises ValueError),
+    solved to round-off by `_solve_chain`.  Deterministic; returns the
+    blocks in problem order and the dual multipliers y of the rows, with
+    dual slack Z = sum_r y_r A_r - C.  `max_iterations` bounds the steps,
+    see `_step_limit`.
     """
     limit = _step_limit(max_iterations)
-    entries = _chain_entries(problem)
-    if entries is None:
-        # loads uqsub.ipm on first use; `sdp.solve_ipm`, once bound, is what runs
-        return __getattr__("solve_ipm")(problem, limit)
-    return _solve_chain(problem, entries, limit)
+    return _solve_chain(problem, _chain_entries(problem), limit)

@@ -118,6 +118,15 @@ class TestCg:
         labels = (3, 1, 2, 0, 3, 1)
         assert cg_twice.__wrapped__(*map(np.int64, labels)) == cg_twice.__wrapped__(*labels)
 
+    def test_float_label_raises_after_the_int_labels_are_cached(self):
+        # the cache keys on each label's type too, so 1.0 does not find the
+        # entry of 1: the answer does not depend on what was called before
+        assert cg_twice(1, 1, 1, -1, 2, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+        with pytest.raises(TypeError):
+            cg_twice(1.0, 1, 1, -1, 2, 0)
+        labels = (3, 1, 2, 0, 3, 1)
+        assert cg_twice(*map(np.int64, labels)) == cg_twice(*labels)
+
     @pytest.mark.parametrize("tj1,tj2", [(1, 1), (1, 2), (2, 2), (3, 2), (4, 3), (5, 5)])
     def test_against_ladder_oracle(self, tj1, tj2):
         table = cg_table_ladder(tj1, tj2)

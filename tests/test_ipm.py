@@ -1,7 +1,8 @@
 """The IPM's term-format row operators against the dense-stack reference,
 its step-length test against the assembled block-diagonal matrix, its
-per-stack smallest eigenvalues against one eigvalsh per block, and its exit
-when the Schur solve fails."""
+per-stack smallest eigenvalues against one eigvalsh per block, its exit
+when the Schur solve fails, and its answers and statuses on problems that
+are no chain."""
 import numpy as np
 import pytest
 
@@ -10,11 +11,13 @@ from uqsub.ipm import _Instance, _inverse_root, _max_step, solve_ipm
 from uqsub.objective import assemble, build_objective
 from uqsub.oracle import build_omega, choi_problem, twirl_objective
 from uqsub.sdp import (
+    STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
     STATUS_STALLED,
     BlockSpec,
     SdpProblem,
+    check_certificate,
     solve,
 )
 
@@ -183,3 +186,93 @@ def test_problem_without_rows_is_solved():
     sol = solve_ipm(problem)
     assert sol.status == STATUS_OPTIMAL
     assert abs(sol.objective_value) <= 1e-9
+
+
+class TestSolveGeneric:
+    """Problems that are no chain, which `uqsub.sdp.solve` rejects."""
+
+    def test_single_dense_block_with_trace_constraint(self):
+        # maximize <C, X> with tr X = 1: optimum is the top eigenvalue of C
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        c = 0.5 * (a + a.T)
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="dense", dim=6)],
+            objective=[c],
+            equalities=[(tuple((0, i, i, 1.0) for i in range(6)), 1.0)],
+        )
+        sol = solve_ipm(prob)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.objective_value == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-7)
+
+    def test_infeasible_equalities_are_reported(self):
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=1)],
+            objective=[np.zeros((1, 1))],
+            equalities=[(((0, 0, 0, 1.0),), 1.0), (((0, 0, 0, 1.0),), 2.0)],
+        )
+        sol = solve_ipm(prob)
+        assert sol.status == STATUS_INFEASIBLE
+
+    def test_psd_infeasible_is_reported(self):
+        # X >= 0 scalar with constraint -X = 1 is affinely fine but PSD-infeasible
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=1)],
+            objective=[np.zeros((1, 1))],
+            equalities=[(((0, 0, 0, -1.0),), 1.0)],
+        )
+        sol = solve_ipm(prob)
+        assert sol.status == STATUS_STALLED
+        report = check_certificate(prob, sol)
+        assert not report.passed
+        assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+
+    def test_residual_that_stops_falling_is_reported_infeasible(self):
+        # X_00 = -1 cannot hold, while the free X_22 with its positive
+        # coefficient keeps the steps long: the primal residual stays near 1
+        c = np.array([[-0.6, -0.9, -0.2], [-0.9, -2.2, 0.4], [-0.2, 0.4, 1.6]])
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=3)],
+            objective=[c],
+            equalities=[(((0, 0, 0, -1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
+        )
+        sol = solve_ipm(prob)
+        assert sol.status == STATUS_INFEASIBLE
+        assert sol.iterations > 25  # not the affine check, which returns at 0
+        assert sol.primal_residual > 0.5
+
+    @pytest.mark.parametrize("seed", [None, 8], ids=["diag-0-0-1", "random-seed-8"])
+    def test_unbounded_problem_is_not_reported_infeasible(self, seed):
+        # X_00 = X_11 = 2, X_01 = -1.332/0.689 meets the row, and the free
+        # X_22 with C_22 > 0 lets the objective grow without bound; with
+        # seed 8 the primal residual stops falling, as it does when infeasible
+        if seed is None:
+            c = np.diag([0.0, 0.0, 1.0])
+        else:
+            a = np.random.default_rng(seed).standard_normal((3, 3))
+            c = 0.5 * (a + a.T)
+        assert c[2, 2] > 0
+        prob = SdpProblem(
+            blocks=[BlockSpec(name="x", dim=3)],
+            objective=[c],
+            equalities=[(((0, 0, 1, -0.689),), 1.332)],
+        )
+        sol = solve_ipm(prob)
+        assert sol.status not in (STATUS_INFEASIBLE, STATUS_OPTIMAL)
+
+
+def test_dense_lists_and_arrays_give_identical_solutions():
+    # objective matrices are nested sequences read as m[i][k]; the IPM returns
+    # plain float lists whatever form the objective came in
+    a = np.random.default_rng(7).standard_normal((4, 4))
+    blocks = [BlockSpec(name="dense", dim=4)]
+    rows = [(tuple((0, i, i, 1.0) for i in range(4)), 1.0)]
+    from_lists = solve_ipm(SdpProblem(blocks, [(a + a.T).tolist()], rows))
+    from_arrays = solve_ipm(SdpProblem(blocks, [a + a.T], rows))
+    assert from_lists == from_arrays
+    assert from_lists.status == STATUS_OPTIMAL
+    for sol in (from_lists, from_arrays):
+        assert type(sol.blocks) is list
+        assert all(type(x) is float for blk in sol.blocks for row in blk for x in row)
+        assert all(type(y) is float for y in sol.dual_multipliers)
+        assert type(sol.objective_value) is float and type(sol.gap_estimate) is float

@@ -328,7 +328,8 @@ def test_oracles_module_imports_nothing_from_uqsub():
 
 
 def test_oracle_module_imports_no_covariant_code():
-    # the oracle checks the covariant SDP only while it shares none of its code
+    # the oracle checks the covariant SDP only while it shares none of its code:
+    # it reads the problem format from sdp and solves with the IPM
     imported = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -336,4 +337,4 @@ def test_oracle_module_imports_no_covariant_code():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             imported |= {name.split(".", 1)[-1] for name in names if name.startswith("uqsub")}
-    assert imported <= {"errors", "sdp"}
+    assert imported <= {"errors", "ipm", "sdp"}

@@ -1,7 +1,11 @@
 import functools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from references import CertifyingChain, block_dict, solve_certifying_every_iterate
 from uqsub import objective, oracle, sdp
 from uqsub.angular import j1_values, sector_blocks
+from uqsub.ipm import solve_ipm
 from uqsub.objective import MAX_TOTAL_QUBITS, assemble, build_objective
 from uqsub.oracle import build_omega, choi_problem, twirl_objective
 from uqsub.sdp import (
@@ -23,7 +28,6 @@ from uqsub.sdp import (
     check_certificate,
     check_dual,
     solve,
-    solve_ipm,
 )
 
 
@@ -136,6 +140,21 @@ def negative_cross_term_problem(order):
     )
 
 
+def left_to_ipm(prob, rule):
+    """`solve` rejects the problem naming `rule`; `solve_ipm` solves it, with
+    a certificate and a dual bound that pass their checks."""
+    with pytest.raises(ValueError) as raised:
+        solve(prob)
+    assert str(raised.value) == f"not a chain: {rule}"
+    sol = solve_ipm(prob)
+    assert sol.status == STATUS_OPTIMAL
+    assert check_certificate(prob, sol).passed
+    dual = check_dual(prob, sol.dual_multipliers)
+    assert dual.passed
+    assert abs(dual.dual_value - sol.objective_value) <= 1e-7
+    return sol
+
+
 class TestSolveCovariant:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_1_1_matches_dn_identity(self, p):
@@ -209,77 +228,6 @@ class TestSolveCovariant:
             assert np.array_equal(x, y)
 
 
-class TestSolveGeneric:
-    def test_single_dense_block_with_trace_constraint(self):
-        # maximize <C, X> with tr X = 1: optimum is the top eigenvalue of C
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        c = 0.5 * (a + a.T)
-        prob = SdpProblem(
-            blocks=[BlockSpec(name="dense", dim=6)],
-            objective=[c],
-            equalities=[(tuple((0, i, i, 1.0) for i in range(6)), 1.0)],
-        )
-        sol = solve(prob)
-        assert sol.status == STATUS_OPTIMAL
-        assert sol.objective_value == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-7)
-
-    def test_infeasible_equalities_are_reported(self):
-        prob = SdpProblem(
-            blocks=[BlockSpec(name="x", dim=1)],
-            objective=[np.zeros((1, 1))],
-            equalities=[(((0, 0, 0, 1.0),), 1.0), (((0, 0, 0, 1.0),), 2.0)],
-        )
-        sol = solve(prob)
-        assert sol.status == STATUS_INFEASIBLE
-
-    def test_psd_infeasible_is_reported(self):
-        # X >= 0 scalar with constraint -X = 1 is affinely fine but PSD-infeasible
-        prob = SdpProblem(
-            blocks=[BlockSpec(name="x", dim=1)],
-            objective=[np.zeros((1, 1))],
-            equalities=[(((0, 0, 0, -1.0),), 1.0)],
-        )
-        sol = solve(prob)
-        assert sol.status == STATUS_STALLED
-        report = check_certificate(prob, sol)
-        assert not report.passed
-        assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
-
-    def test_residual_that_stops_falling_is_reported_infeasible(self):
-        # X_00 = -1 cannot hold, while the free X_22 with its positive
-        # coefficient keeps the steps long: the primal residual stays near 1
-        c = np.array([[-0.6, -0.9, -0.2], [-0.9, -2.2, 0.4], [-0.2, 0.4, 1.6]])
-        prob = SdpProblem(
-            blocks=[BlockSpec(name="x", dim=3)],
-            objective=[c],
-            equalities=[(((0, 0, 0, -1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
-        )
-        sol = solve(prob)
-        assert sol.status == STATUS_INFEASIBLE
-        assert sol.iterations > 25  # not the affine check, which returns at 0
-        assert sol.primal_residual > 0.5
-
-    @pytest.mark.parametrize("seed", [None, 8], ids=["diag-0-0-1", "random-seed-8"])
-    def test_unbounded_problem_is_not_reported_infeasible(self, seed):
-        # X_00 = X_11 = 2, X_01 = -1.332/0.689 meets the row, and the free
-        # X_22 with C_22 > 0 lets the objective grow without bound; with
-        # seed 8 the primal residual stops falling, as it does when infeasible
-        if seed is None:
-            c = np.diag([0.0, 0.0, 1.0])
-        else:
-            a = np.random.default_rng(seed).standard_normal((3, 3))
-            c = 0.5 * (a + a.T)
-        assert c[2, 2] > 0
-        prob = SdpProblem(
-            blocks=[BlockSpec(name="x", dim=3)],
-            objective=[c],
-            equalities=[(((0, 0, 1, -0.689),), 1.332)],
-        )
-        sol = solve(prob)
-        assert sol.status not in (STATUS_INFEASIBLE, STATUS_OPTIMAL)
-
-
 class TestProblem:
     @pytest.mark.parametrize(
         "term",
@@ -330,7 +278,8 @@ class TestProblem:
             )
 
     def test_off_diagonal_term_weighs_both_entries(self):
-        # X_00 = X_11 = 1 and 2 X_01 = 1: the objective 2 X_01 is pinned to 1
+        # X_00 = X_11 = 1 and 2 X_01 = 1: the objective 2 X_01 is pinned to 1;
+        # a row on an off-diagonal entry is no chain, so the IPM solves it
         prob = SdpProblem(
             blocks=[BlockSpec(name="x", dim=2)],
             objective=[np.array([[0.0, 1.0], [1.0, 0.0]])],
@@ -340,31 +289,19 @@ class TestProblem:
                 (((0, 0, 1, 1.0),), 1.0),
             ],
         )
-        sol = solve(prob)
+        sol = solve_ipm(prob)
         assert sol.status == STATUS_OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
         assert sol.blocks[0][0][1] == pytest.approx(0.5, abs=1e-7)
 
 
-def dense_trace_problem(dim, seed):
-    a = np.random.default_rng(seed).standard_normal((dim, dim))
-    return SdpProblem(
-        blocks=[BlockSpec(name="dense", dim=dim)],
-        objective=[a + a.T],
-        equalities=[(tuple((0, i, i, 1.0) for i in range(dim)), 1.0)],
-    )
-
-
 class TestMatrixFormat:
     """Objective matrices are nested sequences read as m[i][k]; both solvers
-    return plain float lists whatever form the objective came in."""
+    return plain float lists whatever form the objective came in.  The dense
+    case, which only the IPM takes, is in test_ipm.py."""
 
     @pytest.mark.parametrize("solver", [solve, solve_ipm], ids=["solve", "solve_ipm"])
-    @pytest.mark.parametrize(
-        "prob",
-        [covariant_problem(3, 2, 0.4), dense_trace_problem(4, 7)],
-        ids=["covariant-chain", "dense-block"],
-    )
+    @pytest.mark.parametrize("prob", [covariant_problem(3, 2, 0.4)], ids=["covariant-chain"])
     def test_lists_and_arrays_give_identical_solutions(self, solver, prob):
         arrays = [np.asarray(c) for c in prob.objective]
         lists = [c.tolist() for c in arrays]
@@ -463,7 +400,7 @@ class TestCertificate:
     def test_dense_choi_block_and_a_row_residual(self):
         # the oracle's Choi problem has blocks larger than 2x2
         prob = choi_problem(twirl_objective(build_omega(2, 1, 0.4)))
-        sol = solve(prob)
+        sol = oracle.solve(prob)
         assert sol.status == STATUS_OPTIMAL
         assert max(spec.dim for spec in prob.blocks) > 2
         assert check_certificate(prob, sol).passed
@@ -581,14 +518,7 @@ class TestChainSolver:
             assert not report.passed, r
             assert report.min_eigenvalue < -1e-5
 
-    def test_non_chain_problems_go_to_ipm(self, monkeypatch):
-        calls = []
-
-        def recording_ipm(problem, max_iterations=None):
-            calls.append(problem)
-            return solve_ipm(problem, max_iterations)
-
-        monkeypatch.setattr(sdp, "solve_ipm", recording_ipm)
+    def test_ipm_solves_the_problems_that_solve_rejects(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((3, 3))
         # dense 3x3 block with unit diagonal: every entry in its own row
@@ -611,47 +541,94 @@ class TestChainSolver:
         )
         # two paths whose rows are listed out of path order
         shuffled = negative_cross_term_problem((2, 0, 3, 1, 4))
-        for prob in (dense, shared, offdiag, shuffled):
-            sol = solve(prob)
-            assert calls[-1] is prob
-            assert sol.status == STATUS_OPTIMAL
-            assert check_certificate(prob, sol).passed
-            dual = check_dual(prob, sol.dual_multipliers)
-            assert dual.passed
-            assert abs(dual.dual_value - sol.objective_value) <= 1e-7
-        assert solve(shared).objective_value == pytest.approx(2.0, abs=1e-7)
-        assert solve(offdiag).objective_value == pytest.approx(-1.25, abs=1e-7)
+        rules = [
+            "block 0 is 3x3, larger than 2x2",
+            "entry 0 of block 0 is in two rows",
+            "row 0 needs diagonal terms with coefficient > 0, not 1.0 at (0, 1) of block 0",
+            "the entries of block 0 lie in rows 2 and 4, which are not adjacent",
+        ]
+        values = [left_to_ipm(prob, rule).objective_value
+                  for prob, rule in zip((dense, shared, offdiag, shuffled), rules)]
         in_order = solve(negative_cross_term_problem(range(5))).objective_value
-        assert solve(shuffled).objective_value == pytest.approx(in_order, abs=1e-7)
-        calls.clear()
-        solve(covariant_problem(2, 1, 0.5))
-        assert calls == []
+        assert values[1:] == pytest.approx([2.0, -1.25, in_order], abs=1e-7)
+
+    def test_dense_problem_is_rejected_without_numpy(self):
+        # the rules need only the standard library: with numpy blocked, the
+        # rejection still names its rule
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from uqsub.sdp import BlockSpec, SdpProblem, solve\n"
+            "rows = [(((0, i, i, 1.0),), 1.0) for i in range(3)]\n"
+            "dense = SdpProblem([BlockSpec('dense', 3)], [[[1.0, 0.5, 0.0]] * 3], rows)\n"
+            "try:\n"
+            "    solve(dense)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "not a chain: block 0 is 3x3, larger than 2x2\n"
 
     @pytest.mark.parametrize(
-        "dims, equalities",
+        "dims, equalities, rule",
         [
-            ([1], [(((0, 0, 0, 1.0),), 0.0)]),
-            ([1, 1, 1], [(((0, 0, 0, 1.0), (1, 0, 0, 1.0), (2, 0, 0, 1.0)), 1.0)]),
-            ([2], [(((0, 0, 0, 1.0),), 1.0), (((0, 0, 1, 1.0), (0, 1, 1, 1.0)), 1.0)]),
-            ([1], [(((0, 0, 0, -1.0),), 1.0)]),
-            ([2], [(((0, 0, 0, 1.0),), 1.0)]),
+            ([1], [], "the problem has no equality rows"),
+            ([3], [(((0, i, i, 1.0),), 1.0) for i in range(3)], "block 0 is 3x3, larger than 2x2"),
+            (
+                [1],
+                [(((0, 0, 0, 1.0),), 0.0)],
+                "row 0 needs rhs > 0 and one or two terms, not rhs 0.0 and 1 terms",
+            ),
+            (
+                [1, 1, 1],
+                [(((0, 0, 0, 1.0), (1, 0, 0, 1.0), (2, 0, 0, 1.0)), 1.0)],
+                "row 0 needs rhs > 0 and one or two terms, not rhs 1.0 and 3 terms",
+            ),
+            (
+                [2],
+                [(((0, 0, 0, 1.0),), 1.0), (((0, 0, 1, 1.0), (0, 1, 1, 1.0)), 1.0)],
+                "row 1 needs diagonal terms with coefficient > 0, not 1.0 at (0, 1) of block 0",
+            ),
+            (
+                [1],
+                [(((0, 0, 0, -1.0),), 1.0)],
+                "row 0 needs diagonal terms with coefficient > 0, not -1.0 at (0, 0) of block 0",
+            ),
+            (
+                [1, 1],
+                [(((0, 0, 0, 1.0), (1, 0, 0, 1.0)), 2.0), (((0, 0, 0, 1.0),), 1.0)],
+                "entry 0 of block 0 is in two rows",
+            ),
+            ([2], [(((0, 0, 0, 1.0),), 1.0)], "entry 1 of block 0 is in no row"),
             (
                 [2, 1],
                 [(((0, 0, 0, 1.0),), 1.0), (((1, 0, 0, 1.0),), 1.0), (((0, 1, 1, 1.0),), 1.0)],
+                "the entries of block 0 lie in rows 0 and 2, which are not adjacent",
             ),
         ],
         ids=[
-            "rhs-not-positive", "three-terms", "off-diagonal-term", "coefficient-not-positive",
-            "entry-in-no-row", "block-on-rows-0-and-2",
+            "no-rows", "larger-than-2x2", "rhs-not-positive", "three-terms", "off-diagonal-term",
+            "coefficient-not-positive", "entry-in-two-rows", "entry-in-no-row",
+            "block-on-rows-0-and-2",
         ],
     )
-    def test_not_a_chain(self, dims, equalities):
+    def test_not_a_chain(self, dims, equalities, rule):
+        # one problem per rule, which the message names
         prob = SdpProblem(
             blocks=[BlockSpec(f"b{i}", d) for i, d in enumerate(dims)],
             objective=[np.eye(d) for d in dims],
             equalities=equalities,
         )
-        assert sdp._chain_entries(prob) is None
+        with pytest.raises(ValueError) as raised:
+            solve(prob)
+        assert str(raised.value) == f"not a chain: {rule}"
 
     def test_random_chain_problems_take_the_chain_path(self):
         for seed in range(300):
@@ -674,8 +651,8 @@ def chain_scale(prob):
 class TestChainShapes:
     """Chain shapes beyond a plain path: two blocks on the same two rows, pinned
     rows; and the covariant layout, one run of rows per j1. A cycle of three or
-    more rows and a block inside one row are not chains: `solve` hands them to
-    the IPM."""
+    more rows and a block inside one row are not chains: `solve` rejects them,
+    and the IPM solves them."""
 
     @staticmethod
     def closes_its_bracket(prob):
@@ -703,26 +680,7 @@ class TestChainShapes:
         )
         self.closes_its_bracket(prob)
 
-    @staticmethod
-    def goes_to_ipm(prob, monkeypatch):
-        calls = []
-
-        def recording_ipm(problem, max_iterations=None):
-            calls.append(problem)
-            return solve_ipm(problem, max_iterations)
-
-        monkeypatch.setattr(sdp, "solve_ipm", recording_ipm)
-        assert sdp._chain_entries(prob) is None
-        sol = solve(prob)
-        assert calls == [prob]
-        assert sol.status == STATUS_OPTIMAL
-        assert check_certificate(prob, sol).passed
-        dual = check_dual(prob, sol.dual_multipliers)
-        assert dual.passed
-        assert abs(dual.dual_value - sol.objective_value) <= 1e-7
-        return sol
-
-    def test_three_rows_in_a_cycle(self, monkeypatch):
+    def test_three_rows_in_a_cycle(self):
         # blocks b0, b1, b2 join rows (0, 1), (1, 2) and (2, 0)
         prob = SdpProblem(
             blocks=[BlockSpec(f"b{i}", 2) for i in range(3)],
@@ -737,9 +695,9 @@ class TestChainShapes:
                 (((1, 1, 1, 0.5), (2, 0, 0, 1.5)), 1.1),
             ],
         )
-        self.goes_to_ipm(prob, monkeypatch)
+        left_to_ipm(prob, "the entries of block 2 lie in rows 2 and 0, which are not adjacent")
 
-    def test_block_inside_one_row(self, monkeypatch):
+    def test_block_inside_one_row(self):
         # X_00 + X_11 = 1: the maximum is the top eigenvalue of C
         c = np.array([[0.3, -0.7], [-0.7, 1.2]])
         prob = SdpProblem(
@@ -747,7 +705,8 @@ class TestChainShapes:
             objective=[c],
             equalities=[(((0, 0, 0, 1.0), (0, 1, 1, 1.0)), 1.0)],
         )
-        sol = self.goes_to_ipm(prob, monkeypatch)
+        rule = "the entries of block 0 lie in rows 0 and 0, which are not adjacent"
+        sol = left_to_ipm(prob, rule)
         assert sol.objective_value == pytest.approx(np.linalg.eigvalsh(c).max(), abs=1e-7)
 
     def test_every_row_pinned(self):
