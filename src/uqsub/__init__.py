@@ -6,36 +6,21 @@ rho1.  This package computes the optimal average fidelity over all physical
 channels via a block-structured semidefinite program on covariant channels,
 checks it against closed forms and a symmetry-free brute-force oracle, and
 reconstructs/simulates the optimal channel.
+
+The numpy-backed names live in `uqsub.oracle`, `uqsub.channel`,
+`uqsub.mcsim` and `uqsub.ipm`; everything here runs on the standard library,
+and `check_certificate` and `check_dual` import numpy on their first call.
 """
 
-from ._lazy import lazy_getattr
 from .angular import HalfInt, SectorIndex, enumerate_sectors
 from .closed_forms import dn_fidelity, f21_exact, f2inf, mp_upper
 from .objective import ObjectiveTable, PolyInP, assemble, build_objective
-from .sdp import SdpProblem, SdpSolution, solve
-
-# the numpy-backed exports load on first use
-__getattr__ = lazy_getattr(
-    globals(),
-    {
-        **dict.fromkeys(
-            ("KrausSet", "kraus_from_choi", "reconstruct_choi", "reconstruct_kraus"), ".channel"
-        ),
-        **dict.fromkeys(("HaarSampler", "McEstimate", "estimate_fidelity"), ".mcsim"),
-        **dict.fromkeys(
-            ("build_omega", "solve_choi", "sym_projector", "twirl_objective"), ".oracle"
-        ),
-        **dict.fromkeys(("check_certificate", "check_dual"), ".sdp"),
-    },
-)
+from .sdp import SdpProblem, SdpSolution, check_certificate, check_dual, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HaarSampler",
     "HalfInt",
-    "KrausSet",
-    "McEstimate",
     "ObjectiveTable",
     "PolyInP",
     "SdpProblem",
@@ -43,21 +28,13 @@ __all__ = [
     "SectorIndex",
     "assemble",
     "build_objective",
-    "build_omega",
     "check_certificate",
     "check_dual",
     "dn_fidelity",
     "enumerate_sectors",
-    "estimate_fidelity",
     "f21_exact",
     "f2inf",
-    "kraus_from_choi",
     "mp_upper",
-    "reconstruct_choi",
-    "reconstruct_kraus",
     "solve",
-    "solve_choi",
-    "sym_projector",
-    "twirl_objective",
     "__version__",
 ]

@@ -3,8 +3,8 @@ baseline curves, verify against the brute-force oracle, and reconstruct or
 simulate optimal channels.
 
 `optimize`, `sweep` and `curves` run on the standard library alone.  The
-oracle, channel and Monte-Carlo names below import numpy; each is bound in
-this module by the first command that needs it, or when it is read as
+oracle, channel and Monte-Carlo names in `_NUMPY_BACKED` import numpy; each
+is bound here by the first command that needs it, or when it is read as
 `uqsub.cli.<name>`, and a name bound already is never rebound.  `json`
 loads in the commands that print it, and `logging` only under
 QSUB_LOG=info or debug.
@@ -15,24 +15,28 @@ import argparse
 import marshal
 import os
 import sys
+from importlib import import_module
 
 from . import closed_forms
-from ._lazy import lazy_getattr
 from .errors import CapacityError, ReconstructionError
 from .objective import MAX_TOTAL_QUBITS, assemble, build_objective, w_values_from_solution
 from .sdp import solve
 
-__getattr__ = lazy_getattr(
-    globals(),
-    {
-        **dict.fromkeys(("build_omega", "solve_choi", "twirl_objective"), ".oracle"),
-        # kraus_from_choi, reconstruct_choi: unused here, patched by traced benchmark runs
-        **dict.fromkeys(
-            ("KrausSet", "kraus_from_choi", "reconstruct_choi", "reconstruct_kraus"), ".channel"
-        ),
-        **dict.fromkeys(("HaarSampler", "estimate_fidelity"), ".mcsim"),
-    },
-)
+_NUMPY_BACKED = {
+    ".oracle": ("build_omega", "solve_choi", "twirl_objective"),
+    # kraus_from_choi, reconstruct_choi: unused here, patched by traced benchmark runs
+    ".channel": ("KrausSet", "kraus_from_choi", "reconstruct_choi", "reconstruct_kraus"),
+    ".mcsim": ("HaarSampler", "estimate_fidelity"),
+}
+
+
+def __getattr__(name: str):
+    """Bind a numpy-backed name here on first use (PEP 562); one bound already stays."""
+    for module, names in _NUMPY_BACKED.items():
+        if name in names:
+            return globals().setdefault(name, getattr(import_module(module, __package__), name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2

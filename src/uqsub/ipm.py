@@ -14,8 +14,8 @@ and all four step-length tests, which take the minimum over the stacks.
 `check_certificate` and `check_dual` re-derive primal and dual feasibility
 of a solution independently of either solver, on the same stacks: a block is
 PSD when its smallest eigenvalue, one `eigvalsh` per stack for every block
-size, is at least -CHECK_TOL.  `uqsub.sdp` imports the checkers from here
-on first use.
+size, is at least -CHECK_TOL.  `uqsub.sdp`'s functions of those names
+import them from here on their first call.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .sdp import (
     STATUS_STALLED,
     SdpProblem,
     SdpSolution,
+    _is_square,
     _step_limit,
 )
 
@@ -406,7 +407,10 @@ class CertificateReport(NamedTuple):
 def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
     """Re-derive feasibility of a solution independently of the solver loop:
     the row residual against CHECK_TOL, and every block's smallest eigenvalue
-    against -CHECK_TOL."""
+    against -CHECK_TOL.  ValueError unless the blocks match the problem's."""
+    dims = [spec.dim for spec in problem.blocks]
+    if len(solution.blocks) != len(dims) or not all(map(_is_square, solution.blocks, dims)):
+        raise ValueError(f"the solution needs one dim x dim block for each of {len(dims)} blocks")
     inst = _Instance(problem)
     xs = inst.stack(solution.blocks)
     rp_norm = float(np.max(np.abs(inst.b - inst.apply(xs)))) if inst.m else 0.0
@@ -434,8 +438,11 @@ def check_dual(problem: SdpProblem, multipliers: Sequence[float]) -> DualReport:
 
     When every Z_b = sum_r y_r A_rb - C_b is PSD, its smallest eigenvalue at
     least -CHECK_TOL, the dual value sum_r b_r y_r + offset bounds the maximum
-    from above (weak duality).
+    from above (weak duality).  ValueError unless there is one per row.
     """
+    if multipliers is None or len(multipliers) != problem.num_constraints:
+        count = "no" if multipliers is None else len(multipliers)
+        raise ValueError(f"{count} multipliers for {problem.num_constraints} rows")
     inst = _Instance(problem)
     y = np.asarray(multipliers, dtype=float)
     lams = inst.min_eigenvalues([a - c for a, c in zip(inst.adjoint(y), inst.c)]).tolist()

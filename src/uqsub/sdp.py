@@ -22,9 +22,8 @@ fixed FEAS_TOL, PSD_TOL and GAP_TOL, read at call time.
 This module and the chain solver need only the standard library, and at
 import time only its light modules: the blocks and the solution are named
 tuples and the problem a small plain class, not dataclasses (which load
-`inspect`).  The independent checkers `check_certificate` and `check_dual`
-use numpy and live in `uqsub.ipm`; they are importable from here and load
-on first use.
+`inspect`).  `check_certificate` and `check_dual` call the numpy-backed
+checkers of `uqsub.ipm`, which they import on their first call.
 """
 from __future__ import annotations
 
@@ -32,8 +31,6 @@ import math
 import operator
 import sys
 from typing import NamedTuple, Sequence
-
-from ._lazy import lazy_getattr
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -46,11 +43,6 @@ PSD_TOL = 1e-9
 GAP_TOL = 1e-7
 
 _EPS = sys.float_info.epsilon
-
-__getattr__ = lazy_getattr(
-    globals(),
-    dict.fromkeys(("check_certificate", "check_dual", "CertificateReport", "DualReport"), ".ipm"),
-)
 
 
 class BlockSpec(NamedTuple):
@@ -430,3 +422,15 @@ def solve(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolution
     """
     limit = _step_limit(max_iterations)
     return _solve_chain(problem, _chain_entries(problem), limit)
+
+
+def check_certificate(problem: SdpProblem, solution: SdpSolution):
+    """`uqsub.ipm.check_certificate`, which loads numpy."""
+    from .ipm import check_certificate
+    return check_certificate(problem, solution)
+
+
+def check_dual(problem: SdpProblem, multipliers: Sequence[float]):
+    """`uqsub.ipm.check_dual`, which loads numpy."""
+    from .ipm import check_dual
+    return check_dual(problem, multipliers)

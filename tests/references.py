@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -44,8 +43,6 @@ from uqsub.sdp import (
     STATUS_STALLED,
     SdpProblem,
     SdpSolution,
-    _EPS,
-    _tridiagonal_solve,
 )
 
 EXTRACT_QUBIT_GUARD = 6
@@ -558,35 +555,7 @@ class CertifyingChain(sdp._Chain):
                 done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
                 return steps, done, primal, gap
             steps += 1
-            grad, diag, link = self.derivatives(t)
-            free = [0.0 < x < 1.0 and k >= 0 for x, k in zip(s, self.second)]
-            step, rate = [0.0] * len(s), 0.0
-            for i in [i for i, x in enumerate(s) if x == 0.0 or x == 1.0]:
-                # the entry the bound zeroes, and the row of its partner
-                zero = self.first[i] if s[i] == 0.0 else self.second[i]
-                j = self.row[self.part[zero]]
-                inward = grad[i] if s[i] == 0.0 else -grad[i]
-                if j == i:
-                    free[i] = inward > 0
-                elif j > i:  # release a corner along t ~ u**2, u the top eigenvector
-                    other = grad[j] if s[j] == 0.0 else -grad[j]
-                    half = self.coff[zero] * math.sqrt(self.q[zero] * self.q[self.part[zero]])
-                    top = 0.5 * (inward + other) + math.hypot(0.5 * (inward - other), half)
-                    u = (half, top - inward)
-                    if top > self.slack:
-                        norm = math.hypot(*u)
-                        for r, x in zip((i, j), u):
-                            step[r] = (1 - 2 * s[r]) * (x / norm) ** 2
-                        rate += top
-            if not rate and any(free):
-                # damped by |gradient| and, so that every pivot stays positive,
-                # by a few round-offs of the row's own curvature
-                damped = [(1 + 16 * _EPS) * x + abs(g) + self.slack or 1.0
-                          for x, g in zip(diag, grad)]
-                step = _tridiagonal_solve(damped, link, grad, free)
-                longest = max(1.0, *map(abs, step))  # no row moves further than the box is wide
-                step = [x / longest for x in step]
-                rate = sum(map(operator.mul, grad, step))
+            step, rate = self.direction(s, t)
             found = self.search(s, primal, step, rate)
             if found is None or found[0] == s:
                 return steps, STATUS_STALLED, primal, gap

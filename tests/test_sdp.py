@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import pickle
@@ -414,6 +415,37 @@ class TestCertificate:
         broken[big] = broken[big] - 1e-3 * np.eye(len(broken[big]))  # no longer PSD
         report = check_certificate(prob, sol._replace(blocks=broken))
         assert prob.blocks[big].name in report.failed_blocks
+
+    def test_solution_blocks_must_match_the_problem(self):
+        # an extra block used to be dropped unread and a missing one read as zeros
+        prob = covariant_problem(2, 1, 0.5)
+        sol = solve(prob)
+        pos = next(i for i, spec in enumerate(prob.blocks) if spec.dim == 2)
+        for blocks in (
+            sol.blocks + [[[-5.0]]],
+            sol.blocks[:-1],
+            sol.blocks[:pos] + [[[1.0]]] + sol.blocks[pos + 1:],
+        ):
+            with pytest.raises(ValueError, match="one dim x dim block for each of"):
+                check_certificate(prob, sol._replace(blocks=blocks))
+
+    def test_multipliers_must_match_the_rows(self):
+        prob = covariant_problem(2, 1, 0.5)
+        y = solve(prob).dual_multipliers
+        assert len(y) == prob.num_constraints == 3
+        for multipliers, count in ((y[:2], "2"), (y + [0.0], "4"), (None, "no")):
+            with pytest.raises(ValueError, match=f"^{count} multipliers for 3 rows$"):
+                check_dual(prob, multipliers)
+
+    def test_reports_hold_plain_python_values(self):
+        # the traced benchmark writes `.passed` into spans that json.dump saves
+        covariant = covariant_problem(2, 1, 0.5)
+        choi = choi_problem(twirl_objective(build_omega(2, 1, 0.4)))
+        for prob, sol in ((covariant, solve(covariant)), (choi, oracle.solve(choi))):
+            for report in (check_certificate(prob, sol), check_dual(prob, sol.dual_multipliers)):
+                assert report.passed
+                assert [type(value) for value in report] == [bool, float, float, list]
+                assert json.loads(json.dumps(report._asdict())) == report._asdict()
 
     def test_cauchy_schwarz_tight_at_interior_maximizer(self):
         # below the branch point the cross term saturates collinearity
