@@ -82,22 +82,24 @@ class KrausSet:
     operators: list[np.ndarray]
 
     def completeness_residual(self) -> float:
-        dim = self.operators[0].shape[1]
-        acc = sum(m.conj().T @ m for m in self.operators)
-        return float(np.abs(acc - np.eye(dim)).max())
+        ops = np.stack(self.operators)
+        acc = sum(m.conj().T @ m for m in ops)
+        return float(np.abs(acc - np.eye(ops.shape[2])).max())
 
     def to_json(self) -> str:
-        ops = np.asarray(self.operators)
+        ops = np.stack(self.operators)
         return json.dumps(
             {
                 "schema": "uqsub.kraus.v1",
-                "n_in_qubits": int(np.log2(self.operators[0].shape[1])),
+                "n_in_qubits": int(np.log2(ops.shape[2])),
                 "operators": np.stack([ops.real, ops.imag], -1).tolist(),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "KrausSet":
+        """ValueError for another schema, no operators, operators not rows of
+        [re, im] number pairs or of different shapes, or a non-finite entry."""
         doc = json.loads(text)
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != "uqsub.kraus.v1":
@@ -113,6 +115,9 @@ class KrausSet:
                 )
             # each [re, im] pair, as float64, is one complex128: the entries bit for bit
             ops.append(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
+        shapes = sorted({m.shape for m in ops})
+        if len(shapes) != 1:
+            raise ValueError(f"mixed operator shapes {shapes}" if ops else "empty operator list")
         # json reads NaN, Infinity and 1e999; they would poison every check
         if not all(np.isfinite(m).all() for m in ops):
             raise ValueError("non-finite entry in the Kraus operators")
@@ -191,8 +196,5 @@ def kraus_from_choi(choi: np.ndarray) -> KrausSet:
     if evals.min() < -1e-7:
         raise ReconstructionError(f"Choi not PSD: min eig {evals.min():.3e}")
     d_in = mat.shape[0] // 2
-    ops = []
-    for lam, vec in zip(evals, vecs.T):
-        if lam > 1e-10:
-            ops.append(np.sqrt(lam) * vec.reshape(d_in, 2).T)
-    return KrausSet(operators=ops)
+    return KrausSet([np.sqrt(lam) * vec.reshape(d_in, 2).T for lam, vec in zip(evals, vecs.T)
+                     if lam > 1e-10])

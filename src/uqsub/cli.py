@@ -20,7 +20,7 @@ from importlib import import_module
 from . import closed_forms
 from .errors import CapacityError, ReconstructionError
 from .objective import MAX_TOTAL_QUBITS, assemble, build_objective, w_values_from_solution
-from .sdp import solve
+from .sdp import STATUS_OPTIMAL, solve
 
 _NUMPY_BACKED = {
     ".oracle": ("build_omega", "solve_choi", "twirl_objective"),
@@ -291,7 +291,7 @@ def cmd_sweep(args) -> int:
                     f"< F{(n1, n2)} = {fmax[(n1, n2)]:.9f}",
                     file=sys.stderr,
                 )
-    bad = [key for key, st in status.items() if st != "optimal"]
+    bad = [key for key, st in status.items() if st != STATUS_OPTIMAL]
     if bad:
         raise _Failure(EXIT_SOLVER, f"solver failure on grid points: {bad}")
     print(f"wrote {len(tasks)} rows to {args.out}")
@@ -388,14 +388,10 @@ def cmd_simulate(args) -> int:
         raise _Failure(EXIT_IO, f"cannot read {args.kraus}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
         raise _Failure(EXIT_SCHEMA, f"Kraus schema mismatch: {exc}")
-    if not kraus.operators:
-        raise _Failure(EXIT_SCHEMA, "Kraus schema mismatch: empty operator list")
-    dim = 1 << (args.n1 + args.n2)
-    shapes = sorted({m.shape for m in kraus.operators})
-    if shapes != [(2, dim)]:
-        raise _Failure(
-            EXIT_SCHEMA, f"Kraus operators of shape {shapes}, flags give dimension {dim}"
-        )
+    # from_json gives one or more operators of one shape
+    dim, shape = 1 << (args.n1 + args.n2), kraus.operators[0].shape
+    if shape != (2, dim):
+        raise _Failure(EXIT_SCHEMA, f"Kraus operators of shape {[shape]}, flags give dimension {dim}")
     residual = kraus.completeness_residual()
     if residual > 1e-8:
         raise _Failure(

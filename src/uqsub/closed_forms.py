@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from math import comb
 
-
-def _check_p(p: float):
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
+from .errors import check_p
 
 
 def dn_fidelity(p: float) -> float:
@@ -27,7 +24,7 @@ def dn_fidelity(p: float) -> float:
     symmetric/antisymmetric-measurement purification protocol on two copies
     gains nothing over doing nothing for qubits: its fidelity is 1 - p/2 too.
     """
-    _check_p(p)
+    check_p(p)
     return 1.0 - p / 2.0
 
 
@@ -37,7 +34,7 @@ def f21_exact(p: float) -> float:
     Piecewise in p with the branch point at p = 3/8 where the interior
     maximizer of the cross term reaches the trace-preservation boundary.
     """
-    _check_p(p)
+    check_p(p)
     base = (1 - p) * (51 + 23 * p) / 54 + p * p / 2
     if p <= 3 / 8:
         return base + (1 - p) * (3 + p) ** 2 / (27 * (6 - 7 * p))
@@ -50,7 +47,7 @@ def mp_upper(p: float, n1: int) -> float:
     Sum over the number k of intact target copies of the optimal pure-state
     tomography fidelity (k+1)/(k+2).
     """
-    _check_p(p)
+    check_p(p)
     if n1 < 1:
         raise ValueError("need n1 >= 1")
     return sum(
@@ -71,7 +68,7 @@ def f2inf(p: float) -> float:
     falls from gamma >= 0 at t = 0. Bisection on the sign of g' runs until
     the bracket stops shrinking, so the maximizer is found to round-off.
     """
-    _check_p(p)
+    check_p(p)
     q = 1.0 - p
     const = p * q / 3 + (8 * q - 5 * q * q) / 12 + q * q / 4 + p * p / 2
     alpha = q * (1 + p) / 6  # weight of Sum |M(-1/2, triplet m=0)|^2 = 1 - t^2
@@ -84,8 +81,7 @@ def f2inf(p: float) -> float:
             max(0.0, 1 - t * t)
         )
 
-    lo, hi = 0.0, 1.0
-    mid = 0.5
+    lo, hi, mid = 0.0, 1.0, 0.5
     while lo < mid < hi:
         if 2 * (beta - alpha) * mid + gamma - delta * mid / math.sqrt(1 - mid * mid) > 0:
             lo = mid

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the rule on p, shared across the package."""
 
 
 class CapacityError(ValueError):
@@ -7,3 +7,9 @@ class CapacityError(ValueError):
 
 class ReconstructionError(RuntimeError):
     """Channel reconstruction produced an operator violating CP/TP tolerances."""
+
+
+def check_p(p: float) -> None:
+    """ValueError unless the mixing probability p lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p = {p} outside [0, 1]")

@@ -27,6 +27,7 @@ from itertools import product
 import numpy as np
 
 from .channel import KrausSet
+from .errors import check_p
 
 # samples drawn per step: psi for the whole block, then phi
 _BLOCK = 2000
@@ -77,11 +78,10 @@ def estimate_fidelity(
     Per sample: draw a target and a noise state, and sum over the mixture's
     product states the weighted output overlap with the target (module
     docstring).  Accumulation uses numpy's pairwise summation.  Raises
-    ValueError for p outside [0, 1], fewer than 2 samples (the standard error
-    needs two) or a Kraus set of the wrong dimension.
+    ValueError for a p that `check_p` rejects, fewer than 2 samples (the
+    standard error needs two) or a Kraus set of the wrong dimension.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
+    check_p(p)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     n = n1 + n2

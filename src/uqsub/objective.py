@@ -35,7 +35,7 @@ from .angular import (
     cg_twice,
     sector_blocks,
 )
-from .errors import CapacityError
+from .errors import CapacityError, check_p
 from .sdp import BlockSpec, SdpProblem, SdpSolution
 
 MAX_TOTAL_QUBITS = 24
@@ -242,8 +242,7 @@ def _layout(n1: int, n2: int):
 
 def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
     """Instantiate the block SDP for a given mixing probability."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
+    check_p(p)
     specs, slots, rows = _layout(table.n1, table.n2)
     objective = [[[0.0] * s.dim for _ in range(s.dim)] for s in specs]
     weights = split_weights(table.n1, p)
@@ -261,8 +260,8 @@ def assemble(table: ObjectiveTable, p: float) -> SdpProblem:
 
 
 def w_values_from_solution(solution: SdpSolution, n1: int, n2: int) -> dict[SectorIndex, float]:
-    """Read the per-sector Gram values out of the solver's block layout."""
+    """The per-sector Gram values of a solution in the block layout of (n1, n2)."""
     specs, slots, _ = _layout(n1, n2)
-    if len(specs) != len(solution.blocks):
+    if [s.dim for s in specs] != [len(block) for block in solution.blocks]:
         raise ValueError("solution does not match the (n1, n2) block layout")
     return {s: float(solution.blocks[pos][a][b]) for s, (pos, a, b) in slots.items()}

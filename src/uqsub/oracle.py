@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, check_p
 from .ipm import solve_ipm as solve
 from .sdp import BlockSpec, SdpProblem, SdpSolution
 
@@ -66,8 +66,7 @@ def build_omega(n1: int, n2: int, p: float) -> np.ndarray:
     n = n1 + n2
     if n > DENSE_QUBIT_GUARD:
         raise CapacityError(f"dense path limited to n1+n2 <= {DENSE_QUBIT_GUARD}, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
+    check_p(p)
     pop = _popcounts(n)
     same = pop[:, None] == pop
     omega = np.zeros(same.shape)

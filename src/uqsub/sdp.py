@@ -5,10 +5,10 @@
 diagonal entries, every diagonal entry lying in exactly one row and the two
 entries of every 2x2 block in adjacent rows, so the rows come in path order.
 Any other problem, the oracle's dense Choi blocks among them, raises
-ValueError (the oracle calls `uqsub.ipm.solve_ipm`).  `_solve_chain` splits
-the rows into the runs that 2x2 blocks join (one per j1 in the
-covariant problem) and maximizes each in s = sin^2 theta per row, where the
-objective is concave: projected Newton steps with an explicit active set,
+ValueError (the oracle calls `uqsub.ipm.solve_ipm`).  `_chain_entries` also
+returns the runs of rows that 2x2 blocks join (one per j1 in the covariant
+problem), and `_solve_chain` maximizes each in s = sin^2 theta per row, where
+the objective is concave: projected Newton steps with an explicit active set,
 each one tridiagonal solve, until a primal/dual bracket closes at round-off.
 The line search compares primal values only.  An iterate gets its
 certificate (multipliers repaired to dual feasibility, and the gap) only when
@@ -129,14 +129,15 @@ class SdpSolution(NamedTuple):
         return self.status == STATUS_OPTIMAL
 
 
-def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]]:
-    """(block, index, row, coefficient) of every diagonal entry, in block
-    order.  A chain has equality rows and blocks of dimension 1 or 2; each
-    row has a positive rhs and one or two terms, each diagonal with a
-    positive coefficient; every diagonal entry lies in exactly one row, and
-    the two entries of every 2x2 block lie in adjacent rows.  A problem that
-    breaks one of these rules raises ValueError naming the first it breaks.
-    """
+def _chain_entries(problem: SdpProblem):
+    """(entries, members, runs): (block, index, row, coefficient) of every
+    diagonal entry in block order, each row's positions in entries, and the
+    runs of rows that 2x2 blocks join.  A chain has equality rows and blocks
+    of dimension 1 or 2; each row has a positive rhs and one or two terms,
+    each diagonal with a positive coefficient; every diagonal entry lies in
+    exactly one row, and the two entries of every 2x2 block lie in adjacent
+    rows.  A problem that breaks one of these rules raises ValueError naming
+    the first it breaks."""
     if not problem.equalities:
         raise ValueError("not a chain: the problem has no equality rows")
     for pos, spec in enumerate(problem.blocks):
@@ -154,16 +155,22 @@ def _chain_entries(problem: SdpProblem) -> list[tuple[int, int, int, float]]:
             if (pos, i) in owner:
                 raise ValueError(f"not a chain: entry {i} of block {pos} is in two rows")
             owner[(pos, i)] = (r, float(a))
-    chain = []
+    entries, members = [], [[] for _ in problem.equalities]
+    joined = [False] * len(members)
     for pos, spec in enumerate(problem.blocks):
         for i in range(spec.dim):
             if (pos, i) not in owner:
                 raise ValueError(f"not a chain: entry {i} of block {pos} is in no row")
-            chain.append((pos, i, *owner[(pos, i)]))
-            if i and abs(chain[-1][2] - chain[-2][2]) != 1:
-                raise ValueError(f"not a chain: the entries of block {pos} lie in rows "
-                                 f"{chain[-2][2]} and {chain[-1][2]}, which are not adjacent")
-    return chain
+            r = owner[(pos, i)][0]
+            members[r].append(len(entries))
+            entries.append((pos, i, *owner[(pos, i)]))
+            if i:  # a 2x2 block joins its two rows, which must be adjacent
+                if abs(r - entries[-2][2]) != 1:
+                    raise ValueError(f"not a chain: the entries of block {pos} lie in rows "
+                                     f"{entries[-2][2]} and {r}, which are not adjacent")
+                joined[min(r, entries[-2][2])] = True
+    ends = [r for r, more in enumerate(joined) if not more]
+    return entries, members, [range(a + 1, b + 1) for a, b in zip([-1] + ends, ends)]
 
 
 class _Chain:
@@ -257,9 +264,10 @@ class _Chain:
 
     def ascend(self, max_iterations: int):
         """Projected Newton ascent from self.s with an explicit active set; sets
-        w and lam, returns (steps, status, primal, gap).  A row at a bound stays
-        there while h falls toward the inside; a corner, both entries of a
-        block zero (see `search`), while it is a maximum over its two rows.
+        w and lam, returns steps, primal, gap and whether the step limit left
+        the gap above the target.  A row at a bound stays there while h falls
+        toward the inside; a corner, both entries of a block zero (see
+        `search`), while it is a maximum over its two rows.
         The free rows take a Newton step damped by |gradient| row by row.
 
         The step from s is taken before s is certified.  By weak duality
@@ -280,10 +288,9 @@ class _Chain:
             if found is None or found[2] - primal <= self.target + self.slack:
                 self.w, _, self.lam, gap = self.certificate(t)
                 if gap <= self.target or steps >= max_iterations:
-                    done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
-                    return steps, done, primal, gap
+                    return steps, primal, gap, gap > self.target
                 if found is None:
-                    return steps + 1, STATUS_STALLED, primal, gap
+                    return steps + 1, primal, gap, False
             steps += 1
             s[:], t, primal = found
 
@@ -360,33 +367,28 @@ def _tridiagonal_solve(diag, link, rhs, free):
     return x
 
 
-def _solve_chain(problem: SdpProblem, entries, max_iterations: int) -> SdpSolution:
+def _solve_chain(problem: SdpProblem, max_iterations: int) -> SdpSolution:
     """Each component maximized on its own from s = 1/2 until its gap is below
     a target of a few round-offs, which scales with its rows and |C|, or it
-    cannot move; `iterations` counts the steps of the slowest component, and
-    the status judges the certificate against the module's tolerances."""
+    cannot move; `iterations` counts the steps of the slowest component.
+    Optimal when the certificate meets the module's tolerances, else
+    max_iterations if a component ran out of steps, else stalled."""
+    entries, members, runs = _chain_entries(problem)
     rhs = [float(b) for _, b in problem.equalities]
     # diagonal and symmetrized cross term (0 on a 1x1 block) of each block,
     # as floats also when the objective holds numpy scalars
     sym = [(float(c[0][0]), float(c[-1][-1]),
             (float(c[0][-1]) + float(c[-1][0])) / 2 if len(c) == 2 else 0.0)
            for c in problem.objective]
-    members, joined = [[] for _ in rhs], [False] * len(rhs)
-    for e, (_, i, r, _) in enumerate(entries):
-        members[r].append(e)
-        if i:  # a 2x2 block joins its two adjacent rows
-            joined[min(r, entries[e - 1][2])] = True
-    # the components are the runs of joined rows: single rows first, then by first row
-    ends = [r for r, more in enumerate(joined) if not more]
-    runs = [range(a + 1, b + 1) for a, b in zip([-1] + ends, ends)]
+    # the components: single rows first, then by first row
     chains = [_Chain(rows, members, entries, rhs, sym)
               for rows in sorted(runs, key=lambda rows: len(rows) > 1)]
     w, lam = [0.0] * len(entries), [0.0] * len(rhs)
-    status, it, primal, gap, min_z, rp_norm = STATUS_OPTIMAL, 0, 0.0, 0.0, 0.0, 0.0
+    it, primal, gap, min_z, rp_norm, limited = 0, 0.0, 0.0, 0.0, 0.0, False
     for chain in chains:
-        steps, done, value, chain_gap = chain.ascend(max_iterations)
-        status = done if status == STATUS_OPTIMAL or done == STATUS_MAX_ITERATIONS else status
+        steps, value, chain_gap, out_of_steps = chain.ascend(max_iterations)
         it, primal, gap = max(it, steps), primal + value, gap + chain_gap
+        limited |= out_of_steps
         min_z = min(min_z, *chain.min_eig(chain.lam))
         x = [a * v * v for a, v in zip(chain.a, chain.w)] + [0.0]
         for f, k, b in zip(chain.first, chain.second, chain.rhs):
@@ -398,8 +400,8 @@ def _solve_chain(problem: SdpProblem, entries, max_iterations: int) -> SdpSoluti
     rel = 1.0 + abs(primal + problem.offset)
     if rp_norm <= FEAS_TOL and gap <= GAP_TOL * rel and min_z >= -PSD_TOL:
         status = STATUS_OPTIMAL
-    elif status == STATUS_OPTIMAL:
-        status = STATUS_STALLED
+    else:
+        status = STATUS_MAX_ITERATIONS if limited else STATUS_STALLED
     blocks, e = [], 0
     for spec, c in zip(problem.blocks, sym):
         u, v = w[e], w[e + spec.dim - 1] * (-1.0 if c[2] < 0 else 1.0)
@@ -420,8 +422,7 @@ def solve(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolution
     dual slack Z = sum_r y_r A_r - C.  `max_iterations` bounds the steps,
     see `_step_limit`.
     """
-    limit = _step_limit(max_iterations)
-    return _solve_chain(problem, _chain_entries(problem), limit)
+    return _solve_chain(problem, _step_limit(max_iterations))
 
 
 def check_certificate(problem: SdpProblem, solution: SdpSolution):

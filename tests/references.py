@@ -37,13 +37,7 @@ from uqsub.oracle import (
     twirl,
     twirl_objective,
 )
-from uqsub.sdp import (
-    STATUS_MAX_ITERATIONS,
-    STATUS_OPTIMAL,
-    STATUS_STALLED,
-    SdpProblem,
-    SdpSolution,
-)
+from uqsub.sdp import SdpProblem, SdpSolution
 
 EXTRACT_QUBIT_GUARD = 6
 
@@ -542,7 +536,8 @@ class CertifyingChain(sdp._Chain):
 
     def ascend(self, max_iterations: int):
         """Projected Newton ascent from self.s with an explicit active set; sets
-        w and lam, returns (steps, status, primal, gap).  A row at a bound stays
+        w and lam, returns (steps, primal, gap, whether the step limit stopped
+        it with its gap above the target).  A row at a bound stays
         there while h falls toward the inside; a corner, both entries of a
         block zero (see `search`), while it is a maximum over its two rows.
         The free rows take a Newton step damped by |gradient| row by row."""
@@ -552,13 +547,12 @@ class CertifyingChain(sdp._Chain):
         while True:
             self.w, primal, self.lam, gap = cert
             if gap <= self.target or steps >= max_iterations:
-                done = STATUS_OPTIMAL if gap <= self.target else STATUS_MAX_ITERATIONS
-                return steps, done, primal, gap
+                return steps, primal, gap, gap > self.target
             steps += 1
             step, rate = self.direction(s, t)
             found = self.search(s, primal, step, rate)
             if found is None or found[0] == s:
-                return steps, STATUS_STALLED, primal, gap
+                return steps, primal, gap, False
             s[:], t, cert = found
 
     def search(self, s, base, step, rate):

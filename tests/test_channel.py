@@ -342,6 +342,28 @@ class TestKraus:
             assert a.shape == b.shape
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "operators, rule",
+        [
+            ([], "empty operator list"),
+            ([[[[1, 0]] * 4] * 2, [[[1, 0]] * 8] * 2], "mixed operator shapes"),
+        ],
+        ids=["empty", "mixed-shapes"],
+    )
+    def test_from_json_rejects(self, operators, rule):
+        text = json.dumps({"schema": "uqsub.kraus.v1", "operators": operators})
+        with pytest.raises(ValueError, match=rule):
+            KrausSet.from_json(text)
+
+    def test_mixed_shapes_have_no_residual(self):
+        # operators with as many columns but other rows: the residual read
+        # off the first one's columns was 1.0
+        kraus = KrausSet(operators=[np.eye(4)[:2], np.eye(4)[2:3]])
+        with pytest.raises(ValueError):
+            kraus.completeness_residual()
+        with pytest.raises(ValueError):
+            kraus.to_json()
+
 
 class TestDnWValues:
     def test_1_1_satisfies_published_constraints(self):

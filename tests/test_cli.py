@@ -728,6 +728,36 @@ def probe(code: str, cwd=None) -> str:
     return probe_run(code, cwd).stdout.strip()
 
 
+TRACED_OPTIMIZE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("traced_cli", sys.argv[1])
+traced = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(traced)
+import uqsub.cli
+rec = traced.Recorder()
+traced.install(rec)
+code = uqsub.cli.main(["optimize", "--n1", "2", "--n2", "1", "--p", "0.5"])
+print(json.dumps([code, sorted({s["name"] for s in rec.spans})]))
+"""
+
+
+def test_names_the_traced_benchmark_patches_still_exist():
+    # bench/traced_cli.py replaces layer functions by name; a renamed one
+    # fails its install, which no untraced run would notice
+    traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_OPTIMIZE, str(traced)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, names = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert {"objective.build_objective", "objective.assemble", "sdp.covariant"} <= set(names)
+
+
 def test_cli_import_skips_process_pool():
     # the sweep imports its worker pool only when it runs more than one job
     loaded = probe(

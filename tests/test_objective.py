@@ -34,7 +34,9 @@ from uqsub.objective import (
     _recouplings,
     assemble,
     build_objective,
+    w_values_from_solution,
 )
+from uqsub.sdp import solve
 
 H = half_int
 P_GRID = [0.0, 0.1, 0.25, 0.375, 0.5, 0.7, 0.9, 1.0]
@@ -388,6 +390,14 @@ class TestLayout:
                 assert list(slots.items()) == list(ref_slots.items()), (n1, n - n1)
                 pairs += 1
         assert pairs == 276
+
+    @pytest.mark.parametrize("solved, read_as", [((3, 3), (3, 2)), ((2, 1), (2, 2))])
+    def test_solution_read_at_another_size_raises(self, solved, read_as):
+        # the same number of blocks, of other dimensions
+        sol = solve(assemble(build_objective(*solved), 0.4))
+        assert len(sol.blocks) == len(_layout(*read_as)[0])
+        with pytest.raises(ValueError, match="does not match the"):
+            w_values_from_solution(sol, *read_as)
 
 
 class TestAssemble:

@@ -665,7 +665,9 @@ class TestChainSolver:
     def test_random_chain_problems_take_the_chain_path(self):
         for seed in range(300):
             prob = random_chain_problem(np.random.default_rng(seed), 1 + seed % 12)
-            assert sdp._chain_entries(prob) is not None, seed
+            entries, members, runs = sdp._chain_entries(prob)
+            assert sorted(e for row in members for e in row) == list(range(len(entries))), seed
+            assert [r for run in runs for r in run] == list(range(prob.num_constraints)), seed
 
 
 def chain_scale(prob):
@@ -773,17 +775,11 @@ class TestChainShapes:
     def assert_one_run_per_j1(prob, n1, n2):
         """The problem is a chain, and the runs of rows that its 2x2 blocks
         join are the rows of each j1 in turn, j1 descending."""
-        entries = sdp._chain_entries(prob)
-        assert entries is not None, (n1, n2)
+        entries, _, runs = sdp._chain_entries(prob)
         block_j1 = [j1 for _, j1, _ in sector_blocks(n1, n2)]
         row_j1 = {r: block_j1[pos] for pos, _, r, _ in entries}
-        joined = {min(r, entries[e - 1][2]) for e, (_, i, r, _) in enumerate(entries) if i}
-        runs = [[row_j1[0]]]
-        for r in range(1, prob.num_constraints):
-            if r - 1 not in joined:
-                runs.append([])
-            runs[-1].append(row_j1[r])
-        assert [set(run) for run in runs] == [{j1} for j1 in j1_values(n1)], (n1, n2)
+        assert [r for run in runs for r in run] == list(range(prob.num_constraints)), (n1, n2)
+        assert [{row_j1[r] for r in run} for run in runs] == [{j} for j in j1_values(n1)], (n1, n2)
 
     def test_covariant_layout_is_one_run_per_j1(self):
         sizes = [(n1, n - n1) for n in range(2, MAX_TOTAL_QUBITS + 1) for n1 in range(1, n)]
