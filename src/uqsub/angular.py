@@ -145,12 +145,7 @@ def enumerate_sectors(n1: int, n2: int) -> list[SectorIndex]:
     Deterministic order: j1 descending, then q ascending, then (j, jp)
     ascending; this order is part of the CSV/JSON contract.
     """
-    return [
-        SectorIndex(j1=j1, j=j, jp=jp, q=q)
-        for q, j1, rows in sector_blocks(n1, n2)
-        for a, j in enumerate(rows)
-        for jp in rows[a:]
-    ]
+    return [key for block in sector_blocks(n1, n2) for key, _, _ in sector_cells(*block)]
 
 
 def sector_blocks(n1: int, n2: int) -> list[tuple[HalfInt, HalfInt, list[HalfInt]]]:
@@ -170,3 +165,13 @@ def sector_blocks(n1: int, n2: int) -> list[tuple[HalfInt, HalfInt, list[HalfInt
             rows = [js[t] for t in (tq - 1, tq + 1) if t in js]
             blocks.append((HalfInt(tq), j1, rows))
     return blocks
+
+
+def sector_cells(
+    q: HalfInt, j1: HalfInt, rows: list[HalfInt]
+) -> list[tuple[SectorIndex, int, int]]:
+    """(SectorIndex, a, b) for each sector of the Gram block (q, j1, rows), in
+    enumeration order: a <= b, j = rows[a] and jp = rows[b].  The one place a
+    block is expanded into its sectors."""
+    cells = [(a, b) for a in range(len(rows)) for b in range(a, len(rows))]
+    return [(SectorIndex(j1, rows[a], rows[b], q), a, b) for a, b in cells]

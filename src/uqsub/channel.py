@@ -7,7 +7,8 @@ where B is not symmetric, the flat value 1/2 on I_A x (I - P_sym^B) x I_2
 keeps the channel trace preserving without touching the fidelity.  On the
 symmetric subspace of B each Gram block (q, j1) of `angular.sector_blocks`
 acts the same way on every coupling path g of A, so each of its 1x1 or 2x2
-eigenpairs gives one v per path g and per M.
+eigenpairs gives one v per path g and per M; `angular.sector_cells` places
+its entries.  A Kraus set is a named tuple, as every record is.
 
 Qubit 0 is the most significant bit of a computational-basis index and
 spin-up is basis state 0.  The Choi matrix J of an n-qubit to 1-qubit
@@ -17,11 +18,11 @@ Tr[J (rho^T x B)] = Tr[channel(rho) B]; the Kraus operators are 2 x 2^n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .angular import HalfInt, SectorIndex, cg_twice, j_values, sector_blocks
+from .angular import HalfInt, SectorIndex, cg_twice, j_values, sector_blocks, sector_cells
 from .errors import CapacityError, ReconstructionError
 from .objective import w_values_from_solution
 from .sdp import SdpSolution
@@ -77,8 +78,7 @@ def symmetric_columns(n1: int, n2: int) -> dict[int, tuple[list[tuple[int, int]]
     return sectors
 
 
-@dataclass
-class KrausSet:
+class KrausSet(NamedTuple):
     operators: list[np.ndarray]
 
     def completeness_residual(self) -> float:
@@ -144,7 +144,9 @@ def _eigen_terms(w: dict[SectorIndex, float], n1: int, n2: int) -> tuple[np.ndar
             # the coupling's rows are (s, -m), -m descending: reversed, m runs j..-j
             cgmat = _coupling(1, tj, (q.twice,))[1].reshape(2, tj + 1, -1)[:, ::-1]
             maps.append(np.einsum("gic,scM->gMis", paths[:, :, span[tj]], phase * cgmat))
-        gram = [[w.get(SectorIndex(j1, *sorted((j, jp)), q), 0.0) for jp in rows] for j in rows]
+        gram = np.zeros((len(rows), len(rows)))
+        for key, a, b in sector_cells(q, j1, rows):
+            gram[a, b] = gram[b, a] = w.get(key, 0.0)
         lam, u = np.linalg.eigh(gram)
         vecs.append(np.einsum("ak,agMis->kgMis", u, maps).reshape(-1, flat.shape[1]))
         lams.append(np.repeat(lam, len(vecs[-1]) // len(lam)))

@@ -155,7 +155,7 @@ def _shares(tasks, jobs: int) -> list[list]:
     count; on a rectangular grid the n1+n2 are consecutive, so none is empty.
 
     The factor G_k depends on the size only through n1+n2: the objective
-    caches it per (k, n1+n2, q), so each share builds the G_k of its own
+    caches it per (k, n1+n2), so each share builds the G_k of its own
     anti-diagonals and no other process repeats them.  Neighbouring
     anti-diagonals cost about the same, so on square grids the shares are
     balanced to a few percent (measured in README, CLI).

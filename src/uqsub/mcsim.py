@@ -21,8 +21,8 @@ block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,15 +36,12 @@ _BLOCK = 2000
 _SLICE = 256
 
 
-@dataclass
 class HaarSampler:
     """Deterministic stream of Haar-random single-qubit pure states."""
 
-    seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._gen = np.random.Generator(np.random.Philox(key=seed))
 
     def sample_states(self, count: int) -> np.ndarray:
         """(count, 2) complex unit vectors, Haar-uniform on the Bloch sphere."""
@@ -53,8 +50,7 @@ class HaarSampler:
         return np.stack([z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]], axis=1)
 
 
-@dataclass
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float
     std_error: float
     samples: int

@@ -11,12 +11,12 @@ products of two Clebsch-Gordan coefficients that are both stretched in
 their first spin, so each is a one-term closed form.
 
 This module builds those polynomials once per (n1, n2) in one walk over the
-Gram blocks (q, j1): the U_k of a j1 come as columns, one per j, and the
-three G_k of a block q (its two rows and the pair) from one cached pass per
-(k, n1+n2, q), which every size on that anti-diagonal shares.  Each factor
-is an exact integer ratio rounded once before its square root, so the
-floats do not depend on the path.  Block-structured SDP instances for any
-p are assembled from a placement computed once per (n1, n2).
+sectors of its layout, the placement from which SDP instances for any p are
+assembled.  The U_k of a j1 come as columns, one per j, and the three G_k of
+every block q (its two rows and the pair) from one cached pass per
+(k, n1+n2), which every size on that anti-diagonal shares.  Each factor is
+an exact integer ratio rounded once before its square root, so the floats
+do not depend on the path.
 
 Its records are named tuples, as in `uqsub.angular` and `uqsub.sdp`.
 """
@@ -34,6 +34,7 @@ from .angular import (
     _not_a_sequence,
     cg_twice,
     sector_blocks,
+    sector_cells,
 )
 from .errors import CapacityError, check_p
 from .sdp import BlockSpec, SdpProblem, SdpSolution
@@ -112,36 +113,6 @@ def _recouplings(n1: int, n2: int, tj1: int) -> dict[int, list[float]]:
     return columns
 
 
-def _amplitudes(k: int, n: int, tq: int, tj: int) -> tuple[int, list[float]]:
-    """(lo, [f(j, q, mu) for 2mu = lo, lo+2, ...]), the amplitude column of j
-    in the block q at n1+n2 = n, with
-    f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu>, S = (n-k)/2,
-    over the mu where neither factor vanishes by its m ranges; empty when
-    j < 0 or the triangle (k/2, S, j) fails.
-
-    The first factor is stretched in its first spin (m = k/2), so its Racah
-    sum has one term: with m2 = mu-k/2 its square is
-    (2j+1) k! (S-k/2+j)! (j+mu)! (S-m2)! over
-    (k/2+S+j+1)! (k/2+S-j)! (k/2-S+j)! (j-mu)! (S+m2)!, one exact integer
-    ratio divided once before the one square root, the float `cg_twice`
-    returns.  The spin-1/2 factor is a `cg_twice` call.
-    """
-    tsym = n - k
-    if tj < 0 or not abs(tsym - k) <= tj <= tsym + k:
-        return 0, []
-    f = _factorials(n + 2)
-    lo, hi = max(-tj, k - tsym, 1 - tq), min(tj, k + tsym, 1 + tq)
-    num = (tj + 1) * f[k] * f[(tsym - k + tj) // 2]
-    den = f[(k + tsym + tj) // 2 + 1] * f[(k + tsym - tj) // 2] * f[(k - tsym + tj) // 2]
-    column = []
-    for tmu in range(lo, hi + 1, 2):
-        square = (num * f[(tj + tmu) // 2] * f[(tsym + k - tmu) // 2]) / (
-            den * f[(tsym + tmu - k) // 2] * f[(tj - tmu) // 2]
-        )
-        column.append(math.sqrt(square) * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu))
-    return lo, column
-
-
 def _dot(lo_x: int, x: list[float], lo_y: int, y: list[float]) -> float:
     """sum_mu x(mu) y(mu) over the mu both columns hold, mu ascending."""
     lo = max(lo_x, lo_y)
@@ -152,14 +123,42 @@ def _dot(lo_x: int, x: list[float], lo_y: int, y: list[float]) -> float:
 
 
 @lru_cache(maxsize=None)
-def _overlaps(k: int, n: int, tq: int) -> tuple[float, float, float]:
-    """G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu), the j1-free factor at
-    n1+n2 = n, for (j, j') = (q-1/2, q-1/2), (q-1/2, q+1/2), (q+1/2, q+1/2).
+def _overlaps(k: int, n: int) -> dict[int, tuple[float, float, float]]:
+    """The j1-free factor G_k(q, j, j') = sum_mu f(j, q, mu) f(j', q, mu) at
+    n1+n2 = n, keyed by 2q for every block q of that n: the three values for
+    (j, j') = (q-1/2, q-1/2), (q-1/2, q+1/2), (q+1/2, q+1/2), zeros where
+    both j fail the triangle (k/2, S, j).  Here S = (n-k)/2 and
+    f(j, q, mu) = <k/2 k/2; S mu-k/2|j mu> <1/2 1/2; j -mu|q 1/2-mu> over
+    the mu where neither factor vanishes by its m ranges.
 
-    One pass builds the two amplitude columns of the block q, so every
-    (n1, n2) with the same n1+n2 shares it."""
-    below, above = _amplitudes(k, n, tq, tq - 1), _amplitudes(k, n, tq, tq + 1)
-    return _dot(*below, *below), _dot(*below, *above), _dot(*above, *above)
+    The first factor, formed once per j for both blocks q = j -+ 1/2, is
+    stretched in its first spin (m = k/2), so its Racah sum has one term: with
+    m2 = mu-k/2 its square is (2j+1) k! (S-k/2+j)! (j+mu)! (S-m2)! over
+    (k/2+S+j+1)! (k/2+S-j)! (k/2-S+j)! (j-mu)! (S+m2)!, one exact integer
+    ratio divided once before the one square root, the float `cg_twice`
+    returns.  The spin-1/2 factor is a `cg_twice` call.  One pass serves
+    every (n1, n2) with n1+n2 = n."""
+    tsym = n - k
+    f = _factorials(n + 2)
+    columns = {}  # (2j, 2q) -> (2mu of the first entry, [f(j, q, mu), ...])
+    for tj in range(abs(tsym - k), tsym + k + 1, 2):
+        lo = max(-tj, k - tsym)
+        num = (tj + 1) * f[k] * f[(tsym - k + tj) // 2]
+        den = f[(k + tsym + tj) // 2 + 1] * f[(k + tsym - tj) // 2] * f[(k - tsym + tj) // 2]
+        stretched = [
+            (tmu, math.sqrt((num * f[(tj + tmu) // 2] * f[(tsym + k - tmu) // 2])
+                            / (den * f[(tsym + tmu - k) // 2] * f[(tj - tmu) // 2])))
+            for tmu in range(lo, min(tj, k + tsym) + 1, 2)
+        ]
+        for tq in (tj - 1, tj + 1):  # |1/2-mu| <= q: q = j-1/2 drops mu = -j
+            columns[tj, tq] = max(lo, 1 - tq), [
+                s * cg_twice(1, 1, tj, -tmu, tq, 1 - tmu) for tmu, s in stretched if tmu >= 1 - tq
+            ]
+    blocks = {}
+    for tq in range((n + 1) % 2, n + 2, 2):
+        below, above = (columns.get((tj, tq), (0, [])) for tj in (tq - 1, tq + 1))
+        blocks[tq] = _dot(*below, *below), _dot(*below, *above), _dot(*above, *above)
+    return blocks
 
 
 class ObjectiveTable(NamedTuple):
@@ -167,9 +166,10 @@ class ObjectiveTable(NamedTuple):
 
     entries holds the noise-split k >= 1 part, each split coefficient a
     product U_k(j1,j) U_k(j1,jp) G_k(q,j,jp) / (n1+n2-k+1) of recoupling
-    coefficients (G_k from closed forms, cached per (k, n1+n2, q) and
-    shared by every size with the same n1+n2), with symmetric partners summed (the stored polynomial for
-    j < jp is C[j,jp] + C[jp,j] = 2 C[j,jp]).  The k = 0 part
+    coefficients (G_k from closed forms, cached per (k, n1+n2) and shared by
+    every size with the same n1+n2), with symmetric partners summed (the
+    stored polynomial for j < jp is C[j,jp] + C[jp,j] = 2 C[j,jp]).  Its keys
+    are those of `_layout`, in enumeration order.  The k = 0 part
     touches only the fully symmetric j = (n1+n2)/2 diagonal and is pinned to
     p^n1 / 2 by the trace-preservation row of that spin; it is kept as the
     separate constant so the entries match the per-sector closed forms.
@@ -189,25 +189,22 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
         raise CapacityError(f"n1+n2 = {n1+n2} exceeds enumeration guard {MAX_TOTAL_QUBITS}")
     n = n1 + n2
     ks = range(1, n1 + 1)
+    overlaps = [_overlaps(k, n) for k in ks]
     entries: dict[SectorIndex, PolyInP] = {}
     tj1, recouplings = None, {}
-    for q, j1, rows in sector_blocks(n1, n2):
+    for key in _layout(n1, n2)[1]:  # the layout's own keys, in enumeration order
+        j1, j, jp, q = key
         if j1.twice != tj1:
             tj1 = j1.twice
             recouplings = _recouplings(n1, n2, tj1)
-        tq = q.twice
-        overlaps = [_overlaps(k, n, tq) for k in ks]
-        for a, j in enumerate(rows):
-            u = recouplings[j.twice]
-            for jp in rows[a:]:
-                up = recouplings[jp.twice]
-                fold = 1.0 if j == jp else 2.0  # the product is symmetric in j and j'
-                g = (j.twice + jp.twice + 2 - 2 * tq) // 2  # which pair of the block q
-                split = [0.0] + [
-                    fold * x * y * gk[g] / (n - k + 1)
-                    for k, x, y, gk in zip(ks, u, up, overlaps)
-                ]
-                entries[SectorIndex(j1, j, jp, q)] = PolyInP(tuple(split))
+        fold = 1.0 if j == jp else 2.0  # the product is symmetric in j and j'
+        g = (j.twice + jp.twice + 2 - 2 * q.twice) // 2  # which pair of the block q
+        gs = [overlap[q.twice][g] for overlap in overlaps]  # G_k of the pair, k = 1..n1
+        split = [0.0] + [
+            fold * x * y * gk / (n - k + 1)
+            for k, x, y, gk in zip(ks, recouplings[j.twice], recouplings[jp.twice], gs)
+        ]
+        entries[key] = PolyInP(tuple(split))
     constant = PolyInP((0.5,) + (0.0,) * n1)
     return ObjectiveTable(n1=n1, n2=n2, entries=entries, constant=constant)
 
@@ -215,11 +212,11 @@ def build_objective(n1: int, n2: int) -> ObjectiveTable:
 @lru_cache(maxsize=None)
 def _layout(n1: int, n2: int):
     """The p-independent placement of (n1, n2), computed once in one walk
-    over `sector_blocks`.
+    over `sector_blocks`, each block expanded by `sector_cells`.
 
-    Returns the block specs, each sector's (block, row, column) slot and the
-    trace-preservation rows as SdpProblem equalities, one per valid (j, j1)
-    in block order:
+    Returns the block specs, each sector's (block, row, column) slot (the
+    keys `build_objective` reuses) and the trace-preservation rows as
+    SdpProblem equalities, one per valid (j, j1) in block order:
     (tj+2)/(tj+1) W^{j,j}_{j+1/2} + tj/(tj+1) W^{j,j}_{j-1/2} = 1 with
     tj = 2j, the term on q = j+1/2 first; for j = 0 the second term has
     coefficient zero and is dropped.  The block of q = j-1/2 comes before
@@ -229,9 +226,8 @@ def _layout(n1: int, n2: int):
     below = {}  # tj -> the row's term on q = j-1/2, until its q = j+1/2 block
     for pos, (q, j1, rows) in enumerate(sector_blocks(n1, n2)):
         specs.append(BlockSpec(name=f"q={q},j1={j1}", dim=len(rows)))
+        slots.update((key, (pos, a, b)) for key, a, b in sector_cells(q, j1, rows))
         for a, j in enumerate(rows):
-            for b, jp in enumerate(rows[a:], a):
-                slots[SectorIndex(j1, j, jp, q)] = pos, a, b
             tj = j.twice
             if tj > q.twice:
                 below[tj] = ((pos, a, a, tj / (tj + 1)),)

@@ -728,7 +728,7 @@ def probe(code: str, cwd=None) -> str:
     return probe_run(code, cwd).stdout.strip()
 
 
-TRACED_OPTIMIZE = """
+TRACED_COMMANDS = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("traced_cli", sys.argv[1])
 traced = importlib.util.module_from_spec(spec)
@@ -736,26 +736,43 @@ spec.loader.exec_module(traced)
 import uqsub.cli
 rec = traced.Recorder()
 traced.install(rec)
-code = uqsub.cli.main(["optimize", "--n1", "2", "--n2", "1", "--p", "0.5"])
-print(json.dumps([code, sorted({s["name"] for s in rec.spans})]))
+codes = [uqsub.cli.main(argv) for argv in json.loads(sys.argv[2])]
+names = {s["name"] for s in rec.spans}
+choi_parents = sorted({rec.spans[s["parent"]]["name"] for s in rec.spans if s["name"] == "sdp.choi"})
+print(json.dumps([codes, sorted(names), choi_parents, rec.counters]))
 """
 
 
-def test_names_the_traced_benchmark_patches_still_exist():
-    # bench/traced_cli.py replaces layer functions by name; a renamed one
-    # fails its install, which no untraced run would notice
+def test_names_the_traced_benchmark_patches_still_exist(tmp_path):
+    # bench/traced_cli.py replaces layer functions, and KrausSet's JSON
+    # methods, by name; a renamed one fails its install or records no span,
+    # which no untraced run would notice
     traced = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
     src = Path(__file__).resolve().parents[1] / "src"
+    commands = [
+        ["optimize", "--n1", "2", "--n2", "1", "--p", "0.5"],
+        ["verify", "--case", "2,1", "--p", "0.5"],
+        ["reconstruct", "--n1", "2", "--n2", "1", "--p", "0.5", "--out", "kraus.json"],
+        ["simulate", "--n1", "2", "--n2", "1", "--p", "0.5", "--kraus", "kraus.json",
+         "--samples", "2000", "--seed", "1"],
+    ]
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_OPTIMIZE, str(traced)],
+        [sys.executable, "-c", TRACED_COMMANDS, str(traced), json.dumps(commands)],
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    code, names = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
-    assert {"objective.build_objective", "objective.assemble", "sdp.covariant"} <= set(names)
+    codes, names, choi_parents, counters = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert {
+        "objective.build_objective", "objective.assemble", "sdp.covariant",
+        "oracle.build_omega", "oracle.twirl_objective", "oracle.solve_choi", "sdp.choi",
+        "channel.kraus_json", "mcsim.estimate_fidelity",
+    } <= set(names)
+    assert choi_parents == ["oracle.solve_choi"]
+    assert counters["angular.cg_twice.calls"] > 0
 
 
 def test_cli_import_skips_process_pool():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -302,11 +303,11 @@ class TestRecoupling:
 
 
 class TestClosedFormTable:
-    """The table from per-j1 recoupling columns and the per-(k, n1+n2, q)
+    """The table from per-j1 recoupling columns and the per-(k, n1+n2)
     closed-form G_k against the per-sector references, bit for bit."""
 
     def test_equals_per_sector_reference_over_the_size_guard(self):
-        pairs = sectors = overlaps = 0
+        pairs = sectors = overlaps = zeros = 0
         for n in range(2, MAX_TOTAL_QUBITS + 1):
             labels = set()
             for n1 in range(1, n):
@@ -324,21 +325,55 @@ class TestClosedFormTable:
                             ), (k, n1, n2, j1, tj)
                 blocks = sector_blocks(n1, n2)
                 labels |= {(k, q.twice) for q, _, _ in blocks for k in range(1, n1 + 1)}
+            for k in range(1, n):
+                # one entry per block q of any size with this n1+n2 and n1 >= k,
+                # the blocks where both j fail the triangle (k/2, S, j) included
+                assert sorted(_overlaps(k, n)) == sorted(tq for kq, tq in labels if kq == k)
             for k, tq in sorted(labels):
                 below, above = tq - 1, tq + 1
                 expected = tuple(
                     split_overlap_reference(k, n - k, tq, tj, tjp)
                     for tj, tjp in ((below, below), (below, above), (above, above))
                 )
-                assert _overlaps(k, n, tq) == expected, (k, n, tq)
+                assert _overlaps(k, n)[tq] == expected, (k, n, tq)
                 overlaps += 1
+                zeros += expected == (0.0, 0.0, 0.0)
         assert (pairs, sectors) == (276, 15734)
-        assert overlaps > 0
+        assert overlaps > zeros > 0
+
+    def test_keys_are_the_layout_keys(self):
+        # build_objective reads its sectors off _layout: the same objects, in
+        # enumeration order, so no size holds two sets of SectorIndex keys
+        for n in range(2, MAX_TOTAL_QUBITS + 1):
+            for n1 in range(1, n):
+                keys, slots = list(build_objective(n1, n - n1).entries), _layout(n1, n - n1)[1]
+                assert keys == enumerate_sectors(n1, n - n1), (n1, n - n1)
+                assert all(map(operator.is_, keys, slots)) and len(keys) == len(slots), (n1, n - n1)
+
+    def test_one_overlap_pass_per_k_and_anti_diagonal(self, monkeypatch):
+        # the 10x10 grid: one cached _overlaps entry per distinct (k, n1+n2),
+        # and one call through objective.cg_twice, which the benchmark counts,
+        # per spin-1/2 factor (k, n1+n2, q, j, mu) of those passes
+        calls = []
+        inner = objective.cg_twice
+
+        def counting(*labels):
+            calls.append(labels)
+            return inner(*labels)
+
+        monkeypatch.setattr(objective, "cg_twice", counting)
+        _overlaps.cache_clear()
+        grid = [(n1, n2) for n1 in range(1, 11) for n2 in range(1, 11)]
+        for n1, n2 in grid:
+            build_objective(n1, n2)
+        passes = {(k, n1 + n2) for n1, n2 in grid for k in range(1, n1 + 1)}
+        assert _overlaps.cache_info().currsize == len(passes)
+        assert len(calls) == 9560
 
     def test_cg_twice_counter_counts_the_spin_half_factor(self, monkeypatch):
         # the benchmark counts calls through objective.cg_twice: after the
-        # closed form, only the spin-1/2 factor of G_k goes through it, once
-        # per (k, n1+n2, q) pass
+        # closed form, only the spin-1/2 factor of G_k goes through it, in
+        # one pass per (k, n1+n2)
         calls = []
         inner = objective.cg_twice
 
