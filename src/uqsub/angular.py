@@ -2,7 +2,8 @@
 
 Half-integer labels are stored as twice their value so that all label
 arithmetic stays in exact integers.  Clebsch-Gordan coefficients follow the
-Condon-Shortley phase convention throughout the package.
+Condon-Shortley phase convention throughout the package; each is an exact
+ratio of factorials rounded once, from pure functions that `lru_cache` keeps.
 
 Labels are named tuples: hashing and ordering them, which every sector dict
 of the covariant path does, runs in C.  A label has no tuple arithmetic, but
@@ -75,24 +76,10 @@ def _cg_selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -
     return True
 
 
-# 0!, 1!, ..., 127! to start: enough for every cg_twice label with 2j <= 84
-_FACTORIALS = tuple(accumulate(range(1, 128), operator.mul, initial=1))
-
-
+@lru_cache(maxsize=None)
 def _factorials(top: int) -> tuple[int, ...]:
-    """The shared table 0!, 1!, ..., grown to reach at least top!.
-
-    The table is replaced, never changed in place: a concurrent reader keeps
-    the complete table it holds, and two callers growing it at once each
-    bind a correct one.  It at least doubles, so growing is rare."""
-    global _FACTORIALS
-    table = _FACTORIALS
-    if top < len(table):
-        return table
-    stop = max(top + 1, 2 * len(table))
-    table += tuple(accumulate(range(len(table), stop), operator.mul, initial=table[-1]))[1:]
-    _FACTORIALS = table
-    return table
+    """The exact factorials 0!, 1!, ..., top!."""
+    return tuple(accumulate(range(1, top + 1), operator.mul, initial=1))
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -6,8 +6,8 @@ simulate optimal channels.
 oracle, channel and Monte-Carlo names in `_NUMPY_BACKED` import numpy; each
 is bound here by the first command that needs it, or when it is read as
 `uqsub.cli.<name>`, and a name bound already is never rebound.  `json`
-loads in the commands that print it, and `logging` only under
-QSUB_LOG=info or debug.
+loads in the commands that print it, and `logging` only when a line is
+logged under QSUB_LOG=info or debug.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import sys
 from importlib import import_module
 
 from . import closed_forms
-from .errors import CapacityError, ReconstructionError
+from .errors import CapacityError, ReconstructionError, check_p
 from .objective import MAX_TOTAL_QUBITS, assemble, build_objective, w_values_from_solution
 from .sdp import STATUS_OPTIMAL, solve
 
@@ -48,24 +48,20 @@ EXIT_SCHEMA = 6
 # the most points `curves` takes, a p step of 1e-5; checked before the grid is built
 MAX_P_STEPS = 100_001
 
-log = None  # the "uqsub" logger, set up by main under QSUB_LOG=info or debug
-
-
 class _Failure(Exception):
     """A command's failure as (exit code, message): `main` prints the
     message as one line on stderr and returns the code."""
 
 
-def _setup_logging():
-    global log
+def _logger():
+    """The "uqsub" logger under QSUB_LOG=info or debug (`logging` loads here), else None."""
     level = os.environ.get("QSUB_LOG", "error").lower()
     if level not in ("info", "debug"):
-        log = None
-        return
+        return None
     import logging
 
     logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
-    log = logging.getLogger("uqsub")
+    return logging.getLogger("uqsub")
 
 
 def _fmt(x: float) -> str:
@@ -259,6 +255,7 @@ def cmd_sweep(args) -> int:
         raise _Failure(EXIT_USAGE, f"error: --jobs must be >= 1, got {args.jobs}")
     tasks = [(n1, n2, args.p) for n1 in range(1, args.n1_max + 1) for n2 in range(1, args.n2_max + 1)]
     shares = _shares(tasks, args.jobs if args.jobs is not None else _usable_cores())
+    log = _logger()
     if log is not None:
         log.info("sweep: %d grid points at p=%s with %d workers", len(tasks), args.p, len(shares))
     results = _sweep_rows(shares)
@@ -477,11 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "p"):
-        if not 0.0 <= args.p <= 1.0:
+        try:
+            check_p(args.p)
+        except ValueError:
             parser.error(f"--p must lie in [0, 1], got {args.p}")
         args.p += 0.0  # -0.0 passes the range check; print it as 0
     if hasattr(args, "n1") and (args.n1 < 1 or args.n2 < 1):
@@ -501,6 +499,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code, line = EXIT_IO, "error: standard output is closed"
     except Exception as exc:
+        log = _logger()
         if log is not None:
             log.debug("unexpected error", exc_info=exc)
         code, line = EXIT_SOLVER, f"error: {type(exc).__name__}: {exc}"

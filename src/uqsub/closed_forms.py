@@ -1,9 +1,9 @@
-"""Analytic fidelity baselines, bounds, and exact solutions.
+"""Analytic fidelity baselines and exact solutions.
 
 These curves serve both as CLI outputs and as test oracles for the SDP path:
-the doing-nothing baseline, the exact two-copy/one-noise-copy optimum, the
-measure-and-prepare upper bound, the symmetric-measurement purification
-protocol, and the two-copy limit of infinitely many noise copies.
+the doing-nothing baseline, the exact two-copy/one-noise-copy optimum, a
+measure-and-prepare value (no bound on the optimum), the symmetric-measurement
+purification protocol, and the two-copy limit of infinitely many noise copies.
 """
 from __future__ import annotations
 
@@ -42,11 +42,12 @@ def f21_exact(p: float) -> float:
 
 
 def mp_upper(p: float, n1: int) -> float:
-    """Upper bound on measure-and-prepare strategies with n1 mixture copies.
-
-    Sum over the number k of intact target copies of the optimal pure-state
-    tomography fidelity (k+1)/(k+2).
-    """
+    """Measure-and-prepare fidelity with n1 mixture copies for a measurement
+    that knows which copies are intact: the sum over the number k of intact
+    copies of the tomography fidelity (k+1)/(k+2).  It ignores n2 and is no
+    upper bound on the optimum: over n1+n2 <= 24 and p in steps of 0.1 it
+    exceeds F(n1, n2) at 237 of 3,036 points, all with n1 >= 7 and p >= 0.6
+    (by 6.4e-3 at (7, 1) and p = 0.8)."""
     check_p(p)
     if n1 < 1:
         raise ValueError("need n1 >= 1")

@@ -154,7 +154,7 @@ class TestCg:
             assert cg_twice(*labels) == cg_fraction(*labels), labels
 
     def test_labels_beyond_the_factorial_table(self):
-        # 2j up to 120 needs factorials past the shared table's 127!
+        # 2j up to 120 needs factorials past 127!
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 200:
@@ -167,10 +167,9 @@ class TestCg:
             checked += 1
             assert cg_twice(*labels) == cg_fraction(*labels), labels
 
-    def test_factorial_table_is_shared_and_grown_once(self):
-        table = _factorials(300)
-        assert table is _factorials(250) is _factorials(len(table) - 1)
-        assert table == tuple(math.factorial(k) for k in range(len(table)))
+    def test_factorial_table_is_exact(self):
+        for top in (0, 1, 127, 300):
+            assert _factorials(top) == tuple(math.factorial(k) for k in range(top + 1))
 
     def test_orthogonality(self):
         # sum over (m1, m2) at fixed M of C(J) C(J') = delta_JJ'

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -132,12 +133,14 @@ class TestSweep:
 
     def test_byte_stable_and_jobs_invariant(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        c = tmp_path / "c.csv"
-        # 5 anti-diagonals, so each of 3 processes gets a share
-        for out_file, jobs in ((a, "1"), (b, "2"), (c, "3")):
+        c, d = tmp_path / "c.csv", tmp_path / "d.csv"
+        # 5 anti-diagonals, so each of 3 processes gets a share; no --jobs
+        # runs one share per core this process may run on
+        for out_file, jobs in ((a, ["--jobs", "1"]), (b, ["--jobs", "2"]),
+                               (c, ["--jobs", "3"]), (d, [])):
             run(capsys, ["sweep", "--n1-max", "3", "--n2-max", "3", "--p", "0.9",
-                         "--out", str(out_file), "--jobs", jobs])
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+                         "--out", str(out_file), *jobs])
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes() == d.read_bytes()
 
     @pytest.fixture
     def fork_calls(self, monkeypatch):
@@ -776,7 +779,7 @@ def test_names_the_traced_benchmark_patches_still_exist(tmp_path):
 
 
 def test_cli_import_skips_process_pool():
-    # the sweep imports its worker pool only when it runs more than one job
+    # a parallel sweep forks its shares itself: it loads no process-pool module
     loaded = probe(
         "import sys, uqsub.cli; print(sorted(m for m in sys.modules "
         "if m == 'concurrent.futures.process' or m.startswith('multiprocessing')))"
@@ -879,6 +882,18 @@ def test_import_loads_no_heavy_module(module):
         f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {HEAVY!r}))"
     )
     assert loaded == "[]"
+
+
+def test_no_module_rebinds_its_globals():
+    # module state is bound at import and never rebound by a call: no `global`
+    paths = sorted(Path(uqsub.__file__).parent.glob("*.py"))
+    assert {"angular.py", "cli.py"} <= {path.name for path in paths}
+    rebinding = [
+        path.name
+        for path in paths
+        if any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert rebinding == []
 
 
 @pytest.mark.parametrize(

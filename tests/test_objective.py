@@ -341,6 +341,13 @@ class TestClosedFormTable:
         assert (pairs, sectors) == (276, 15734)
         assert overlaps > zeros > 0
 
+    @pytest.mark.parametrize("n1, n2", [(1, 127), (2, 126)])
+    def test_equals_reference_past_127_factorial(self, monkeypatch, n1, n2):
+        # n1+n2 = 128 reads factorials up to 129!
+        monkeypatch.setattr(objective, "MAX_TOTAL_QUBITS", n1 + n2)
+        table, ref = build_objective(n1, n2), reference_objective(n1, n2)
+        assert list(table.entries.items()) == list(ref.entries.items())
+
     def test_keys_are_the_layout_keys(self):
         # build_objective reads its sectors off _layout: the same objects, in
         # enumeration order, so no size holds two sets of SectorIndex keys
