@@ -9,7 +9,7 @@ reconstructs/simulates the optimal channel.
 
 The numpy-backed names live in `uqsub.oracle`, `uqsub.channel`,
 `uqsub.mcsim` and `uqsub.ipm`; everything here runs on the standard library,
-and `check_certificate` and `check_dual` import numpy on their first call.
+and `check_certificate` and `check_dual` import numpy when called.
 """
 
 from .angular import HalfInt, SectorIndex, enumerate_sectors

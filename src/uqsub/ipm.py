@@ -1,4 +1,4 @@
-"""Interior-point solver and independent certificate checks for block SDPs.
+"""Interior-point solver for block SDPs.
 
 `solve_ipm` is a primal-dual path-following method with Nesterov-Todd
 scaling and a Mehrotra-style adaptive centering parameter for any
@@ -11,16 +11,13 @@ straight from their sparse `(block, i, k, coef)` terms through index arrays,
 one LAPACK solve per iteration factors the Schur matrix once for both Newton
 systems, and one eigendecomposition of each X and Z stack serves the scaling
 and all four step-length tests, which take the minimum over the stacks.
-`check_certificate` and `check_dual` re-derive primal and dual feasibility
-of a solution independently of either solver, on the same stacks: a block is
-PSD when its smallest eigenvalue, one `eigvalsh` per stack for every block
-size, is at least -CHECK_TOL.  `uqsub.sdp`'s functions of those names
-import them from here on their first call.
+The checkers that judge its answers, `uqsub.sdp.check_certificate` and
+`check_dual`, share none of this code, and only the oracle imports this
+module.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,13 +29,8 @@ from .sdp import (
     STATUS_STALLED,
     SdpProblem,
     SdpSolution,
-    _is_square,
     _step_limit,
 )
-
-# the row residual and the PSD margin that `check_certificate` and
-# `check_dual` allow
-CHECK_TOL = 1e-8
 
 # every function below acts on a stack of blocks, an array (count, d, d)
 
@@ -392,64 +384,4 @@ def solve_ipm(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolu
         iterations=it,
         status=status,
         dual_multipliers=y.tolist(),
-    )
-
-
-class CertificateReport(NamedTuple):
-    """What `check_certificate` found."""
-
-    passed: bool
-    primal_residual: float
-    min_eigenvalue: float
-    failed_blocks: list[str]
-
-
-def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
-    """Re-derive feasibility of a solution independently of the solver loop:
-    the row residual against CHECK_TOL, and every block's smallest eigenvalue
-    against -CHECK_TOL.  ValueError unless the blocks match the problem's."""
-    dims = [spec.dim for spec in problem.blocks]
-    if len(solution.blocks) != len(dims) or not all(map(_is_square, solution.blocks, dims)):
-        raise ValueError(f"the solution needs one dim x dim block for each of {len(dims)} blocks")
-    inst = _Instance(problem)
-    xs = inst.stack(solution.blocks)
-    rp_norm = float(np.max(np.abs(inst.b - inst.apply(xs)))) if inst.m else 0.0
-    lams = inst.min_eigenvalues(xs).tolist()
-    bad = [(spec.name, lam) for spec, lam in zip(problem.blocks, lams) if lam < -CHECK_TOL]
-    return CertificateReport(
-        passed=not bad and rp_norm <= CHECK_TOL,
-        primal_residual=rp_norm,
-        min_eigenvalue=min(0.0, *lams),
-        failed_blocks=[name for name, _ in bad],
-    )
-
-
-class DualReport(NamedTuple):
-    """What `check_dual` found."""
-
-    passed: bool
-    dual_value: float
-    min_eigenvalue: float
-    failed_blocks: list[str]
-
-
-def check_dual(problem: SdpProblem, multipliers: Sequence[float]) -> DualReport:
-    """Re-derive dual feasibility of row multipliers independently of the solver.
-
-    When every Z_b = sum_r y_r A_rb - C_b is PSD, its smallest eigenvalue at
-    least -CHECK_TOL, the dual value sum_r b_r y_r + offset bounds the maximum
-    from above (weak duality).  ValueError unless there is one per row.
-    """
-    if multipliers is None or len(multipliers) != problem.num_constraints:
-        count = "no" if multipliers is None else len(multipliers)
-        raise ValueError(f"{count} multipliers for {problem.num_constraints} rows")
-    inst = _Instance(problem)
-    y = np.asarray(multipliers, dtype=float)
-    lams = inst.min_eigenvalues([a - c for a, c in zip(inst.adjoint(y), inst.c)]).tolist()
-    failed = [spec.name for spec, lam in zip(problem.blocks, lams) if lam < -CHECK_TOL]
-    return DualReport(
-        passed=not failed,
-        dual_value=float(inst.b @ y) + problem.offset if inst.m else problem.offset,
-        min_eigenvalue=min(lams),
-        failed_blocks=failed,
     )

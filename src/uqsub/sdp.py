@@ -22,8 +22,8 @@ fixed FEAS_TOL, PSD_TOL and GAP_TOL, read at call time.
 This module and the chain solver need only the standard library, and at
 import time only its light modules: the blocks and the solution are named
 tuples and the problem a small plain class, not dataclasses (which load
-`inspect`).  `check_certificate` and `check_dual` call the numpy-backed
-checkers of `uqsub.ipm`, which they import on their first call.
+`inspect`).  `check_certificate` and `check_dual` judge an answer of either
+solver from the problem's terms alone, and import numpy when called.
 """
 from __future__ import annotations
 
@@ -41,6 +41,8 @@ STATUS_STALLED = "stalled"
 FEAS_TOL = 1e-9
 PSD_TOL = 1e-9
 GAP_TOL = 1e-7
+# the row residual and PSD margin that the checkers allow
+CHECK_TOL = 1e-8
 
 _EPS = sys.float_info.epsilon
 
@@ -425,13 +427,77 @@ def solve(problem: SdpProblem, max_iterations: int | None = None) -> SdpSolution
     return _solve_chain(problem, _step_limit(max_iterations))
 
 
-def check_certificate(problem: SdpProblem, solution: SdpSolution):
-    """`uqsub.ipm.check_certificate`, which loads numpy."""
-    from .ipm import check_certificate
-    return check_certificate(problem, solution)
+class CertificateReport(NamedTuple):
+    """What `check_certificate` found."""
+
+    passed: bool
+    primal_residual: float
+    min_eigenvalue: float
+    failed_blocks: list[str]
 
 
-def check_dual(problem: SdpProblem, multipliers: Sequence[float]):
-    """`uqsub.ipm.check_dual`, which loads numpy."""
-    from .ipm import check_dual
-    return check_dual(problem, multipliers)
+class DualReport(NamedTuple):
+    """What `check_dual` found."""
+
+    passed: bool
+    dual_value: float
+    min_eigenvalue: float
+    failed_blocks: list[str]
+
+
+def _psd_test(problem: SdpProblem, blocks):
+    """The smallest eigenvalue of each block's symmetric part, in problem
+    order, from one numpy `eigvalsh` per block size, and the names of the
+    blocks where it is below -CHECK_TOL.  A block with an entry that is not
+    finite, which `eigvalsh` does not bound, reads NaN and fails."""
+    import numpy as np
+
+    dims = [spec.dim for spec in problem.blocks]
+    lams = np.empty(len(dims))
+    for d in set(dims):
+        at = [pos for pos, dim in enumerate(dims) if dim == d]
+        stack = np.array([blocks[pos] for pos in at], dtype=float)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        stack[~finite] = 0.0
+        lam = np.linalg.eigvalsh(0.5 * (stack + stack.swapaxes(1, 2)))[:, 0]
+        lams[at] = np.where(finite, lam, np.nan)
+    return lams, [spec.name for spec, lam in zip(problem.blocks, lams) if not lam >= -CHECK_TOL]
+
+
+def check_certificate(problem: SdpProblem, solution: SdpSolution) -> CertificateReport:
+    """Re-derive feasibility of a solution from the problem's own terms,
+    sharing no code with either solver: the row residual against CHECK_TOL
+    and the PSD test of `_psd_test`; a NaN residual fails and reads NaN.
+    ValueError unless the blocks match the problem's."""
+    import numpy as np
+
+    dims, xs = [spec.dim for spec in problem.blocks], solution.blocks
+    if len(xs) != len(dims) or not all(map(_is_square, xs, dims)):
+        raise ValueError(f"the solution needs one dim x dim block for each of {len(dims)} blocks")
+    residuals = [rhs - sum(c * xs[b][i][i] if i == k else c * (xs[b][i][k] + xs[b][k][i])
+                           for b, i, k, c in terms) for terms, rhs in problem.equalities]
+    rp_norm = float(np.max(np.abs(residuals), initial=0.0))
+    lams, failed = _psd_test(problem, xs)
+    return CertificateReport(not failed and rp_norm <= CHECK_TOL, rp_norm,
+                             float(lams.min(initial=0.0)), failed)
+
+
+def check_dual(problem: SdpProblem, multipliers: Sequence[float]) -> DualReport:
+    """Re-derive dual feasibility of row multipliers from the problem's own
+    terms, sharing no code with either solver: when every
+    Z_b = sum_r y_r A_rb - C_b passes `_psd_test`, a finite dual value
+    sum_r b_r y_r + offset bounds the maximum from above (weak duality).
+    ValueError unless there is one multiplier per row."""
+    if multipliers is None or len(multipliers) != problem.num_constraints:
+        count = "no" if multipliers is None else len(multipliers)
+        raise ValueError(f"{count} multipliers for {problem.num_constraints} rows")
+    ays = [[[0.0] * spec.dim for _ in range(spec.dim)] for spec in problem.blocks]
+    for (terms, _), y in zip(problem.equalities, multipliers):
+        for b, i, k, c in terms:
+            ays[b][i][k] += c * y
+            if i != k:
+                ays[b][k][i] += c * y
+    lams, failed = _psd_test(problem, [[[a - c for a, c in zip(*rows)] for rows in zip(ay, cb)]
+                                       for ay, cb in zip(ays, problem.objective)])
+    dual = float(sum(b * y for (_, b), y in zip(problem.equalities, multipliers)) + problem.offset)
+    return DualReport(not failed and math.isfinite(dual), dual, float(lams.min()), failed)

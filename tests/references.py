@@ -491,7 +491,8 @@ class DenseInstance:
     (m, d*d) stack of block b is A_rb, flattened.  The IPM once worked on
     these; `uqsub.ipm._Instance` acts from the sparse terms instead, and its
     `apply`, `adjoint` and `schur` must agree with the ones here, which take
-    and return per-block matrices."""
+    and return per-block matrices, as must the row values and the Z_b that
+    `uqsub.sdp`'s checkers form from the terms themselves."""
 
     def __init__(self, problem: SdpProblem):
         self.dims = [spec.dim for spec in problem.blocks]

@@ -948,8 +948,9 @@ def test_covariant_commands_run_without_numpy(capsys, monkeypatch, tmp_path, arg
 
 
 def test_numpy_backed_names_live_in_their_modules():
-    # the package root holds only standard-library names; its checkers
-    # import numpy on their first call, and uqsub.cli alone binds names lazily
+    # the package root holds only standard-library names; its checkers import
+    # numpy when called but not the IPM they judge, only the oracle imports
+    # uqsub.ipm, and uqsub.cli alone binds names lazily
     resolved = probe(
         "import sys; sys.modules['numpy'] = None; import uqsub; "
         "print(all(hasattr(uqsub, name) for name in uqsub.__all__))"
@@ -959,10 +960,22 @@ def test_numpy_backed_names_live_in_their_modules():
         "import sys, uqsub, uqsub.cli as cli; prob = uqsub.assemble(uqsub.build_objective(2, 1), "
         "0.5); sol = uqsub.solve(prob); before = 'numpy' in sys.modules; "
         "report = uqsub.check_certificate(prob, sol); "
-        "print(before, 'numpy' in sys.modules, report.passed is True, "
+        "dual = uqsub.check_dual(prob, sol.dual_multipliers); ipm = 'uqsub.ipm' in sys.modules; "
+        "print(before, 'numpy' in sys.modules, report.passed is dual.passed is True, ipm, "
         "cli.twirl_objective.__module__)"
     )
-    assert loaded == "False True True uqsub.oracle"
+    assert loaded == "False True True False uqsub.oracle"
+    importers = {
+        path.name
+        for path in Path(uqsub.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and "uqsub.ipm" in {a.name for a in node.names}
+        or isinstance(node, ast.ImportFrom) and (
+            node.module in ("ipm", "uqsub.ipm")
+            or node.module in (None, "uqsub") and "ipm" in {a.name for a in node.names}
+        )
+    }
+    assert importers == {"oracle.py"}
     with pytest.raises(AttributeError):
         uqsub.KrausSet
     names = ["uqsub"] + [f"uqsub.{m.name}" for m in pkgutil.iter_modules(uqsub.__path__)]

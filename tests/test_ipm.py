@@ -1,8 +1,8 @@
-"""The IPM's term-format row operators against the dense-stack reference,
-its step-length test against the assembled block-diagonal matrix, its
-per-stack smallest eigenvalues against one eigvalsh per block, its exit
-when the Schur solve fails, and its answers and statuses on problems that
-are no chain."""
+"""The IPM's term-format row operators and the certificate checkers' own
+row action against the dense-stack reference, the IPM's step-length test
+against the assembled block-diagonal matrix, its per-stack smallest
+eigenvalues against one eigvalsh per block, its exit when the Schur solve
+fails, and its answers and statuses on problems that are no chain."""
 import numpy as np
 import pytest
 
@@ -17,7 +17,9 @@ from uqsub.sdp import (
     STATUS_STALLED,
     BlockSpec,
     SdpProblem,
+    SdpSolution,
     check_certificate,
+    check_dual,
     solve,
 )
 
@@ -83,6 +85,32 @@ def test_hand_built_rows_match_dense_reference():
     inst, ref = _Instance(problem), DenseInstance(problem)
     flat = np.concatenate([s for _, s in ref.stacks], axis=1)
     assert_close(inst.schur(inst.identity()), flat @ flat.T)
+
+
+def test_checkers_match_dense_reference():
+    # the checkers read the rows from their terms without the IPM: X need not
+    # be symmetric, as both entries of an off-diagonal term count
+    base = hand_built_problem()
+    ref = DenseInstance(base)
+    b = np.array([rhs for _, rhs in base.equalities])
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        cs = [a + a.T for a in (rng.standard_normal((d, d)) for d in ref.dims)]
+        prob = SdpProblem(base.blocks, cs, base.equalities, offset=float(rng.standard_normal()))
+        xs = [rng.standard_normal((d, d)) for d in ref.dims]
+        report = check_certificate(prob, SdpSolution(xs, 0.0, 0.0, 0.0, 0.0, 0, STATUS_OPTIMAL))
+        assert_close(report.primal_residual, np.max(np.abs(b - ref.apply(xs))))
+        lams = [np.linalg.eigvalsh(0.5 * (x + x.T))[0] for x in xs]
+        assert_close(report.min_eigenvalue, min(0.0, *lams))
+        y = rng.standard_normal(ref.m)
+        zs = [a - c for a, c in zip(ref.adjoint(y), cs)]
+        dual = check_dual(prob, y)
+        assert_close(dual.min_eigenvalue, min(np.linalg.eigvalsh(z)[0] for z in zs))
+        assert abs(dual.dual_value - (b @ y + prob.offset)) <= 1e-13 * (np.abs(b * y).sum() + 1)
+        for got, blocks in ((report, xs), (dual, zs)):
+            names = [spec.name for spec, m in zip(prob.blocks, blocks)
+                     if np.linalg.eigvalsh(0.5 * (m + m.T))[0] < -1e-8]
+            assert got.failed_blocks == names
 
 
 def block_diagonal(blocks) -> np.ndarray:

@@ -437,6 +437,34 @@ class TestCertificate:
             with pytest.raises(ValueError, match=f"^{count} multipliers for 3 rows$"):
                 check_dual(prob, multipliers)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_entries_that_are_not_finite_fail(self, bad):
+        # eigvalsh bounds no such block: [[nan, 0], [0, 1]] gives [0, -0]
+        prob = covariant_problem(2, 1, 0.5)
+        sol = solve(prob)
+        pos = next(i for i, spec in enumerate(prob.blocks) if spec.dim == 2)
+        off, diag = [np.array(b) for b in sol.blocks], [np.array(b) for b in sol.blocks]
+        off[pos][0, 1] = off[pos][1, 0] = bad
+        diag[pos][0, 0] = bad  # also read by a row
+        for blocks in (off, diag):
+            report = check_certificate(prob, sol._replace(blocks=blocks))
+            assert not report.passed
+            assert report.failed_blocks == [prob.blocks[pos].name]
+            assert math.isnan(report.min_eigenvalue)
+        assert not math.isfinite(report.primal_residual)
+        for r in range(prob.num_constraints):
+            y = sol.dual_multipliers.copy()
+            y[r] = bad
+            dual = check_dual(prob, y)
+            assert not dual.passed and dual.failed_blocks, r
+            assert math.isnan(dual.min_eigenvalue), r
+        # a row without terms leaves every Z_b finite, but not the dual value
+        free = SdpProblem(
+            [BlockSpec("x", 1)], [[[0.0]]], [(((0, 0, 0, 1.0),), 1.0), ((), 1.0)]
+        )
+        dual = check_dual(free, [1.0, bad])
+        assert not dual.passed and dual.failed_blocks == [] and dual.min_eigenvalue == 1.0
+
     def test_reports_hold_plain_python_values(self):
         # the traced benchmark writes `.passed` into spans that json.dump saves
         covariant = covariant_problem(2, 1, 0.5)
